@@ -38,6 +38,7 @@ from .evaluation import (
 from .inference import (
     BeliefState,
     BpConfig,
+    decode_rows,
     map_bruteforce,
     margin,
     margin_loss,

@@ -38,6 +38,7 @@ from .serialize import export_label_graph, load_model, save_model
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+SHOWN_NONCONVERGED = 20  # `predict` lists at most this many non-converged rows
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -158,7 +159,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
         fh.write("\n".join(lines) + "\n")
     print(f"{len(lines)} predictions written to {args.out}")
     if flagged:
-        print(f"message passing did not converge on instances: {' '.join(map(str, flagged))}")
+        shown = " ".join(map(str, flagged[:SHOWN_NONCONVERGED]))
+        more = " ..." if len(flagged) > SHOWN_NONCONVERGED else ""
+        print(f"message passing did not converge on instances: {shown}{more} "
+              f"({len(flagged)} of {len(preds)} rows)")
     else:
         print("message passing converged on every instance")
     return EXIT_OK

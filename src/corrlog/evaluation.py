@@ -24,12 +24,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .inference import BpConfig, predict_map_bp
+# predict_map_bp is not called here; it stays importable from this module
+# because the benchmark tracer (benchmarks/spans.py) wraps it by this name.
+from .inference import BpConfig, decode_rows, predict_map_bp  # noqa: F401
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, MetricsReport, compute_metrics
 from .model import Instance, ModelParams, MultilabelDataset
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
 
 TRAINERS = ("corrlog", "ilrs")
+
+# Floats per working array when decoding a dataset (8 MiB); the rows per
+# chunk follow from the model's directed-edge count and feature count.
+DECODE_CHUNK_FLOATS = 1 << 20
 
 
 # --- paired t-test -----------------------------------------------------------
@@ -202,14 +208,23 @@ def _fit(trainer: str, train_set: MultilabelDataset, config: TrainConfig) -> Mod
 
 def predict_dataset(params: ModelParams, dataset: MultilabelDataset,
                     bp_config: BpConfig | None = None) -> tuple[np.ndarray, list[int]]:
-    """Decode every instance; returns (n x m predictions, non-converged indices)."""
-    preds = np.empty((len(dataset), dataset.num_labels), dtype=np.int8)
+    """Decode every instance; returns (n x m predictions, non-converged indices).
+
+    Rows are decoded in chunks whose message and feature arrays each stay
+    within ``DECODE_CHUNK_FLOATS`` floats.
+    """
+    # a row's widest decoding temporary holds 4 floats per directed edge
+    per_row = max(8 * params.nnz_alpha(), dataset.num_features, 1)
+    rows = max(1, DECODE_CHUNK_FLOATS // per_row)
+    n = len(dataset)
+    preds = np.empty((n, dataset.num_labels), dtype=np.int8)
     flagged = []
-    for idx, inst in enumerate(dataset.instances):
-        labels, state = predict_map_bp(params, inst.features, bp_config)
-        preds[idx] = labels
-        if not state.converged:
-            flagged.append(idx)
+    for start in range(0, n, rows):
+        chunk = dataset.instances[start:start + rows]
+        labels, converged = decode_rows(
+            params, np.array([inst.features for inst in chunk]), bp_config)
+        preds[start:start + len(chunk)] = labels
+        flagged.extend(int(i) + start for i in np.flatnonzero(~converged))
     return preds, flagged
 
 

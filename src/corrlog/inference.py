@@ -7,6 +7,15 @@ is a forest and a well-tested heuristic on loopy graphs; messages live in the
 log domain, are updated synchronously (flooding), and are renormalized every
 round by subtracting their maximum, which never changes the argmax.
 
+One kernel decodes a batch: each round updates the 2-vector messages of every
+row and every directed edge with a few numpy operations, and a row is frozen
+at the round where its own largest message change drops below the tolerance.
+Every sum is taken in the order a one-row loop over a dict of messages would
+take it, so a row's labels, beliefs and convergence flag do not depend on the
+batch it was decoded in.  ``decode_rows`` is the batch entry point (callers
+bound its memory by chunking rows); ``predict_map_bp`` decodes one vector and
+also returns its messages and beliefs.
+
 Ties at decode time resolve to +1; the brute-force oracle mirrors this by
 scanning configurations in lexicographic order with +1 sorted before -1.
 """
@@ -58,6 +67,138 @@ class BeliefState:
     iterations_run: int = 0
 
 
+@dataclass(frozen=True)
+class _EdgeLayout:
+    """Index tables of a model's directed edges, fixed once per decoding call.
+
+    Directed edge 2k runs i -> j and 2k + 1 runs j -> i for the k-th nonzero
+    pair (i, j) in sorted order.  Level t of ``gather`` lists, for every
+    directed edge src -> dst whose source has more than t other incoming
+    edges, that edge and the t-th of them in ascending edge order; level t of
+    ``deliver`` lists each node with more than t incoming edges and its t-th
+    one.  A level that covers every edge or node holds a full slice in place
+    of the first index array.  Adding level by level keeps every sum in
+    ascending edge order.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    pairwise: np.ndarray  # (2E, 2, 2): weight * s_src * s_dst
+    gather: list[tuple[np.ndarray | slice, np.ndarray]]
+    deliver: list[tuple[np.ndarray | slice, np.ndarray]]
+
+
+def _edge_layout(params: ModelParams) -> _EdgeLayout:
+    pairs = [(i, j, v) for (i, j), v in sorted(params.alpha.items()) if v != 0.0]
+    src, dst, weights = [], [], []
+    for i, j, v in pairs:
+        src += [i, j]
+        dst += [j, i]
+        weights += [v, v]
+    incoming: list[list[int]] = [[] for _ in range(params.num_labels)]
+    for d, target in enumerate(dst):
+        incoming[target].append(d)
+    others = [[e for e in incoming[s] if src[e] != t] for s, t in zip(src, dst)]
+
+    def levels(lists):
+        out = []
+        for level in range(max(map(len, lists), default=0)):
+            rows = [r for r, items in enumerate(lists) if len(items) > level]
+            picked = np.array([lists[r][level] for r in rows], dtype=np.intp)
+            full = len(rows) == len(lists)  # index by a view, not a copy
+            out.append((slice(None) if full else np.array(rows, dtype=np.intp), picked))
+        return out
+
+    return _EdgeLayout(
+        src=np.array(src, dtype=np.intp),
+        dst=np.array(dst, dtype=np.intp),
+        pairwise=np.array(weights).reshape(-1, 1, 1) * np.outer(_STATES, _STATES),
+        gather=levels(others),
+        deliver=levels(incoming),
+    )
+
+
+def _message_round(messages: np.ndarray, node_terms: np.ndarray,
+                   layout: _EdgeLayout, damping: float) -> np.ndarray:
+    """One synchronous max-product update of every row's directed-edge messages.
+
+    messages is (rows, 2E, 2) and node_terms (rows, m, 2) holds u_i * s_i.
+    """
+    # accumulated log-belief of src excluding what dst sent it
+    src_belief = node_terms[:, layout.src]
+    for edges, others in layout.gather:
+        src_belief[:, edges] += messages[:, others]
+    # msg[s_dst] = max over s_src of src_belief + weight*s_src*s_dst
+    msg = (src_belief[..., :, None] + layout.pairwise).max(axis=-2)
+    msg = msg - msg.max(axis=-1, keepdims=True)
+    if damping > 0.0:
+        msg = damping * messages + (1.0 - damping) * msg
+    return msg
+
+
+def _max_product(params: ModelParams, unary: np.ndarray, config: BpConfig):
+    """Loopy max-product on rows of unaries (n x m), each row on its own.
+
+    Returns (messages n x 2E x 2, beliefs n x m x 2, converged n, iterations n,
+    layout).  A row is frozen at the round whose largest message change drops
+    below the tolerance; rows still moving stop at ``max_iters``.
+    """
+    layout = _edge_layout(params)
+    n = unary.shape[0]
+    node_terms = unary[:, :, None] * _STATES
+    messages = np.zeros((n, layout.src.size, 2))
+    converged = np.full(n, layout.src.size == 0)
+    iterations = np.zeros(n, dtype=np.int64)
+    if layout.src.size:
+        active = np.arange(n)
+        current = messages
+        for rnd in range(1, config.max_iters + 1):
+            if not active.size:
+                break
+            updated = _message_round(current, node_terms[active], layout, config.damping)
+            change = np.abs(updated - current).max(axis=(1, 2))
+            current = updated
+            iterations[active] = rnd
+            done = change < config.convergence_tol
+            if done.any():
+                messages[active[done]] = current[done]
+                converged[active[done]] = True
+                active, current = active[~done], current[~done]
+        messages[active] = current
+
+    beliefs = node_terms.copy()
+    for nodes, edges in layout.deliver:
+        beliefs[:, nodes] += messages[:, edges]
+    return messages, beliefs, converged, iterations, layout
+
+
+def _labels(beliefs: np.ndarray) -> np.ndarray:
+    return np.where(beliefs[..., 0] >= beliefs[..., 1], 1, -1).astype(np.int8)
+
+
+def decode_rows(params: ModelParams, X: np.ndarray,
+                config: BpConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
+
+    Row r gets exactly the labels and convergence flag that
+    ``predict_map_bp(params, X[r], config)`` reports.  Working memory grows
+    with rows x directed edges, so callers with many rows decode in chunks.
+    """
+    if config is None:
+        config = BpConfig()
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != params.num_features:
+        raise DataError(
+            f"feature matrix has shape {X.shape}, expected (n, {params.num_features})"
+        )
+    # one product per row: a batched X @ beta.T rounds differently
+    unary = np.empty((X.shape[0], params.num_labels))
+    for r, x in enumerate(X):
+        unary[r] = params.beta @ x
+    _, beliefs, converged, _, _ = _max_product(params, unary, config)
+    return _labels(beliefs), converged
+
+
 def predict_map_bp(params: ModelParams, x: np.ndarray,
                    config: BpConfig | None = None) -> tuple[np.ndarray, BeliefState]:
     """Decode the most probable label vector for x; returns (labels, state).
@@ -73,59 +214,17 @@ def predict_map_bp(params: ModelParams, x: np.ndarray,
         raise DataError(
             f"feature vector has shape {x.shape}, expected ({params.num_features},)"
         )
-    m = params.num_labels
     unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
-
-    edges = [(i, j, v) for (i, j), v in sorted(params.alpha.items()) if v != 0.0]
-    neighbors: dict[int, list[tuple[int, float]]] = {i: [] for i in range(m)}
-    for i, j, v in edges:
-        neighbors[i].append((j, v))
-        neighbors[j].append((i, v))
-
-    state = BeliefState()
-    if edges:
-        messages = {}
-        for i, j, _ in edges:
-            messages[(i, j)] = np.zeros(2)
-            messages[(j, i)] = np.zeros(2)
-
-        converged = False
-        iterations = 0
-        for iterations in range(1, config.max_iters + 1):
-            new_messages = {}
-            max_change = 0.0
-            for (src, dst), old in messages.items():
-                weight = params.alpha_at(src, dst)
-                # accumulated log-belief of src excluding what dst sent it
-                src_belief = unary[src] * _STATES
-                for nbr, _ in neighbors[src]:
-                    if nbr != dst:
-                        src_belief = src_belief + messages[(nbr, src)]
-                # msg[s_dst] = max over s_src of src_belief + weight*s_src*s_dst
-                pairwise = weight * np.outer(_STATES, _STATES)
-                msg = (src_belief[:, None] + pairwise).max(axis=0)
-                msg = msg - msg.max()
-                if config.damping > 0.0:
-                    msg = config.damping * old + (1.0 - config.damping) * msg
-                new_messages[(src, dst)] = msg
-                max_change = max(max_change, float(np.max(np.abs(msg - old))))
-            messages = new_messages
-            if max_change < config.convergence_tol:
-                converged = True
-                break
-        state.messages = messages
-        state.converged = converged
-        state.iterations_run = iterations
-    else:
-        state.converged = True
-
-    beliefs = np.outer(unary, _STATES)
-    for (src, dst), msg in state.messages.items():
-        beliefs[dst] += msg
-    state.beliefs = beliefs
-
-    labels = np.where(beliefs[:, 0] >= beliefs[:, 1], 1, -1).astype(np.int8)
-    return labels, state
+    messages, beliefs, converged, iterations, layout = _max_product(
+        params, unary[None, :], config)
+    state = BeliefState(
+        messages={(int(s), int(t)): messages[0, d]
+                  for d, (s, t) in enumerate(zip(layout.src, layout.dst))},
+        beliefs=beliefs[0],
+        converged=bool(converged[0]),
+        iterations_run=int(iterations[0]),
+    )
+    return _labels(beliefs[0]), state
 
 
 def _config_chunks(m: int):
@@ -187,6 +286,8 @@ def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     m = params.num_labels
     if x.shape != (params.num_features,) or y.shape != (m,):
         raise DataError("dimension mismatch between parameters, features, and labels")
+    if not np.all((y == 1) | (y == -1)):
+        raise DataError("labels must be exactly -1 or +1")
     y_index = 0
     for pos, value in enumerate(y):
         if value == -1:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from corrlog.inference import BeliefState, BpConfig
 from corrlog.model import Instance, ModelParams, MultilabelDataset
 
 
@@ -80,3 +81,72 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, d: int) -> Multilab
         num_labels=m,
         label_names=tuple(f"label{i + 1}" for i in range(m)),
     )
+
+
+_STATES = np.array([1.0, -1.0])
+
+
+def reference_predict_map_bp(params: ModelParams, x,
+                             config: BpConfig | None = None) -> tuple[np.ndarray, BeliefState]:
+    """Per-instance loopy max-product over a dict of directed-edge messages.
+
+    This is the package's original decoder, kept as the reference that the
+    batched kernel must match bit for bit: same neighbour order, same
+    damping, same belief accumulation order.
+    """
+    if config is None:
+        config = BpConfig()
+    x = np.asarray(x, dtype=float).reshape(-1)
+    m = params.num_labels
+    unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
+
+    edges = [(i, j, v) for (i, j), v in sorted(params.alpha.items()) if v != 0.0]
+    neighbors: dict[int, list[tuple[int, float]]] = {i: [] for i in range(m)}
+    for i, j, v in edges:
+        neighbors[i].append((j, v))
+        neighbors[j].append((i, v))
+
+    state = BeliefState()
+    if edges:
+        messages = {}
+        for i, j, _ in edges:
+            messages[(i, j)] = np.zeros(2)
+            messages[(j, i)] = np.zeros(2)
+
+        converged = False
+        iterations = 0
+        for iterations in range(1, config.max_iters + 1):
+            new_messages = {}
+            max_change = 0.0
+            for (src, dst), old in messages.items():
+                weight = params.alpha_at(src, dst)
+                # accumulated log-belief of src excluding what dst sent it
+                src_belief = unary[src] * _STATES
+                for nbr, _ in neighbors[src]:
+                    if nbr != dst:
+                        src_belief = src_belief + messages[(nbr, src)]
+                # msg[s_dst] = max over s_src of src_belief + weight*s_src*s_dst
+                pairwise = weight * np.outer(_STATES, _STATES)
+                msg = (src_belief[:, None] + pairwise).max(axis=0)
+                msg = msg - msg.max()
+                if config.damping > 0.0:
+                    msg = config.damping * old + (1.0 - config.damping) * msg
+                new_messages[(src, dst)] = msg
+                max_change = max(max_change, float(np.max(np.abs(msg - old))))
+            messages = new_messages
+            if max_change < config.convergence_tol:
+                converged = True
+                break
+        state.messages = messages
+        state.converged = converged
+        state.iterations_run = iterations
+    else:
+        state.converged = True
+
+    beliefs = np.outer(unary, _STATES)
+    for (src, dst), msg in state.messages.items():
+        beliefs[dst] += msg
+    state.beliefs = beliefs
+
+    labels = np.where(beliefs[:, 0] >= beliefs[:, 1], 1, -1).astype(np.int8)
+    return labels, state

@@ -195,6 +195,29 @@ class TestPredictAndEval:
         printed = capsys.readouterr().out
         assert "did not converge on instances: 0" in printed
 
+    def test_nonconverged_listing_is_capped(self, tmp_path, capsys):
+        from corrlog.model import ModelParams
+        from corrlog.objective import RegularizationConfig
+        from corrlog.serialize import save_model
+
+        m = 5
+        rng = np.random.default_rng(0)
+        params = ModelParams(
+            rng.normal(size=(m, 1)) * 0.01,
+            {(i, i + 1): -2.0 for i in range(m - 1)} | {(0, m - 1): -2.0},
+            m, 1,
+        )
+        model = tmp_path / "frustrated.json"
+        model.write_text(save_model(params, RegularizationConfig()))
+        data = tmp_path / "many.csv"
+        data.write_text("f1|l1,l2,l3,l4,l5\n" + "1.0,1,1,1,1,1\n" * 25)
+        out = tmp_path / "p.txt"
+        assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "did not converge" in l)
+        shown = " ".join(str(i) for i in range(20))
+        assert line == ("message passing did not converge on instances: "
+                        f"{shown} ... (25 of 25 rows)")
+
     def test_dimension_mismatch_exits_3(self, trained_model, tmp_path):
         other = tmp_path / "wide.csv"
         other.write_text("f1,f2,f3,f4|l1,l2\n0.1,0.2,0.3,0.4,1,0\n")

@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from corrlog import evaluation
 from corrlog.data import ToySpec, add_bias_column, generate_toy
 from corrlog.errors import DataError
 from corrlog.evaluation import (
@@ -24,7 +25,7 @@ from corrlog.model import ModelParams
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog
 
-from conftest import random_dataset
+from conftest import random_dataset, random_params, reference_predict_map_bp
 
 
 def toy_config(epsilon=0.0, rel_tol=1e-8, max_iters=20000):
@@ -161,6 +162,35 @@ class TestPredictDataset:
         assert preds.shape == (12, 3)
         assert flagged == []
         assert np.all(preds == 1)
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 25])
+    def test_chunks_match_reference(self, monkeypatch, rows_per_chunk):
+        rng = np.random.default_rng(44)
+        params = random_params(rng, 5, 3, alpha_scale=1.0, density=0.8)
+        ds = random_dataset(rng, 25, 5, 3)
+        # 4 floats per directed edge, 2 directed edges per pair
+        monkeypatch.setattr(evaluation, "DECODE_CHUNK_FLOATS",
+                            8 * params.nnz_alpha() * rows_per_chunk)
+        reference = [reference_predict_map_bp(params, inst.features) for inst in ds.instances]
+        preds, flagged = predict_dataset(params, ds)
+        assert np.array_equal(preds, np.array([labels for labels, _ in reference]))
+        assert flagged == [i for i, (_, state) in enumerate(reference) if not state.converged]
+        # non-converged rows sit in the first and in later chunks
+        assert min(flagged) < 7 and max(flagged) >= 14
+        assert all(type(i) is int for i in flagged)
+
+    def test_edge_free_model_is_sign_rule(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "DECODE_CHUNK_FLOATS", 4)
+        rng = np.random.default_rng(45)
+        beta = rng.normal(size=(4, 3))
+        beta[2] = 0.0  # label 3 scores exactly zero on every row
+        params = ModelParams(beta, {(0, 1): 0.0}, 4, 3)
+        ds = random_dataset(rng, 10, 4, 3)
+        preds, flagged = predict_dataset(params, ds)
+        unary = np.array([beta @ inst.features for inst in ds.instances])
+        assert np.array_equal(preds, np.where(unary >= 0, 1, -1))
+        assert np.all(preds[:, 2] == 1)
+        assert flagged == []
 
 
 class TestStability:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from corrlog.errors import DataError
 from corrlog.inference import (
+    BeliefState,
     BpConfig,
+    decode_rows,
     map_bruteforce,
     margin,
     margin_loss,
@@ -13,7 +17,12 @@ from corrlog.inference import (
 )
 from corrlog.model import ModelParams
 
-from conftest import all_label_vectors, oracle_joint_table, random_params
+from conftest import (
+    all_label_vectors,
+    oracle_joint_table,
+    random_params,
+    reference_predict_map_bp,
+)
 
 
 def tree_model(rng, m: int, kind: str = "random", alpha_scale: float = 1.0,
@@ -159,6 +168,94 @@ class TestPredictMapBp:
         assert np.all(np.isfinite(state.beliefs))
 
 
+def assert_same_state(got: BeliefState, want: BeliefState) -> None:
+    assert got.converged == want.converged
+    assert got.iterations_run == want.iterations_run
+    assert list(got.messages) == list(want.messages)
+    for key, msg in want.messages.items():
+        assert got.messages[key].tobytes() == msg.tobytes(), key
+    assert got.beliefs.tobytes() == want.beliefs.tobytes()
+
+
+class TestReferenceDecoder:
+    """The batched kernel against the per-instance dict decoder, bit for bit."""
+
+    @pytest.mark.parametrize("damping", [0.0, 0.4])
+    @pytest.mark.parametrize("max_iters", [1, 5, 50])
+    def test_matches_reference_on_loopy_models(self, damping, max_iters):
+        rng = np.random.default_rng(1000 + int(10 * damping) + max_iters)
+        config = BpConfig(max_iters=max_iters, damping=damping)
+        for k in range(6):
+            m = int(rng.integers(2, 13))
+            params = random_params(rng, m, 3, alpha_scale=(0.3, 1.0, 2.0)[k % 3],
+                                   density=0.7)
+            X = rng.normal(size=(8, 3))
+            labels, converged = decode_rows(params, X, config)
+            assert labels.dtype == np.int8 and labels.shape == (8, m)
+            assert converged.dtype == bool and converged.shape == (8,)
+            for r, x in enumerate(X):
+                want_labels, want = reference_predict_map_bp(params, x, config)
+                got_labels, got = predict_map_bp(params, x, config)
+                assert np.array_equal(got_labels, want_labels)
+                assert_same_state(got, want)
+                assert np.array_equal(labels[r], want_labels)
+                assert converged[r] == want.converged
+
+    def test_batch_with_rows_frozen_at_different_rounds(self):
+        rng = np.random.default_rng(31)
+        params = random_params(rng, 7, 3, alpha_scale=1.0, density=0.7)
+        X = rng.normal(size=(12, 3))
+        config = BpConfig(max_iters=50)
+        reference = [reference_predict_map_bp(params, x, config) for x in X]
+        rounds = {state.iterations_run for _, state in reference}
+        assert len(rounds) >= 3
+        assert {state.converged for _, state in reference} == {True, False}
+        labels, converged = decode_rows(params, X, config)
+        assert np.array_equal(labels, np.array([lab for lab, _ in reference]))
+        assert np.array_equal(converged, [state.converged for _, state in reference])
+
+    def test_edge_free_matches_reference(self):
+        rng = np.random.default_rng(32)
+        params = ModelParams(rng.normal(size=(4, 3)), {(0, 2): 0.0}, 4, 3)
+        X = np.vstack([rng.normal(size=(5, 3)), np.zeros((1, 3))])
+        labels, converged = decode_rows(params, X)
+        for r, x in enumerate(X):
+            want_labels, want = reference_predict_map_bp(params, x)
+            got_labels, got = predict_map_bp(params, x)
+            assert np.array_equal(got_labels, want_labels)
+            assert_same_state(got, want)
+            assert np.array_equal(labels[r], want_labels)
+        assert converged.all()
+
+    def test_decode_rows_checks_shape(self):
+        params = ModelParams.zeros(2, 3)
+        with pytest.raises(DataError):
+            decode_rows(params, np.zeros(3))
+        with pytest.raises(DataError):
+            decode_rows(params, np.zeros((4, 2)))
+
+
+class TestSingleVectorContract:
+    """What library callers read from predict_map_bp's state."""
+
+    @pytest.mark.parametrize("alpha", [{(0, 1): 0.8, (1, 2): -0.5, (0, 2): 0.3}, {}])
+    def test_belief_state_types(self, alpha):
+        rng = np.random.default_rng(33)
+        params = ModelParams(rng.normal(size=(3, 2)), alpha, 3, 2)
+        labels, state = predict_map_bp(params, rng.normal(size=2))
+        assert isinstance(state, BeliefState)
+        assert type(state.converged) is bool
+        assert type(state.iterations_run) is int
+        assert type(state.messages) is dict
+        assert len(state.messages) == 2 * len(alpha)
+        for (src, dst), msg in state.messages.items():
+            assert type(src) is int and type(dst) is int
+            assert msg.shape == (2,)
+        assert state.beliefs.shape == (3, 2)
+        assert labels.dtype == np.int8 and labels.shape == (3,)
+        json.dumps({"converged": state.converged, "iterations": state.iterations_run})
+
+
 class TestMapBruteforce:
     def test_zero_params_all_positive(self):
         params = ModelParams.zeros(4, 2)
@@ -226,6 +323,15 @@ class TestMargin:
         params = ModelParams.zeros(21, 1)
         with pytest.raises(DataError):
             margin(params, np.zeros(1), np.ones(21, dtype=np.int8))
+
+    @pytest.mark.parametrize("y", [[0, 1], [1, 2], [0.5, -1]])
+    def test_labels_outside_plus_minus_one_rejected(self, y):
+        params = ModelParams(np.array([[0.3], [-0.2]]), {(0, 1): 0.5}, 2, 1)
+        x = np.array([1.0])
+        with pytest.raises(DataError):
+            margin(params, x, np.array(y))
+        with pytest.raises(DataError):
+            margin_loss(params, x, np.array(y))
 
 
 class TestMarginLoss:
