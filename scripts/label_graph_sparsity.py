@@ -31,7 +31,7 @@ def random_truth(m: int, d: int, density: float, seed: int) -> ModelParams:
 def run(args) -> None:
     truth = random_truth(args.labels, args.features, args.density, args.seed)
     dataset = sample_from_model(truth, n=args.n, seed=args.seed + 1)
-    true_edges = sum(1 for v in truth.alpha.values() if v != 0.0)
+    true_edges = truth.nnz_alpha()
     all_pairs = args.labels * (args.labels - 1) // 2
     print(f"ground truth: {true_edges} of {all_pairs} pairs interacting")
     print(f"{'epsilon':>8}  {'nnz(alpha)':>10}  {'objective path':<14}")
@@ -40,7 +40,7 @@ def run(args) -> None:
         params, trace = train_corrlog(
             dataset, TrainConfig(reg=reg, max_iters=args.max_iters, rel_tol=1e-9)
         )
-        nnz = sum(1 for v in params.alpha.values() if abs(v) > 1e-8)
+        nnz = int(np.count_nonzero(np.abs(np.triu(params.alpha, 1)) > 1e-8))
         kind = "quadratic only" if eps == 0 else "elastic net"
         print(f"{eps:>8.1f}  {nnz:>10}  {kind:<14}")
         if args.dot_prefix:

@@ -31,7 +31,7 @@ def run(args) -> None:
         train, test = add_bias_column(train), add_bias_column(test)
         corr, _ = train_corrlog(train, config)
         ilrs = train_ilrs(train, config)
-        y_true = test.label_matrix.astype(int)
+        y_true = test.labels
         corr_pred, _ = predict_dataset(corr, test)
         ilrs_pred, _ = predict_dataset(ilrs, test)
         zc = compute_metrics(y_true, corr_pred).zero_one_loss
@@ -42,7 +42,7 @@ def run(args) -> None:
         ilrs_losses.append(zi)
         corr_impossible.append(ic)
         ilrs_impossible.append(ii)
-        print(f"{seed:>4}  {zc:>8.3f}  {zi:>8.3f}  {ic:>9.3f}  {ii:>9.3f}  {corr.alpha_at(0, 1):>8.3f}")
+        print(f"{seed:>4}  {zc:>8.3f}  {zi:>8.3f}  {ic:>9.3f}  {ii:>9.3f}  {corr.alpha[0, 1]:>8.3f}")
     print()
     print(f"mean 0-1 loss: corrlog {np.mean(corr_losses):.4f}  ilrs {np.mean(ilrs_losses):.4f}")
     print(f"mean impossible-pair rate: corrlog {np.mean(corr_impossible):.4f}  "

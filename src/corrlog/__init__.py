@@ -46,7 +46,6 @@ from .inference import (
 )
 from .metrics import MetricsReport, compute_metrics
 from .model import (
-    Instance,
     ModelParams,
     MultilabelDataset,
     conditional_label_prob,
@@ -54,21 +53,18 @@ from .model import (
     joint_score,
 )
 from .objective import (
-    GradientBuffer,
     RegularizationConfig,
     elastic_net_penalty,
     full_objective,
     neg_log_pseudo_likelihood,
     smooth_gradient,
     smooth_objective,
-    surrogate_objective,
 )
 from .optimizer import (
     BacktrackingStep,
     FixedStep,
     TrainConfig,
     TrainTrace,
-    prox_step,
     soft_threshold,
     subgradient_residual,
     train_corrlog,

@@ -103,9 +103,8 @@ def _prepare_like_training(dataset, normalize: bool, add_bias: bool,
 
 def cmd_train(args: argparse.Namespace) -> int:
     _echo_config(args)
-    dataset = _load_raw(args)
     dataset, scale = _prepare_like_training(
-        dataset, args.normalize == "global-max-norm", args.add_bias, None
+        _load_raw(args), args.normalize == "global-max-norm", args.add_bias, None
     )
     config = _train_config(args)
     records = []
@@ -134,10 +133,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_model_and_data(args: argparse.Namespace):
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = load_model(fh.read())
-    dataset = _load_raw(args)
     meta = doc.metadata
+    # no reference to the raw dataset outlives preparation, so each copy
+    # of the features is freed as soon as the next one exists
     dataset, _ = _prepare_like_training(
-        dataset,
+        _load_raw(args),
         normalize=meta.get("feature_scale") is not None,
         add_bias=bool(meta.get("add_bias", False)),
         feature_scale=meta.get("feature_scale"),
@@ -145,6 +145,10 @@ def _load_model_and_data(args: argparse.Namespace):
     if dataset.num_features != doc.params.num_features:
         raise DataError(
             f"model expects {doc.params.num_features} features, data has {dataset.num_features}"
+        )
+    if dataset.num_labels != doc.params.num_labels:
+        raise DataError(
+            f"model predicts {doc.params.num_labels} labels, data has {dataset.num_labels}"
         )
     return doc, dataset
 
@@ -171,12 +175,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     _echo_config(args)
     doc, dataset = _load_model_and_data(args)
-    if dataset.num_labels != doc.params.num_labels:
-        raise DataError(
-            f"model predicts {doc.params.num_labels} labels, data has {dataset.num_labels}"
-        )
     preds, flagged = predict_dataset(doc.params, dataset, BpConfig(max_iters=args.bp_iters))
-    report = compute_metrics(dataset.label_matrix.astype(int), preds)
+    report = compute_metrics(dataset.labels, preds)
     for name in METRIC_NAMES:
         print(f"{DISPLAY_NAMES[name]:<13} {getattr(report, name):.4f}")
     if flagged:
@@ -191,9 +191,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_cv(args: argparse.Namespace) -> int:
     _echo_config(args)
-    dataset = _load_raw(args)
     dataset, _ = _prepare_like_training(
-        dataset, args.normalize == "global-max-norm", args.add_bias, None
+        _load_raw(args), args.normalize == "global-max-norm", args.add_bias, None
     )
     config = _train_config(args)
     result = cross_validate(dataset, args.folds, args.trainer, config, args.seed)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
-from .model import Instance, ModelParams, MultilabelDataset
+from .model import ModelParams, MultilabelDataset
 
 _LABEL_SYMBOLS = {"0": -1, "1": 1, "-1": -1, "+1": 1}
 
@@ -87,7 +87,7 @@ def _parse_float(token: str, line_no: int, what: str = "feature") -> float:
     return value
 
 
-def _load_dense(lines: list[str]) -> tuple[list[Instance], int, tuple[str, ...]]:
+def _load_dense(lines: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     header_no = None
     for idx, line in enumerate(lines, start=1):
         if line.strip():
@@ -105,7 +105,7 @@ def _load_dense(lines: list[str]) -> tuple[list[Instance], int, tuple[str, ...]]
         raise ParseError("header must name at least one feature and one label column", header_no)
     n_feat, n_lab = len(feature_names), len(label_names)
 
-    instances = []
+    features, labels = [], []
     for line_no in range(header_no + 1, len(lines) + 1):
         line = lines[line_no - 1]
         if not line.strip():
@@ -115,15 +115,14 @@ def _load_dense(lines: list[str]) -> tuple[list[Instance], int, tuple[str, ...]]
             raise ParseError(
                 f"expected {n_feat + n_lab} columns, found {len(cells)}", line_no
             )
-        features = np.array([_parse_float(c, line_no) for c in cells[:n_feat]])
-        labels = np.array([_parse_label(c, line_no) for c in cells[n_feat:]], dtype=np.int8)
-        instances.append(Instance(features, labels))
-    if not instances:
+        features.append(np.array([_parse_float(c, line_no) for c in cells[:n_feat]]))
+        labels.append([_parse_label(c, line_no) for c in cells[n_feat:]])
+    if not features:
         raise ParseError("file contains no data rows")
-    return instances, n_feat, tuple(label_names)
+    return np.array(features), np.array(labels, dtype=np.int8), tuple(label_names)
 
 
-def _load_sparse(lines: list[str], spec: DatasetSpec) -> tuple[list[Instance], int, tuple[str, ...]]:
+def _load_sparse(lines: list[str], spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     rows: list[tuple[int, list[int], dict[int, float]]] = []
     max_label = 0
     max_feature = 0
@@ -172,20 +171,18 @@ def _load_sparse(lines: list[str], spec: DatasetSpec) -> tuple[list[Instance], i
     if d < 1:
         raise ParseError("cannot infer the feature count: no features and no num_features given")
 
-    instances = []
-    for line_no, positives, values in rows:
-        labels = np.full(m, -1, dtype=np.int8)
+    labels = np.full((len(rows), m), -1, dtype=np.int8)
+    features = np.zeros((len(rows), d))
+    for r, (line_no, positives, values) in enumerate(rows):
         for idx in positives:
             if idx > m:
                 raise ParseError(f"label index {idx} exceeds label count {m}", line_no)
-            labels[idx - 1] = 1
-        features = np.zeros(d)
+            labels[r, idx - 1] = 1
         for idx, val in values.items():
             if idx > d:
                 raise ParseError(f"feature index {idx} exceeds feature count {d}", line_no)
-            features[idx - 1] = val
-        instances.append(Instance(features, labels))
-    return instances, d, tuple(f"label{i + 1}" for i in range(m))
+            features[r, idx - 1] = val
+    return features, labels, tuple(f"label{i + 1}" for i in range(m))
 
 
 def compute_feature_scale(dataset: MultilabelDataset) -> float:
@@ -197,22 +194,17 @@ def scale_features(dataset: MultilabelDataset, scale: float) -> MultilabelDatase
     """Divide every feature vector by one shared positive constant."""
     if scale <= 0:
         raise DataError("feature scale must be positive")
-    instances = [
-        Instance(inst.features / scale, inst.labels.copy()) for inst in dataset.instances
-    ]
-    return MultilabelDataset(instances, dataset.num_features, dataset.num_labels,
-                             dataset.label_names)
+    return MultilabelDataset(dataset.features / scale, dataset.labels, dataset.label_names)
 
 
 def add_bias_column(dataset: MultilabelDataset) -> MultilabelDataset:
     """Append a constant feature, rescaling by 1/sqrt(2) to keep ||x|| <= 1."""
     root_half = 1.0 / math.sqrt(2.0)
-    instances = [
-        Instance(np.append(inst.features, 1.0) * root_half, inst.labels.copy())
-        for inst in dataset.instances
-    ]
-    return MultilabelDataset(instances, dataset.num_features + 1, dataset.num_labels,
-                             dataset.label_names)
+    n, d = dataset.features.shape
+    features = np.empty((n, d + 1))
+    np.multiply(dataset.features, root_half, out=features[:, :d])
+    features[:, d] = root_half
+    return MultilabelDataset(features, dataset.labels, dataset.label_names)
 
 
 def load_dataset(path, spec: DatasetSpec, *, feature_scale: float | None = None) -> MultilabelDataset:
@@ -223,14 +215,10 @@ def load_dataset(path, spec: DatasetSpec, *, feature_scale: float | None = None)
     """
     lines = _read_text(path)
     if spec.format == "dense-csv":
-        instances, d, label_names = _load_dense(lines)
+        features, labels, label_names = _load_dense(lines)
     else:
-        instances, d, label_names = _load_sparse(lines, spec)
-    m = len(instances[0].labels)
-    for line_offset, inst in enumerate(instances):
-        if inst.labels.size != m or inst.features.size != d:
-            raise ParseError(f"inconsistent row shape at data row {line_offset + 1}")
-    dataset = MultilabelDataset(instances, d, m, label_names)
+        features, labels, label_names = _load_sparse(lines, spec)
+    dataset = MultilabelDataset(features, labels, label_names)
     if spec.normalization == "global-max-norm":
         scale = feature_scale if feature_scale is not None else compute_feature_scale(dataset)
         if scale > 0:
@@ -244,9 +232,9 @@ def write_dense_csv(dataset: MultilabelDataset, path) -> None:
     """Write a dataset in the dense-csv format with full-precision features."""
     feature_names = ",".join(f"f{i + 1}" for i in range(dataset.num_features))
     lines = [f"{feature_names}|{','.join(dataset.label_names)}"]
-    for inst in dataset.instances:
-        feats = ",".join(repr(float(v)) for v in inst.features)
-        labels = ",".join(str(int(v)) for v in inst.labels)
+    for x, y in zip(dataset.features.tolist(), dataset.labels.tolist()):
+        feats = ",".join(repr(v) for v in x)
+        labels = ",".join(str(v) for v in y)
         lines.append(f"{feats},{labels}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -271,16 +259,16 @@ def generate_toy(spec: ToySpec) -> tuple[MultilabelDataset, MultilabelDataset]:
     eta1 = np.asarray(spec.eta1)
     eta2 = np.asarray(spec.eta2)
 
-    instances = []
-    for x in xs:
+    labels = np.empty((total, 2), dtype=np.int8)
+    for r, x in enumerate(xs):
         xt = np.array([x[0], x[1], 1.0])
         y1 = _sign(float(eta1 @ xt))
         y2 = 1 if (y1 == 1 or _sign(float(eta2 @ xt)) == 1) else -1
-        instances.append(Instance(x.copy(), np.array([y1, y2], dtype=np.int8)))
+        labels[r] = (y1, y2)
 
     names = ("label1", "label2")
-    train = MultilabelDataset(instances[: spec.n_train], 2, 2, names)
-    test = MultilabelDataset(instances[spec.n_train:], 2, 2, names)
+    train = MultilabelDataset(xs[: spec.n_train], labels[: spec.n_train], names)
+    test = MultilabelDataset(xs[spec.n_train:], labels[spec.n_train:], names)
     return train, test
 
 
@@ -297,18 +285,16 @@ def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDatas
 
     bits = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
     configs = (1 - 2 * bits).astype(float)  # bit 0 -> +1, bit 1 -> -1
-    alpha_sym = params.alpha_matrix()
-    pair_scores = 0.5 * np.einsum("ci,ij,cj->c", configs, alpha_sym, configs)
+    pair_scores = 0.5 * np.einsum("ci,ij,cj->c", configs, params.alpha, configs)
 
-    instances = []
-    for _ in range(n):
+    features = np.empty((n, d))
+    labels = np.empty((n, m), dtype=np.int8)
+    for r in range(n):
         v = rng.normal(size=d)
         x = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / d)
         scores = configs @ (params.beta @ x) + pair_scores
         probs = np.exp(scores - scores.max())
         probs /= probs.sum()
-        idx = rng.choice(2 ** m, p=probs)
-        instances.append(Instance(x, configs[idx].astype(np.int8)))
-    return MultilabelDataset(
-        instances, d, m, tuple(f"label{i + 1}" for i in range(m))
-    )
+        features[r] = x
+        labels[r] = configs[rng.choice(2 ** m, p=probs)]
+    return MultilabelDataset(features, labels, tuple(f"label{i + 1}" for i in range(m)))

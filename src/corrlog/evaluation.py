@@ -28,7 +28,7 @@ from .errors import DataError
 # because the benchmark tracer (benchmarks/spans.py) wraps it by this name.
 from .inference import BpConfig, decode_rows, predict_map_bp  # noqa: F401
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, MetricsReport, compute_metrics
-from .model import Instance, ModelParams, MultilabelDataset
+from .model import ModelParams, MultilabelDataset
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
 
 TRAINERS = ("corrlog", "ilrs")
@@ -179,12 +179,8 @@ class CvResult:
 
 
 def _subset(dataset: MultilabelDataset, indices) -> MultilabelDataset:
-    return MultilabelDataset(
-        [dataset.instances[i] for i in indices],
-        dataset.num_features,
-        dataset.num_labels,
-        dataset.label_names,
-    )
+    return MultilabelDataset(dataset.features[indices], dataset.labels[indices],
+                             dataset.label_names)
 
 
 def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
@@ -216,14 +212,12 @@ def predict_dataset(params: ModelParams, dataset: MultilabelDataset,
     # a row's widest decoding temporary holds 4 floats per directed edge
     per_row = max(8 * params.nnz_alpha(), dataset.num_features, 1)
     rows = max(1, DECODE_CHUNK_FLOATS // per_row)
-    n = len(dataset)
-    preds = np.empty((n, dataset.num_labels), dtype=np.int8)
+    X = dataset.feature_matrix
+    preds = np.empty((len(X), params.num_labels), dtype=np.int8)
     flagged = []
-    for start in range(0, n, rows):
-        chunk = dataset.instances[start:start + rows]
-        labels, converged = decode_rows(
-            params, np.array([inst.features for inst in chunk]), bp_config)
-        preds[start:start + len(chunk)] = labels
+    for start in range(0, len(X), rows):
+        labels, converged = decode_rows(params, X[start:start + rows], bp_config)
+        preds[start:start + len(labels)] = labels
         flagged.extend(int(i) + start for i in np.flatnonzero(~converged))
     return preds, flagged
 
@@ -240,7 +234,7 @@ def cross_validate(dataset: MultilabelDataset, k: int, trainer: str,
         test_set = _subset(dataset, folds[held_out])
         params = _fit(trainer, train_set, config)
         preds, _ = predict_dataset(params, test_set, bp_config)
-        reports.append(compute_metrics(test_set.label_matrix.astype(int), preds))
+        reports.append(compute_metrics(test_set.labels, preds))
     means = {n: float(np.mean([getattr(r, n) for r in reports])) for n in METRIC_NAMES}
     stds = {n: float(np.std([getattr(r, n) for r in reports], ddof=1)) for n in METRIC_NAMES}
     return CvResult(trainer=trainer, k=k, seed=seed, folds=reports, means=means, stds=stds)
@@ -264,9 +258,7 @@ def params_distance(a: ModelParams, b: ModelParams) -> float:
     if a.num_labels != b.num_labels or a.num_features != b.num_features:
         raise DataError("models have different shapes")
     dist = float(np.linalg.norm(a.beta - b.beta, axis=1).sum())
-    for key in set(a.alpha) | set(b.alpha):
-        dist += abs(a.alpha.get(key, 0.0) - b.alpha.get(key, 0.0))
-    return dist
+    return dist + float(np.abs(np.triu(a.alpha - b.alpha, 1)).sum())
 
 
 @dataclass
@@ -348,11 +340,11 @@ def stability_experiment(dataset: MultilabelDataset, config: TrainConfig,
     replaced = []
     for _ in range(trials):
         swap_at = int(rng.integers(0, n))
-        fresh = pool.instances[int(rng.integers(0, len(pool)))]
-        instances = list(dataset.instances)
-        instances[swap_at] = Instance(fresh.features.copy(), fresh.labels.copy())
-        modified = MultilabelDataset(instances, dataset.num_features,
-                                     dataset.num_labels, dataset.label_names)
+        fresh = int(rng.integers(0, len(pool)))
+        features, labels = dataset.features.copy(), dataset.labels.copy()
+        features[swap_at] = pool.features[fresh]
+        labels[swap_at] = pool.labels[fresh]
+        modified = MultilabelDataset(features, labels, dataset.label_names)
         new_params, _ = train_corrlog(modified, config)
         diffs.append(params_distance(base_params, new_params))
         replaced.append(swap_at)

@@ -72,7 +72,7 @@ class _EdgeLayout:
     """Index tables of a model's directed edges, fixed once per decoding call.
 
     Directed edge 2k runs i -> j and 2k + 1 runs j -> i for the k-th nonzero
-    pair (i, j) in sorted order.  Level t of ``gather`` lists, for every
+    pair (i, j) in row-major order.  Level t of ``gather`` lists, for every
     directed edge src -> dst whose source has more than t other incoming
     edges, that edge and the t-th of them in ascending edge order; level t of
     ``deliver`` lists each node with more than t incoming edges and its t-th
@@ -89,9 +89,8 @@ class _EdgeLayout:
 
 
 def _edge_layout(params: ModelParams) -> _EdgeLayout:
-    pairs = [(i, j, v) for (i, j), v in sorted(params.alpha.items()) if v != 0.0]
     src, dst, weights = [], [], []
-    for i, j, v in pairs:
+    for i, j, v in params.pairs():
         src += [i, j]
         dst += [j, i]
         weights += [v, v]
@@ -240,7 +239,7 @@ def _config_chunks(m: int):
 def _chunk_scores(params: ModelParams, x: np.ndarray, configs: np.ndarray) -> np.ndarray:
     unary = params.beta @ x
     scores = configs @ unary
-    for (i, j), v in params.alpha.items():
+    for i, j, v in params.pairs():
         scores += v * configs[:, i] * configs[:, j]
     return scores
 

@@ -50,7 +50,10 @@ class MetricsReport:
 
 
 def _to_label_matrix(vectors, what: str) -> np.ndarray:
-    mat = np.asarray([np.asarray(v).reshape(-1) for v in vectors])
+    try:
+        mat = np.asarray(vectors)
+    except ValueError as exc:  # ragged rows
+        raise DataError(f"{what} must be a list of equal-length label vectors") from exc
     if mat.ndim != 2:
         raise DataError(f"{what} must be a list of equal-length label vectors")
     if mat.size and not np.all(np.abs(mat) == 1):

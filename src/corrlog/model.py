@@ -8,13 +8,15 @@ i.e. one logistic regression per label coupled by symmetric pairwise
 interaction weights (an Ising model conditioned on x).  With all alpha_ij = 0
 the model factorizes into independent logistic regressions (ILRs).
 
-Indices are 0-based throughout; alpha is stored sparsely on ordered pairs
-(i, j) with i < j, one symmetric weight per pair.
+Indices are 0-based throughout.  alpha is stored as a dense symmetric m x m
+array with a zero diagonal, and a dataset as one feature array and one label
+array with a row per example.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,15 +43,17 @@ def log_sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 @dataclass(eq=False)
 class ModelParams:
-    """Learned parameters: per-label coefficients and sparse pairwise weights.
+    """Learned parameters: per-label coefficients and symmetric pairwise weights.
 
-    beta has one row per label (shape m x D).  alpha maps ordered pairs
-    (i, j), 0 <= i < j < m, to a real weight; pairs absent from the map are
-    zero.  Access through :meth:`alpha_at` resolves (j, i) to the same entry.
+    beta has one row per label (shape m x D).  alpha is the dense symmetric
+    m x m interaction matrix with a zero diagonal; alpha[i, j] == alpha[j, i]
+    is the weight of pair (i, j) and zero means the pair does not interact.
+    The constructor also accepts a mapping from ordered pairs (i, j),
+    0 <= i < j < m, to weights, as read from a model document.
     """
 
     beta: np.ndarray
-    alpha: dict[tuple[int, int], float]
+    alpha: np.ndarray
     num_labels: int
     num_features: int
 
@@ -62,93 +66,97 @@ class ModelParams:
             )
         if not np.all(np.isfinite(self.beta)):
             raise DataError("beta contains non-finite values")
-        for (i, j), v in self.alpha.items():
-            if not (0 <= i < j < self.num_labels):
-                raise DataError(f"alpha key ({i}, {j}) is not an ordered pair in range")
-            if not np.isfinite(v):
-                raise DataError(f"alpha[{i}, {j}] is not finite")
+        if isinstance(self.alpha, Mapping):
+            self.alpha = _alpha_from_pairs(self.alpha, self.num_labels)
+        self.alpha = np.asarray(self.alpha, dtype=float)
+        m = self.num_labels
+        if self.alpha.shape != (m, m):
+            raise DataError(f"alpha shape {self.alpha.shape} does not match ({m}, {m})")
+        if not np.all(np.isfinite(self.alpha)):
+            raise DataError("alpha contains non-finite values")
+        if np.any(np.diagonal(self.alpha) != 0.0):
+            raise DataError("alpha has a nonzero diagonal: no self-interaction weights")
+        if not np.array_equal(self.alpha, self.alpha.T):
+            raise DataError("alpha is not symmetric")
 
     @classmethod
     def zeros(cls, num_labels: int, num_features: int) -> "ModelParams":
         return cls(
             beta=np.zeros((num_labels, num_features)),
-            alpha={},
+            alpha=np.zeros((num_labels, num_labels)),
             num_labels=num_labels,
             num_features=num_features,
         )
 
-    def alpha_at(self, i: int, j: int) -> float:
-        """Pairwise weight for labels i and j (order-insensitive); 0 if absent."""
-        if i == j:
-            raise DataError("no self-interaction weights")
-        key = (i, j) if i < j else (j, i)
-        return self.alpha.get(key, 0.0)
-
-    def alpha_matrix(self) -> np.ndarray:
-        """Dense symmetric m x m interaction matrix with zero diagonal."""
-        a = np.zeros((self.num_labels, self.num_labels))
-        for (i, j), v in self.alpha.items():
-            a[i, j] = v
-            a[j, i] = v
-        return a
+    def pairs(self) -> list[tuple[int, int, float]]:
+        """Nonzero pairwise weights as (i, j, weight) with i < j, in row-major order."""
+        rows, cols = np.nonzero(np.triu(self.alpha, 1))
+        return list(zip(rows.tolist(), cols.tolist(), self.alpha[rows, cols].tolist()))
 
     def nnz_alpha(self) -> int:
-        return sum(1 for v in self.alpha.values() if v != 0.0)
+        return int(np.count_nonzero(self.alpha)) // 2
 
     def nnz_beta(self) -> int:
         return int(np.count_nonzero(self.beta))
 
 
-@dataclass
-class Instance:
-    """One example: a feature vector and its {-1,+1} label vector."""
+def _alpha_from_pairs(pairs: Mapping[tuple[int, int], float], m: int) -> np.ndarray:
+    alpha = np.zeros((m, m))
+    for (i, j), v in pairs.items():
+        if not (0 <= i < j < m):
+            raise DataError(f"alpha key ({i}, {j}) is not an ordered pair in range")
+        if not np.isfinite(v):
+            raise DataError(f"alpha[{i}, {j}] is not finite")
+        alpha[i, j] = alpha[j, i] = v
+    return alpha
+
+
+@dataclass(eq=False)
+class MultilabelDataset:
+    """n examples as an n x D feature array and an n x m array of -1/+1 labels."""
 
     features: np.ndarray
     labels: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float).reshape(-1)
-        self.labels = np.asarray(self.labels, dtype=np.int8).reshape(-1)
-        if self.labels.size and not np.all(np.abs(self.labels) == 1):
-            raise DataError("labels must be exactly -1 or +1")
-
-
-@dataclass
-class MultilabelDataset:
-    """A collection of instances sharing feature dimension D and label count m."""
-
-    instances: list[Instance]
-    num_features: int
-    num_labels: int
     label_names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.instances) < 1:
+        self.features = np.asarray(self.features, dtype=float)
+        labels = np.asarray(self.labels)
+        if self.features.ndim != 2 or labels.ndim != 2:
+            raise DataError("features and labels must be 2-D arrays (one row per example)")
+        if self.features.shape[0] < 1:
             raise DataError("dataset must contain at least one instance")
+        if labels.shape[0] != self.features.shape[0]:
+            raise DataError(
+                f"{self.features.shape[0]} feature rows but {labels.shape[0]} label rows"
+            )
+        if not np.all((labels == 1) | (labels == -1)):
+            raise DataError("labels must be exactly -1 or +1")
+        self.labels = labels.astype(np.int8, copy=False)
+        self.label_names = tuple(self.label_names)
         if len(self.label_names) != self.num_labels:
             raise DataError("label_names length must equal num_labels")
-        for idx, inst in enumerate(self.instances):
-            if inst.features.size != self.num_features:
-                raise DataError(
-                    f"instance {idx} has {inst.features.size} features, expected {self.num_features}"
-                )
-            if inst.labels.size != self.num_labels:
-                raise DataError(
-                    f"instance {idx} has {inst.labels.size} labels, expected {self.num_labels}"
-                )
+
+    @property
+    def num_features(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def num_labels(self) -> int:
+        return self.labels.shape[1]
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.features.shape[0]
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
-        """n x D feature matrix (computed once, then cached)."""
-        return np.array([inst.features for inst in self.instances], dtype=float)
+        """The n x D feature array."""
+        return self.features
 
     @cached_property
     def label_matrix(self) -> np.ndarray:
         """n x m label matrix of +-1 floats (computed once, then cached)."""
-        return np.array([inst.labels for inst in self.instances], dtype=float)
+        return self.labels.astype(float)
 
 
 def _check_dims(params: ModelParams, x: np.ndarray, y: np.ndarray | None = None) -> None:
@@ -167,21 +175,7 @@ def joint_score(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     _check_dims(params, x, y)
-    score = float(y @ (params.beta @ x))
-    for (i, j), v in params.alpha.items():
-        score += v * y[i] * y[j]
-    return score
-
-
-def _activation(params: ModelParams, x: np.ndarray, y: np.ndarray, i: int) -> float:
-    """<beta_i, x> plus the interaction field sum_{j != i} alpha_{ij} y_j."""
-    a = float(params.beta[i] @ x)
-    for (p, q), v in params.alpha.items():
-        if p == i:
-            a += v * y[q]
-        elif q == i:
-            a += v * y[p]
-    return a
+    return float(y @ (params.beta @ x)) + float(y @ np.triu(params.alpha, 1) @ y)
 
 
 def conditional_label_prob(
@@ -196,7 +190,9 @@ def conditional_label_prob(
     _check_dims(params, x, y)
     if not 0 <= i < params.num_labels:
         raise IndexError(f"label index {i} out of range [0, {params.num_labels})")
-    return float(sigmoid(2.0 * y[i] * _activation(params, x, y, i)))
+    # alpha's zero diagonal leaves y_i out of its own interaction field
+    activation = float(params.beta[i] @ x) + float(params.alpha[i] @ y)
+    return float(sigmoid(2.0 * y[i] * activation))
 
 
 def ilrs_label_prob(params: ModelParams, x: np.ndarray, i: int, y_i: int) -> float:

@@ -11,9 +11,10 @@ whose smooth part (everything except the l1 terms) has the closed-form
 gradient implemented here.  Pairwise gradients are materialized for all
 m(m-1)/2 candidate pairs so the proximal step can activate or kill any pair.
 
-Vectorized internals operate on the dense representation (beta: m x D array,
-alpha: strictly-upper-triangular m x m array); public functions accept
-:class:`~corrlog.model.ModelParams` and :class:`~corrlog.model.MultilabelDataset`.
+The ``*_dense`` functions take beta (m x D) and the strict upper triangle of
+alpha (m x m), the coordinates the optimizer moves, one per pair; the others
+take :class:`~corrlog.model.ModelParams`, whose alpha is the full symmetric
+matrix, and read the data arrays of :class:`~corrlog.model.MultilabelDataset`.
 """
 
 from __future__ import annotations
@@ -39,46 +40,12 @@ class RegularizationConfig:
             raise DataError("regularization weights must be nonnegative")
 
 
-@dataclass
-class GradientBuffer:
-    """Gradient of the smooth objective part.
-
-    grad_alpha is an m x m array whose strictly upper triangle holds the
-    gradient for every candidate pair (i, j), i < j, including pairs currently
-    absent from the sparse parameter map (treated as zero-valued).
-    """
-
-    grad_beta: np.ndarray
-    grad_alpha: np.ndarray
-
-    def alpha_pair(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        return float(self.grad_alpha[i, j])
-
-
-def dense_alpha_upper(params: ModelParams) -> np.ndarray:
-    """Strictly upper-triangular m x m array of the sparse pairwise weights."""
-    a = np.zeros((params.num_labels, params.num_labels))
-    for (i, j), v in params.alpha.items():
-        a[i, j] = v
-    return a
-
-
 def params_from_dense(beta: np.ndarray, alpha_upper: np.ndarray,
                       num_features: int) -> ModelParams:
-    """Build ModelParams from dense arrays, storing only nonzero pairs."""
-    m = beta.shape[0]
-    idx = np.nonzero(np.triu(alpha_upper, 1))
-    alpha = {(int(i), int(j)): float(alpha_upper[i, j]) for i, j in zip(*idx)}
-    return ModelParams(beta=beta.copy(), alpha=alpha, num_labels=m,
-                       num_features=num_features)
-
-
-def _dataset_arrays(dataset: MultilabelDataset) -> tuple[np.ndarray, np.ndarray]:
-    if len(dataset) == 0:
-        raise DataError("dataset is empty")
-    return dataset.feature_matrix, dataset.label_matrix
+    """Build ModelParams from beta and the strict upper triangle of alpha."""
+    upper = np.triu(alpha_upper, 1)
+    return ModelParams(beta=beta.copy(), alpha=upper + upper.T,
+                       num_labels=beta.shape[0], num_features=num_features)
 
 
 def _activations(beta: np.ndarray, alpha_upper: np.ndarray,
@@ -133,17 +100,18 @@ def smooth_grad_dense(beta: np.ndarray, alpha_upper: np.ndarray,
 
 def neg_log_pseudo_likelihood(params: ModelParams, dataset: MultilabelDataset) -> float:
     """Mean negative log pseudo-likelihood over the dataset; always >= 0."""
-    x_mat, y_mat = _dataset_arrays(dataset)
     _check_model_data(params, dataset)
-    return nll_pl_dense(params.beta, dense_alpha_upper(params), x_mat, y_mat)
+    return nll_pl_dense(params.beta, np.triu(params.alpha, 1),
+                        dataset.feature_matrix, dataset.label_matrix)
 
 
 def elastic_net_penalty(params: ModelParams, reg: RegularizationConfig) -> float:
     """lambda1*(||beta||_2^2 + eps*||beta||_1) + lambda2*(||alpha||_2^2 + eps*||alpha||_1)."""
     beta_sq = float(np.sum(params.beta * params.beta))
     beta_l1 = float(np.sum(np.abs(params.beta)))
-    alpha_sq = sum(v * v for v in params.alpha.values())
-    alpha_l1 = sum(abs(v) for v in params.alpha.values())
+    upper = np.triu(params.alpha, 1)
+    alpha_sq = float(np.sum(upper * upper))
+    alpha_l1 = float(np.sum(np.abs(upper)))
     return (
         reg.lambda1 * (beta_sq + reg.epsilon * beta_l1)
         + reg.lambda2 * (alpha_sq + reg.epsilon * alpha_l1)
@@ -153,9 +121,9 @@ def elastic_net_penalty(params: ModelParams, reg: RegularizationConfig) -> float
 def smooth_objective(params: ModelParams, dataset: MultilabelDataset,
                      reg: RegularizationConfig) -> float:
     """Pseudo-likelihood plus only the quadratic penalty terms (epsilon plays no role)."""
-    x_mat, y_mat = _dataset_arrays(dataset)
     _check_model_data(params, dataset)
-    return smooth_value_dense(params.beta, dense_alpha_upper(params), x_mat, y_mat, reg)
+    return smooth_value_dense(params.beta, np.triu(params.alpha, 1),
+                              dataset.feature_matrix, dataset.label_matrix, reg)
 
 
 def full_objective(params: ModelParams, dataset: MultilabelDataset,
@@ -165,33 +133,15 @@ def full_objective(params: ModelParams, dataset: MultilabelDataset,
 
 
 def smooth_gradient(params: ModelParams, dataset: MultilabelDataset,
-                    reg: RegularizationConfig) -> GradientBuffer:
-    """Exact gradient of :func:`smooth_objective` over beta and all candidate pairs."""
-    x_mat, y_mat = _dataset_arrays(dataset)
-    _check_model_data(params, dataset)
-    gb, ga = smooth_grad_dense(params.beta, dense_alpha_upper(params), x_mat, y_mat, reg)
-    return GradientBuffer(grad_beta=gb, grad_alpha=ga)
+                    reg: RegularizationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient of :func:`smooth_objective`: (grad_beta, grad_alpha_upper).
 
-
-def surrogate_objective(candidate: ModelParams, anchor: ModelParams,
-                        grad: GradientBuffer, eta: float,
-                        dataset: MultilabelDataset, reg: RegularizationConfig) -> float:
-    """Quadratic-plus-l1 upper model of the full objective around ``anchor``.
-
-    smooth(anchor) + <grad, c - a> + ||c - a||^2 / (2 eta) + l1 penalties at the
-    candidate.  Majorizes the full objective whenever 1/eta dominates the
-    smooth gradient's Lipschitz constant, with equality at the anchor.
+    grad_alpha_upper is m x m; its strict upper triangle holds the gradient of
+    every candidate pair (i, j), i < j, including pairs whose weight is zero.
     """
-    if eta <= 0:
-        raise DataError("eta must be positive")
-    db = candidate.beta - anchor.beta
-    da = np.triu(dense_alpha_upper(candidate) - dense_alpha_upper(anchor), 1)
-    value = smooth_objective(anchor, dataset, reg)
-    value += float(np.sum(grad.grad_beta * db)) + float(np.sum(db * db)) / (2.0 * eta)
-    value += float(np.sum(grad.grad_alpha * da)) + float(np.sum(da * da)) / (2.0 * eta)
-    value += reg.lambda1 * reg.epsilon * float(np.sum(np.abs(candidate.beta)))
-    value += reg.lambda2 * reg.epsilon * sum(abs(v) for v in candidate.alpha.values())
-    return value
+    _check_model_data(params, dataset)
+    return smooth_grad_dense(params.beta, np.triu(params.alpha, 1),
+                             dataset.feature_matrix, dataset.label_matrix, reg)
 
 
 def _check_model_data(params: ModelParams, dataset: MultilabelDataset) -> None:

@@ -25,10 +25,8 @@ import numpy as np
 from .errors import DataError, NumericError
 from .model import ModelParams, MultilabelDataset
 from .objective import (
-    GradientBuffer,
     RegularizationConfig,
     check_finite_dataset,
-    dense_alpha_upper,
     full_value_dense,
     params_from_dense,
     smooth_grad_dense,
@@ -129,17 +127,6 @@ def default_initial_step(dataset: MultilabelDataset, reg: RegularizationConfig) 
     return 1.0 / lipschitz_bound(dataset, reg)
 
 
-def prox_step(params: ModelParams, grad: GradientBuffer, eta: float,
-              reg: RegularizationConfig) -> ModelParams:
-    """One proximal update; minimizer of the surrogate built at ``params``."""
-    if eta <= 0:
-        raise DataError("eta must be positive")
-    beta, alpha = _prox_dense(
-        params.beta, dense_alpha_upper(params), grad.grad_beta, grad.grad_alpha, eta, reg
-    )
-    return params_from_dense(beta, alpha, params.num_features)
-
-
 def _prox_dense(beta, alpha_upper, grad_beta, grad_alpha, eta, reg):
     new_beta = soft_threshold(beta - eta * grad_beta, eta * reg.lambda1 * reg.epsilon)
     new_alpha = soft_threshold(alpha_upper - eta * grad_alpha, eta * reg.lambda2 * reg.epsilon)
@@ -154,9 +141,9 @@ def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
     grad_smooth + lam*eps*sign = 0 and zero coordinates satisfy
     |grad_smooth| <= lam*eps; returns the largest deviation from either.
     """
+    alpha_upper = np.triu(params.alpha, 1)
     gb, ga = smooth_grad_dense(
-        params.beta, dense_alpha_upper(params), dataset.feature_matrix,
-        dataset.label_matrix, reg,
+        params.beta, alpha_upper, dataset.feature_matrix, dataset.label_matrix, reg,
     )
 
     def coord_violation(theta, grad, lam_eps):
@@ -168,7 +155,6 @@ def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
 
     m = params.num_labels
     iu = np.triu_indices(m, 1)
-    alpha_upper = dense_alpha_upper(params)
     return max(
         coord_violation(params.beta.ravel(), gb.ravel(), reg.lambda1 * reg.epsilon),
         coord_violation(alpha_upper[iu], ga[iu], reg.lambda2 * reg.epsilon) if iu[0].size else 0.0,

@@ -3,8 +3,8 @@
 A model document is versioned JSON.  Coefficients are stored as C99 hex
 floats (``float.hex()``), which round-trip bit-exactly, and keys are sorted
 with a fixed layout so re-serializing a loaded document reproduces it byte
-for byte.  Pairwise weights are stored as sorted (i, j, value) triples with
-0-based indices.
+for byte.  Pairwise weights are stored as (i, j, value) triples, i < j, with
+0-based indices, one per nonzero pair in row-major order.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ def save_model(params: ModelParams, reg: RegularizationConfig,
         "num_labels": params.num_labels,
         "num_features": params.num_features,
         "beta": [[float(v).hex() for v in row] for row in params.beta],
-        "alpha": [
-            [i, j, float(v).hex()] for (i, j), v in sorted(params.alpha.items())
-        ],
+        "alpha": [[i, j, v.hex()] for i, j, v in params.pairs()],
         "regularization": {
             "lambda1": reg.lambda1,
             "lambda2": reg.lambda2,
@@ -133,7 +131,7 @@ def export_label_graph(params: ModelParams, label_names,
     if threshold < 0:
         raise DataError("threshold must be nonnegative")
     edges = []
-    for (i, j), v in sorted(params.alpha.items()):
+    for i, j, v in params.pairs():
         if abs(v) > threshold:
             edges.append(
                 {

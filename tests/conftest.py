@@ -2,18 +2,25 @@
 
 The oracle code here deliberately avoids the package's vectorized paths:
 scores and probabilities are recomputed with plain Python loops so that
-agreement between the two is meaningful.
+agreement between the two is meaningful.  The proximal-step helpers at the
+end (``GradientBuffer``, ``prox_step``, ``surrogate_objective``) restate one
+optimizer step on ``ModelParams`` so tests can check its majorization
+conditions directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from corrlog.errors import DataError
 from corrlog.inference import BeliefState, BpConfig
-from corrlog.model import Instance, ModelParams, MultilabelDataset
+from corrlog.model import ModelParams, MultilabelDataset
+from corrlog.objective import RegularizationConfig, params_from_dense, smooth_objective
+from corrlog.optimizer import _prox_dense
 
 
 def oracle_score(beta, alpha_pairs, x, y) -> float:
@@ -35,12 +42,19 @@ def all_label_vectors(m: int):
         yield np.array(bits, dtype=np.int8)
 
 
+def alpha_pairs(params: ModelParams) -> dict[tuple[int, int], float]:
+    """Nonzero pairwise weights keyed by (i, j), i < j, in row-major order."""
+    m = params.num_labels
+    return {(i, j): float(params.alpha[i, j])
+            for i in range(m) for j in range(i + 1, m) if params.alpha[i, j] != 0.0}
+
+
 def oracle_joint_table(params: ModelParams, x) -> dict[tuple[int, ...], float]:
     """Map from each label configuration to its unnormalized log-probability."""
-    alpha_pairs = dict(params.alpha)
+    pairs = alpha_pairs(params)
     beta = params.beta.tolist()
     return {
-        tuple(int(v) for v in y): oracle_score(beta, alpha_pairs, list(x), list(y))
+        tuple(int(v) for v in y): oracle_score(beta, pairs, list(x), list(y))
         for y in all_label_vectors(params.num_labels)
     }
 
@@ -69,16 +83,15 @@ def random_params(rng: np.random.Generator, m: int, d: int, *,
 
 
 def random_dataset(rng: np.random.Generator, n: int, m: int, d: int) -> MultilabelDataset:
-    instances = []
+    features, labels = [], []
     for _ in range(n):
         x = rng.normal(size=d)
         x /= max(1.0, np.linalg.norm(x))
-        y = rng.choice([-1, 1], size=m)
-        instances.append(Instance(features=x, labels=y))
+        features.append(x)
+        labels.append(rng.choice([-1, 1], size=m))
     return MultilabelDataset(
-        instances=instances,
-        num_features=d,
-        num_labels=m,
+        features=np.array(features).reshape(n, d),
+        labels=np.array(labels).reshape(n, m),
         label_names=tuple(f"label{i + 1}" for i in range(m)),
     )
 
@@ -100,7 +113,7 @@ def reference_predict_map_bp(params: ModelParams, x,
     m = params.num_labels
     unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
 
-    edges = [(i, j, v) for (i, j), v in sorted(params.alpha.items()) if v != 0.0]
+    edges = [(i, j, v) for (i, j), v in alpha_pairs(params).items()]
     neighbors: dict[int, list[tuple[int, float]]] = {i: [] for i in range(m)}
     for i, j, v in edges:
         neighbors[i].append((j, v))
@@ -119,7 +132,7 @@ def reference_predict_map_bp(params: ModelParams, x,
             new_messages = {}
             max_change = 0.0
             for (src, dst), old in messages.items():
-                weight = params.alpha_at(src, dst)
+                weight = params.alpha[src, dst]
                 # accumulated log-belief of src excluding what dst sent it
                 src_belief = unary[src] * _STATES
                 for nbr, _ in neighbors[src]:
@@ -150,3 +163,53 @@ def reference_predict_map_bp(params: ModelParams, x,
 
     labels = np.where(beliefs[:, 0] >= beliefs[:, 1], 1, -1).astype(np.int8)
     return labels, state
+
+
+@dataclass
+class GradientBuffer:
+    """Gradient of the smooth objective part.
+
+    grad_alpha is an m x m array whose strictly upper triangle holds the
+    gradient for every candidate pair (i, j), i < j, including pairs whose
+    weight is zero.
+    """
+
+    grad_beta: np.ndarray
+    grad_alpha: np.ndarray
+
+    def alpha_pair(self, i: int, j: int) -> float:
+        if i > j:
+            i, j = j, i
+        return float(self.grad_alpha[i, j])
+
+
+def prox_step(params: ModelParams, grad: GradientBuffer, eta: float,
+              reg: RegularizationConfig) -> ModelParams:
+    """One proximal update; minimizer of the surrogate built at ``params``."""
+    if eta <= 0:
+        raise DataError("eta must be positive")
+    beta, alpha = _prox_dense(
+        params.beta, np.triu(params.alpha, 1), grad.grad_beta, grad.grad_alpha, eta, reg
+    )
+    return params_from_dense(beta, alpha, params.num_features)
+
+
+def surrogate_objective(candidate: ModelParams, anchor: ModelParams,
+                        grad: GradientBuffer, eta: float,
+                        dataset: MultilabelDataset, reg: RegularizationConfig) -> float:
+    """Quadratic-plus-l1 upper model of the full objective around ``anchor``.
+
+    smooth(anchor) + <grad, c - a> + ||c - a||^2 / (2 eta) + l1 penalties at the
+    candidate.  Majorizes the full objective whenever 1/eta dominates the
+    smooth gradient's Lipschitz constant, with equality at the anchor.
+    """
+    if eta <= 0:
+        raise DataError("eta must be positive")
+    db = candidate.beta - anchor.beta
+    da = np.triu(candidate.alpha - anchor.alpha, 1)
+    value = smooth_objective(anchor, dataset, reg)
+    value += float(np.sum(grad.grad_beta * db)) + float(np.sum(db * db)) / (2.0 * eta)
+    value += float(np.sum(grad.grad_alpha * da)) + float(np.sum(da * da)) / (2.0 * eta)
+    value += reg.lambda1 * reg.epsilon * float(np.sum(np.abs(candidate.beta)))
+    value += reg.lambda2 * reg.epsilon * float(np.sum(np.abs(np.triu(candidate.alpha, 1))))
+    return value

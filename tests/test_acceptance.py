@@ -23,7 +23,7 @@ from corrlog.optimizer import (
     train_ilrs,
 )
 
-from conftest import random_dataset, random_params
+from conftest import GradientBuffer, alpha_pairs, random_dataset, random_params
 from test_inference import tree_model
 from test_objective import fd_smooth_gradient
 
@@ -112,7 +112,7 @@ def test_criterion_3_gradient_oracle():
         reg = RegularizationConfig(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.5)), 1.0)
         from corrlog.objective import smooth_gradient
 
-        grad = smooth_gradient(params, ds, reg)
+        grad = GradientBuffer(*smooth_gradient(params, ds, reg))
         fd_beta, fd_alpha = fd_smooth_gradient(params, ds, reg)
         err_b = np.abs(grad.grad_beta - fd_beta) / np.maximum(1.0, np.abs(grad.grad_beta))
         worst = max(worst, float(err_b.max()))
@@ -176,8 +176,7 @@ def test_criterion_5_map_oracle_equivalence():
     for _ in range(weak_trials):
         m = int(rng.integers(2, 11))
         params = random_params(rng, m, 2, alpha_scale=0.08, density=0.5)
-        for key in list(params.alpha):
-            params.alpha[key] = float(np.clip(params.alpha[key], -0.2, 0.2))
+        np.clip(params.alpha, -0.2, 0.2, out=params.alpha)
         x = rng.normal(size=2)
         bp, _ = predict_map_bp(params, x)
         if np.array_equal(bp, map_bruteforce(params, x)):
@@ -212,7 +211,7 @@ def test_criterion_6_stability_bound():
 
 
 def test_criterion_7_sparsity_behavior():
-    nnz_above = lambda params: sum(1 for v in params.alpha.values() if abs(v) > 1e-8)
+    nnz_above = lambda params: sum(1 for v in alpha_pairs(params).values() if abs(v) > 1e-8)
 
     # two-label toy problem
     train, _ = generate_toy(ToySpec(n_train=300, n_test=1, seed=3))

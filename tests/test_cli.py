@@ -62,7 +62,7 @@ class TestTrain:
         assert main(["train", str(train), "--add-bias", "--ilrs",
                      "--model-out", str(model)]) == 0
         doc = load_model(model.read_text())
-        assert doc.params.alpha == {}
+        assert np.array_equal(doc.params.alpha, np.zeros((2, 2)))
         assert doc.metadata["trainer"] == "ilrs"
 
     def test_epsilon_zero_keeps_dense_beta(self, toy_files, tmp_path):
@@ -223,6 +223,17 @@ class TestPredictAndEval:
         other.write_text("f1,f2,f3,f4|l1,l2\n0.1,0.2,0.3,0.4,1,0\n")
         assert main(["predict", str(trained_model), str(other),
                      "--out", str(tmp_path / "p.txt")]) == 3
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_label_count_mismatch_exits_3(self, trained_model, tmp_path, capsys, command):
+        three = tmp_path / "three.csv"
+        three.write_text("f1,f2|l1,l2,l3\n0.1,0.2,1,0,1\n0.3,-0.2,0,0,1\n")
+        out = tmp_path / "p.txt"
+        extra = ["--out", str(out)] if command == "predict" else []
+        assert main([command, str(trained_model), str(three), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: model predicts 2 labels, data has 3\n"
+        assert not out.exists()
 
 
 class TestCv:

@@ -36,9 +36,9 @@ class TestDenseLoader:
         assert ds.num_features == 2
         assert ds.num_labels == 2
         assert ds.label_names == ("l1", "l2")
-        assert np.allclose(ds.instances[0].features, [0.5, 0.5])
-        assert np.array_equal(ds.instances[0].labels, [1, -1])
-        assert np.array_equal(ds.instances[1].labels, [-1, 1])
+        assert np.allclose(ds.features[0], [0.5, 0.5])
+        assert np.array_equal(ds.labels[0], [1, -1])
+        assert np.array_equal(ds.labels[1], [-1, 1])
 
     def test_ragged_row_gives_line_number(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -78,13 +78,12 @@ class TestSparseLoader:
         ds = load_dataset(path, DatasetSpec(format="sparse-multilabel"))
         assert ds.num_labels == 5  # inferred from max positive index
         assert ds.num_features == 7
-        first = ds.instances[0]
-        assert np.array_equal(first.labels, [-1, 1, -1, -1, 1])
-        assert first.features[0] == 0.3
-        assert first.features[6] == -1.2
-        assert np.count_nonzero(first.features) == 2
+        assert np.array_equal(ds.labels[0], [-1, 1, -1, -1, 1])
+        assert ds.features[0, 0] == 0.3
+        assert ds.features[0, 6] == -1.2
+        assert np.count_nonzero(ds.features[0]) == 2
         # third line has no label list at all
-        assert np.all(ds.instances[2].labels == -1)
+        assert np.all(ds.labels[2] == -1)
 
     def test_explicit_dimensions(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -121,13 +120,13 @@ class TestFeaturePreparation:
         ds = load_dataset(path, DatasetSpec(normalization="global-max-norm"))
         norms = np.linalg.norm(ds.feature_matrix, axis=1)
         assert norms.max() == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(ds.instances[0].features, [0.6, 0.8])
+        assert np.allclose(ds.features[0], [0.6, 0.8])
 
     def test_labels_unchanged_by_scaling(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f1|l1,l2\n5,1,0\n")
         ds = load_dataset(path, DatasetSpec(normalization="global-max-norm"))
-        assert np.array_equal(ds.instances[0].labels, [1, -1])
+        assert np.array_equal(ds.labels[0], [1, -1])
 
     def test_reused_scale_constant(self, tmp_path):
         train_path = tmp_path / "train.csv"
@@ -140,8 +139,8 @@ class TestFeaturePreparation:
             test_path, DatasetSpec(normalization="global-max-norm"), feature_scale=scale
         )
         # test vector scaled by the training constant, exceeding 1 is allowed
-        assert test.instances[0].features[0] == pytest.approx(2.0)
-        assert train.instances[0].features[0] == pytest.approx(1.0)
+        assert test.features[0, 0] == pytest.approx(2.0)
+        assert train.features[0, 0] == pytest.approx(1.0)
 
     def test_add_bias_keeps_norm_bound(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -153,7 +152,7 @@ class TestFeaturePreparation:
         norms = np.linalg.norm(ds.feature_matrix, axis=1)
         assert norms.max() <= 1.0 + 1e-12
         # bias appended after normalization, then the 1/sqrt(2) rescale
-        assert ds.instances[0].features[-1] == pytest.approx(1 / np.sqrt(2))
+        assert ds.features[0, -1] == pytest.approx(1 / np.sqrt(2))
 
     def test_scale_must_be_positive(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -171,7 +171,7 @@ class TestPredictDataset:
         # 4 floats per directed edge, 2 directed edges per pair
         monkeypatch.setattr(evaluation, "DECODE_CHUNK_FLOATS",
                             8 * params.nnz_alpha() * rows_per_chunk)
-        reference = [reference_predict_map_bp(params, inst.features) for inst in ds.instances]
+        reference = [reference_predict_map_bp(params, x) for x in ds.features]
         preds, flagged = predict_dataset(params, ds)
         assert np.array_equal(preds, np.array([labels for labels, _ in reference]))
         assert flagged == [i for i, (_, state) in enumerate(reference) if not state.converged]
@@ -187,7 +187,7 @@ class TestPredictDataset:
         params = ModelParams(beta, {(0, 1): 0.0}, 4, 3)
         ds = random_dataset(rng, 10, 4, 3)
         preds, flagged = predict_dataset(params, ds)
-        unary = np.array([beta @ inst.features for inst in ds.instances])
+        unary = np.array([beta @ x for x in ds.features])
         assert np.array_equal(preds, np.where(unary >= 0, 1, -1))
         assert np.all(preds[:, 2] == 1)
         assert flagged == []
@@ -205,15 +205,15 @@ class TestStability:
     def test_self_replacement_moves_nothing(self):
         # swapping an instance for an identical copy leaves a deterministic
         # trainer at the exact same model
-        from corrlog.model import Instance, MultilabelDataset
+        from corrlog.model import MultilabelDataset
 
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, 8, 2, 2)
         config = TrainConfig(reg=RegularizationConfig(0.05, 0.05, 1.0), rel_tol=1e-10)
         base, _ = train_corrlog(ds, config)
-        instances = list(ds.instances)
-        instances[3] = Instance(instances[3].features.copy(), instances[3].labels.copy())
-        swapped = MultilabelDataset(instances, ds.num_features, ds.num_labels, ds.label_names)
+        features, labels = ds.features.copy(), ds.labels.copy()
+        features[3], labels[3] = ds.features[3].copy(), ds.labels[3].copy()
+        swapped = MultilabelDataset(features, labels, ds.label_names)
         retrained, _ = train_corrlog(swapped, config)
         assert params_distance(base, retrained) == 0.0
 

@@ -92,8 +92,7 @@ class TestPredictMapBp:
         for _ in range(trials):
             m = int(rng.integers(2, 11))
             params = random_params(rng, m, 2, alpha_scale=0.2 / 3, density=0.5)
-            for key in list(params.alpha):
-                params.alpha[key] = float(np.clip(params.alpha[key], -0.2, 0.2))
+            np.clip(params.alpha, -0.2, 0.2, out=params.alpha)
             x = rng.normal(size=2)
             bp, _ = predict_map_bp(params, x)
             if np.array_equal(bp, map_bruteforce(params, x)):

@@ -153,6 +153,16 @@ class TestValidation:
         with pytest.raises(DataError):
             compute_metrics([np.array([1])], [np.array([1]), np.array([-1])])
 
+    @pytest.mark.parametrize("y_true", [
+        [np.array([1, -1]), np.array([1])],  # ragged
+        [[1, -1], [1]],
+        [1, -1],  # not 2-D
+        [[[1, -1]]],
+    ])
+    def test_ragged_or_non_2d_labels(self, y_true):
+        with pytest.raises(DataError, match="equal-length label vectors"):
+            compute_metrics(y_true, [np.array([1, -1]), np.array([1, 1])])
+
     def test_bad_label_values(self):
         with pytest.raises(DataError):
             compute_metrics([np.array([1, 0])], [np.array([1, 1])])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from corrlog.errors import DataError
 from corrlog.model import (
-    Instance,
     ModelParams,
     MultilabelDataset,
     conditional_label_prob,
@@ -23,7 +22,7 @@ class TestModelParams:
     def test_zeros_constructible(self):
         p = ModelParams.zeros(3, 5)
         assert p.beta.shape == (3, 5)
-        assert p.alpha == {}
+        assert np.array_equal(p.alpha, np.zeros((3, 3)))
 
     def test_rejects_bad_alpha_keys(self):
         with pytest.raises(DataError):
@@ -39,27 +38,80 @@ class TestModelParams:
         with pytest.raises(DataError):
             ModelParams(np.zeros((2, 1)), {(0, 1): math.inf}, 2, 1)
 
-    def test_alpha_at_symmetric(self):
+    def test_alpha_symmetric(self):
         p = ModelParams(np.zeros((3, 1)), {(0, 2): -0.7}, 3, 1)
-        assert p.alpha_at(0, 2) == -0.7
-        assert p.alpha_at(2, 0) == -0.7
-        assert p.alpha_at(0, 1) == 0.0
+        assert p.alpha[0, 2] == -0.7
+        assert p.alpha[2, 0] == -0.7
+        assert p.alpha[0, 1] == 0.0
+
+
+class TestAlphaRepresentation:
+    def test_mapping_and_dense_array_give_identical_params(self):
+        rng = np.random.default_rng(12)
+        beta = rng.normal(size=(4, 2))
+        pairs = {(0, 1): 0.3, (1, 3): -0.2, (0, 2): 1.1}
+        dense = np.zeros((4, 4))
+        for (i, j), v in pairs.items():
+            dense[i, j] = dense[j, i] = v
+        a = ModelParams(beta, pairs, 4, 2)
+        b = ModelParams(beta, dense, 4, 2)
+        assert a.alpha.dtype == b.alpha.dtype == np.float64
+        assert np.array_equal(a.alpha, b.alpha)
+        assert np.array_equal(a.beta, b.beta)
+        assert (a.num_labels, a.num_features) == (b.num_labels, b.num_features)
+        assert a.pairs() == b.pairs() == [(0, 1, 0.3), (0, 2, 1.1), (1, 3, -0.2)]
+        assert a.nnz_alpha() == b.nnz_alpha() == 3
+
+    @pytest.mark.parametrize("alpha", [
+        np.array([[0.0, 0.5], [0.4, 0.0]]),  # asymmetric
+        np.array([[0.1, 0.5], [0.5, 0.0]]),  # nonzero diagonal
+        np.zeros((2, 3)),  # wrong shape
+        np.zeros((3, 3)),  # wrong label count
+        np.array([[0.0, np.nan], [np.nan, 0.0]]),
+        np.array([[0.0, np.inf], [np.inf, 0.0]]),
+        {(-1, 1): 0.5},  # out of range
+        {(0, 1): math.nan},
+    ])
+    def test_invalid_alpha_rejected(self, alpha):
+        with pytest.raises(DataError):
+            ModelParams(np.zeros((2, 1)), alpha, 2, 1)
 
 
 class TestInstanceAndDataset:
     def test_labels_must_be_pm1(self):
         with pytest.raises(DataError):
-            Instance(features=np.zeros(2), labels=np.array([1, 0]))
+            MultilabelDataset(np.zeros((1, 2)), np.array([[1, 0]]), ("a", "b"))
 
     def test_dimension_consistency(self):
-        good = Instance(np.zeros(2), np.array([1, -1]))
-        bad = Instance(np.zeros(3), np.array([1, -1]))
+        # features must form an n x D table with one row per label row
         with pytest.raises(DataError):
-            MultilabelDataset([good, bad], 2, 2, ("a", "b"))
+            MultilabelDataset(np.zeros(2), np.array([[1, -1]]), ("a", "b"))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
-            MultilabelDataset([], 2, 2, ("a", "b"))
+            MultilabelDataset(np.zeros((0, 2)), np.zeros((0, 2)), ("a", "b"))
+
+    def test_holds_arrays(self):
+        ds = MultilabelDataset([[0.5, 1.0], [2.0, -1.0]], [[1, -1], [-1, 1]], ["a", "b"])
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int8
+        assert (len(ds), ds.num_features, ds.num_labels) == (2, 2, 2)
+        assert ds.label_names == ("a", "b")
+        assert ds.feature_matrix is ds.features
+        assert ds.label_matrix.dtype == np.float64
+        assert np.array_equal(ds.label_matrix, [[1.0, -1.0], [-1.0, 1.0]])
+
+    @pytest.mark.parametrize("labels", [[[1, 2]], [[0, 1]], [[1.5, -1]]])
+    def test_labels_outside_pm1_rejected(self, labels):
+        with pytest.raises(DataError, match="-1 or \\+1"):
+            MultilabelDataset(np.zeros((1, 3)), labels, ("a", "b"))
+
+    def test_mismatched_row_counts_rejected(self):
+        with pytest.raises(DataError, match="label rows"):
+            MultilabelDataset(np.zeros((3, 2)), np.ones((2, 2)), ("a", "b"))
+
+    def test_wrong_number_of_label_names_rejected(self):
+        with pytest.raises(DataError, match="label_names"):
+            MultilabelDataset(np.zeros((2, 2)), np.ones((2, 2)), ("a", "b", "c"))
 
 
 class TestJointScore:

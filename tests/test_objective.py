@@ -6,26 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlog.errors import DataError
-from corrlog.model import Instance, ModelParams, MultilabelDataset, sigmoid
+from corrlog.model import ModelParams, MultilabelDataset, sigmoid
 from corrlog.objective import (
-    GradientBuffer,
     RegularizationConfig,
     elastic_net_penalty,
     full_objective,
     neg_log_pseudo_likelihood,
     smooth_gradient,
     smooth_objective,
-    surrogate_objective,
 )
 
-from conftest import oracle_conditional, random_dataset, random_params
+from conftest import (
+    GradientBuffer,
+    alpha_pairs,
+    oracle_conditional,
+    random_dataset,
+    random_params,
+    surrogate_objective,
+)
 
 FD_STEP = 1e-6
 
 
 def perturbed(params: ModelParams, *, beta_coord=None, alpha_pair=None, delta=0.0) -> ModelParams:
     beta = params.beta.copy()
-    alpha = dict(params.alpha)
+    alpha = alpha_pairs(params)
     if beta_coord is not None:
         beta[beta_coord] += delta
     if alpha_pair is not None:
@@ -52,7 +57,7 @@ def fd_smooth_gradient(params, dataset, reg, h=FD_STEP):
 
 
 def assert_gradient_matches_fd(params, dataset, reg, rel=1e-5):
-    grad = smooth_gradient(params, dataset, reg)
+    grad = GradientBuffer(*smooth_gradient(params, dataset, reg))
     fd_beta, fd_alpha = fd_smooth_gradient(params, dataset, reg)
     err_beta = np.abs(grad.grad_beta - fd_beta) / np.maximum(1.0, np.abs(grad.grad_beta))
     err_alpha = np.abs(grad.grad_alpha - fd_alpha) / np.maximum(1.0, np.abs(grad.grad_alpha))
@@ -68,7 +73,7 @@ class TestNegLogPseudoLikelihood:
         assert got == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_single_instance_single_label(self):
-        ds = MultilabelDataset([Instance(np.array([1.0]), np.array([1]))], 1, 1, ("a",))
+        ds = MultilabelDataset(np.array([[1.0]]), np.array([[1]]), ("a",))
         p = ModelParams(np.array([[0.5]]), {}, 1, 1)
         assert neg_log_pseudo_likelihood(p, ds) == pytest.approx(-math.log(1 / (1 + math.exp(-1))), abs=1e-12)
         assert neg_log_pseudo_likelihood(p, ds) == pytest.approx(0.313262, abs=1e-6)
@@ -78,9 +83,9 @@ class TestNegLogPseudoLikelihood:
         ds = random_dataset(rng, 5, 3, 2)
         p = random_params(rng, 3, 2)
         expected = 0.0
-        for inst in ds.instances:
+        for x, y in zip(ds.features, ds.labels):
             for i in range(3):
-                expected -= math.log(oracle_conditional(p, inst.features, inst.labels, i))
+                expected -= math.log(oracle_conditional(p, x, y, i))
         expected /= len(ds)
         assert neg_log_pseudo_likelihood(p, ds) == pytest.approx(expected, abs=1e-12)
 
@@ -106,7 +111,7 @@ class TestElasticNetPenalty:
         rng = np.random.default_rng(4)
         p = random_params(rng, 3, 2)
         reg = RegularizationConfig(0.3, 0.9, 0.0)
-        expected = 0.3 * np.sum(p.beta ** 2) + 0.9 * sum(v * v for v in p.alpha.values())
+        expected = 0.3 * np.sum(p.beta ** 2) + 0.9 * sum(v * v for v in alpha_pairs(p).values())
         assert elastic_net_penalty(p, reg) == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_negative_weights(self):
@@ -137,7 +142,7 @@ class TestSmoothObjective:
         expected = (
             neg_log_pseudo_likelihood(p, ds)
             + 0.2 * np.sum(p.beta ** 2)
-            + 0.4 * sum(v * v for v in p.alpha.values())
+            + 0.4 * sum(v * v for v in alpha_pairs(p).values())
         )
         assert smooth_objective(p, ds, reg) == pytest.approx(expected, abs=1e-12)
 
@@ -157,7 +162,7 @@ class TestFullObjective:
         expected = (
             smooth_objective(p, ds, reg)
             + 0.05 * 2.0 * np.sum(np.abs(p.beta))
-            + 0.03 * 2.0 * sum(abs(v) for v in p.alpha.values())
+            + 0.03 * 2.0 * sum(abs(v) for v in alpha_pairs(p).values())
         )
         assert full_objective(p, ds, reg) == pytest.approx(expected, abs=1e-12)
 
@@ -170,9 +175,10 @@ class TestFullObjective:
         reg = RegularizationConfig(0.1, 0.1, 1.0)
         pa = random_params(rng, m, d)
         pb = random_params(rng, m, d)
-        keys = set(pa.alpha) | set(pb.alpha)
+        pairs_a, pairs_b = alpha_pairs(pa), alpha_pairs(pb)
+        keys = set(pairs_a) | set(pairs_b)
         mix_alpha = {
-            k: t * pa.alpha.get(k, 0.0) + (1 - t) * pb.alpha.get(k, 0.0) for k in keys
+            k: t * pairs_a.get(k, 0.0) + (1 - t) * pairs_b.get(k, 0.0) for k in keys
         }
         mix = ModelParams(t * pa.beta + (1 - t) * pb.beta, mix_alpha, m, d)
         lhs = full_objective(mix, ds, reg)
@@ -183,8 +189,9 @@ class TestFullObjective:
 class TestSmoothGradient:
     def test_tiny_explicit_case(self):
         # n=1, m=1, D=1, x=1, y=+1, beta=0, lambda1=0: xi = -1, grad = -1
-        ds = MultilabelDataset([Instance(np.array([1.0]), np.array([1]))], 1, 1, ("a",))
-        grad = smooth_gradient(ModelParams.zeros(1, 1), ds, RegularizationConfig(0.0, 0.0, 0.0))
+        ds = MultilabelDataset(np.array([[1.0]]), np.array([[1]]), ("a",))
+        grad = GradientBuffer(
+            *smooth_gradient(ModelParams.zeros(1, 1), ds, RegularizationConfig(0.0, 0.0, 0.0)))
         assert grad.grad_beta[0, 0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_zero_params_closed_form(self):
@@ -192,7 +199,8 @@ class TestSmoothGradient:
         # grad_alpha_ij = -(2/n) sum_l y_li y_lj.
         rng = np.random.default_rng(33)
         ds = random_dataset(rng, 9, 3, 2)
-        grad = smooth_gradient(ModelParams.zeros(3, 2), ds, RegularizationConfig(0.0, 0.0, 0.0))
+        grad = GradientBuffer(
+            *smooth_gradient(ModelParams.zeros(3, 2), ds, RegularizationConfig(0.0, 0.0, 0.0)))
         x_mat, y_mat = ds.feature_matrix, ds.label_matrix
         expected_beta = -(y_mat.T @ x_mat) / 9
         assert np.allclose(grad.grad_beta, expected_beta, atol=1e-14)
@@ -212,11 +220,11 @@ class TestSmoothGradient:
             reg = RegularizationConfig(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.5)), 1.0)
             assert_gradient_matches_fd(p, ds, reg)
 
-    def test_covers_pairs_absent_from_sparse_map(self):
+    def test_covers_pairs_with_zero_weight(self):
         rng = np.random.default_rng(55)
         ds = random_dataset(rng, 6, 4, 2)
         p = random_params(rng, 4, 2, density=0.0)  # empty alpha
-        grad = smooth_gradient(p, ds, RegularizationConfig(0.1, 0.1, 1.0))
+        grad = GradientBuffer(*smooth_gradient(p, ds, RegularizationConfig(0.1, 0.1, 1.0)))
         assert grad.grad_alpha.shape == (4, 4)
         upper = grad.grad_alpha[np.triu_indices(4, 1)]
         assert np.any(upper != 0.0)
@@ -229,7 +237,7 @@ class TestSmoothGradient:
         beta = rng.normal(size=(3, 4))
         p = ModelParams(beta, {}, 3, 4)
         reg = RegularizationConfig(0.2, 0.0, 0.0)
-        grad = smooth_gradient(p, ds, reg)
+        grad = GradientBuffer(*smooth_gradient(p, ds, reg))
         x_mat, y_mat = ds.feature_matrix, ds.label_matrix
         for i in range(3):
             acc = np.zeros(4)
@@ -255,7 +263,7 @@ class TestSmoothGradient:
 
     def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
-            MultilabelDataset([], 1, 1, ("a",))
+            MultilabelDataset(np.zeros((0, 1)), np.zeros((0, 1)), ("a",))
 
 
 class TestSurrogate:
@@ -264,7 +272,7 @@ class TestSurrogate:
         ds = random_dataset(rng, 6, 3, 2)
         p = random_params(rng, 3, 2)
         reg = RegularizationConfig(0.1, 0.1, 1.0)
-        grad = smooth_gradient(p, ds, reg)
+        grad = GradientBuffer(*smooth_gradient(p, ds, reg))
         j = surrogate_objective(p, p, grad, eta=0.1, dataset=ds, reg=reg)
         assert j == pytest.approx(full_objective(p, ds, reg), abs=1e-12)
 
@@ -273,7 +281,7 @@ class TestSurrogate:
         ds = random_dataset(rng, 6, 3, 2)
         anchor = random_params(rng, 3, 2)
         reg = RegularizationConfig(0.1, 0.1, 1.0)
-        grad = smooth_gradient(anchor, ds, reg)
+        grad = GradientBuffer(*smooth_gradient(anchor, ds, reg))
         eta = 1e-3  # far below any step that could violate the quadratic bound
         for _ in range(10):
             cand = random_params(rng, 3, 2)

@@ -4,50 +4,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlog.errors import DataError, NumericError
-from corrlog.model import Instance, ModelParams, MultilabelDataset
+from corrlog.model import ModelParams, MultilabelDataset
 from corrlog.objective import (
     RegularizationConfig,
     full_objective,
     smooth_gradient,
-    surrogate_objective,
 )
 from corrlog.optimizer import (
     BacktrackingStep,
     FixedStep,
     TrainConfig,
     default_initial_step,
-    prox_step,
     soft_threshold,
     subgradient_residual,
     train_corrlog,
     train_ilrs,
 )
 
-from conftest import random_dataset
+from conftest import (
+    GradientBuffer,
+    alpha_pairs,
+    prox_step,
+    random_dataset,
+    surrogate_objective,
+)
 
 
 def balanced_coin_dataset(n_quads: int, d: int, seed: int) -> MultilabelDataset:
     """Two labels hitting all four +-1 combinations equally often."""
     rng = np.random.default_rng(seed)
     combos = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    instances = []
+    features, labels = [], []
     for _ in range(n_quads):
         for combo in combos:
             x = rng.normal(size=d)
             x /= max(1.0, np.linalg.norm(x))
-            instances.append(Instance(x, np.array(combo)))
-    return MultilabelDataset(instances, d, 2, ("a", "b"))
+            features.append(x)
+            labels.append(combo)
+    return MultilabelDataset(np.array(features), np.array(labels), ("a", "b"))
 
 
 def correlated_pair_dataset(n: int, seed: int) -> MultilabelDataset:
     """y2 always equals y1; features only weakly informative."""
     rng = np.random.default_rng(seed)
-    instances = []
+    features, labels = [], []
     for _ in range(n):
         y1 = int(rng.choice([-1, 1]))
-        x = rng.normal(size=2) * 0.05
-        instances.append(Instance(x, np.array([y1, y1])))
-    return MultilabelDataset(instances, 2, 2, ("a", "b"))
+        features.append(rng.normal(size=2) * 0.05)
+        labels.append([y1, y1])
+    return MultilabelDataset(np.array(features), np.array(labels), ("a", "b"))
 
 
 class TestSoftThreshold:
@@ -78,7 +83,7 @@ class TestSoftThreshold:
 
 class TestProxStep:
     def _grad(self, params, dataset, reg):
-        return smooth_gradient(params, dataset, reg)
+        return GradientBuffer(*smooth_gradient(params, dataset, reg))
 
     def test_zero_gradient_eps0_is_identity(self):
         rng = np.random.default_rng(1)
@@ -89,7 +94,7 @@ class TestProxStep:
         grad.grad_alpha[:] = 0.0
         out = prox_step(p, grad, 0.5, RegularizationConfig(0.1, 0.1, 0.0))
         assert np.array_equal(out.beta, p.beta)
-        assert out.alpha == p.alpha
+        assert np.array_equal(out.alpha, p.alpha)
 
     def test_eps0_is_plain_gradient_step(self):
         rng = np.random.default_rng(2)
@@ -99,12 +104,10 @@ class TestProxStep:
         grad = self._grad(p, ds, reg)
         out = prox_step(p, grad, 0.2, reg)
         assert np.allclose(out.beta, p.beta - 0.2 * grad.grad_beta, atol=1e-15)
-        assert out.alpha_at(0, 1) == pytest.approx(-0.3 - 0.2 * grad.alpha_pair(0, 1), abs=1e-15)
+        assert out.alpha[0, 1] == pytest.approx(-0.3 - 0.2 * grad.alpha_pair(0, 1), abs=1e-15)
 
     def test_single_coordinate_arithmetic(self):
         # beta=1, grad=2, eta=0.25, lambda1*eps=0.4: step to 0.5, threshold 0.1 -> 0.4
-        from corrlog.objective import GradientBuffer
-
         p = ModelParams(np.array([[1.0]]), {}, 1, 1)
         grad = GradientBuffer(np.array([[2.0]]), np.zeros((1, 1)))
         out = prox_step(p, grad, 0.25, RegularizationConfig(0.8, 0.1, 0.5))
@@ -122,7 +125,7 @@ class TestProxStep:
         j_star = surrogate_objective(star, anchor, grad, eta, ds, reg)
         for _ in range(25):
             cand_beta = star.beta + rng.normal(size=(3, 2)) * 0.05
-            cand_alpha = {k: v + rng.normal() * 0.05 for k, v in star.alpha.items()}
+            cand_alpha = {k: v + rng.normal() * 0.05 for k, v in alpha_pairs(star).items()}
             cand_alpha.setdefault((0, 2), rng.normal() * 0.05)
             cand = ModelParams(cand_beta, cand_alpha, 3, 2)
             assert j_star <= surrogate_objective(cand, anchor, grad, eta, ds, reg) + 1e-12
@@ -149,7 +152,7 @@ class TestTrainingDescent:
         eta = default_initial_step(ds, reg)
         params = ModelParams.zeros(3, 3)
         for _ in range(25):
-            grad = smooth_gradient(params, ds, reg)
+            grad = GradientBuffer(*smooth_gradient(params, ds, reg))
             new_params = prox_step(params, grad, eta, reg)
             j_anchor = surrogate_objective(params, params, grad, eta, ds, reg)
             j_new = surrogate_objective(new_params, params, grad, eta, ds, reg)
@@ -192,7 +195,7 @@ class TestTrainCorrlog:
         ds = correlated_pair_dataset(200, seed=1)
         reg = RegularizationConfig(0.01, 0.01, 0.0)
         params, _ = train_corrlog(ds, TrainConfig(reg=reg, max_iters=3000, rel_tol=1e-10))
-        assert params.alpha_at(0, 1) > 0.1
+        assert params.alpha[0, 1] > 0.1
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(12)
@@ -201,12 +204,11 @@ class TestTrainCorrlog:
         a, _ = train_corrlog(ds, config)
         b, _ = train_corrlog(ds, config)
         assert np.array_equal(a.beta, b.beta)
-        assert a.alpha == b.alpha
+        assert np.array_equal(a.alpha, b.alpha)
 
     def test_nonfinite_data_rejected_with_instance_index(self):
-        good = Instance(np.array([0.1, 0.2]), np.array([1, -1]))
-        bad = Instance(np.array([np.nan, 0.0]), np.array([1, 1]))
-        ds = MultilabelDataset([good, bad], 2, 2, ("a", "b"))
+        ds = MultilabelDataset(np.array([[0.1, 0.2], [np.nan, 0.0]]),
+                               np.array([[1, -1], [1, 1]]), ("a", "b"))
         with pytest.raises(NumericError, match="instance 1"):
             train_corrlog(ds, TrainConfig())
 
@@ -241,17 +243,17 @@ class TestTrainIlrs:
         rng = np.random.default_rng(15)
         ds = random_dataset(rng, 20, 3, 3)
         params = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.01, 0.01, 1.0)))
-        assert params.alpha == {}
+        assert np.array_equal(params.alpha, np.zeros((3, 3)))
 
     def test_separable_single_label_high_accuracy(self):
         rng = np.random.default_rng(16)
-        instances = []
+        features, labels = [], []
         for _ in range(100):
             x = rng.normal(size=2)
             x /= max(1.0, np.linalg.norm(x))
-            label = 1 if x[0] + 0.5 * x[1] >= 0 else -1
-            instances.append(Instance(x, np.array([label])))
-        ds = MultilabelDataset(instances, 2, 1, ("a",))
+            features.append(x)
+            labels.append([1 if x[0] + 0.5 * x[1] >= 0 else -1])
+        ds = MultilabelDataset(np.array(features), np.array(labels), ("a",))
         params = train_ilrs(
             ds, TrainConfig(reg=RegularizationConfig(1e-4, 1e-4, 0.0), max_iters=5000)
         )
@@ -263,11 +265,9 @@ class TestTrainIlrs:
     def test_matches_corrlog_when_alpha_path_off(self):
         # on a single-label problem there is no alpha path at all
         rng = np.random.default_rng(17)
-        instances = [
-            Instance(rng.normal(size=2), np.array([int(rng.choice([-1, 1]))]))
-            for _ in range(30)
-        ]
-        ds = MultilabelDataset(instances, 2, 1, ("a",))
+        rows = [(rng.normal(size=2), [int(rng.choice([-1, 1]))]) for _ in range(30)]
+        ds = MultilabelDataset(np.array([x for x, _ in rows]), np.array([y for _, y in rows]),
+                               ("a",))
         config = TrainConfig(reg=RegularizationConfig(0.05, 0.05, 1.0))
         ilrs = train_ilrs(ds, config)
         corr, _ = train_corrlog(ds, config)
@@ -288,6 +288,6 @@ class TestSparsityMonotonicity:
         for eps in (0.0, 0.1, 1.0):
             reg = RegularizationConfig(0.02, 0.02, eps)
             params, _ = train_corrlog(ds, TrainConfig(reg=reg, max_iters=4000, rel_tol=1e-9))
-            nnz[eps] = sum(1 for v in params.alpha.values() if abs(v) > 1e-8)
+            nnz[eps] = sum(1 for v in alpha_pairs(params).values() if abs(v) > 1e-8)
         assert nnz[1.0] <= nnz[0.1] <= nnz[0.0]
         assert nnz[0.0] == 15  # all pairs active without any l1 shrinkage

@@ -22,7 +22,7 @@ class TestModelDocument:
         doc = save_model(params, reg, {"note": "fixture"})
         loaded = load_model(doc)
         assert np.array_equal(loaded.params.beta, params.beta)
-        assert loaded.params.alpha == params.alpha
+        assert np.array_equal(loaded.params.alpha, params.alpha)
         assert loaded.reg == reg
         assert loaded.metadata == {"note": "fixture"}
 
@@ -38,6 +38,37 @@ class TestModelDocument:
     def test_all_zero_model_has_empty_alpha_list(self):
         doc = save_model(ModelParams.zeros(3, 2), RegularizationConfig())
         assert json.loads(doc)["alpha"] == []
+
+    def test_trained_model_document_resaves_byte_identical(self):
+        train, _ = generate_toy(ToySpec(n_train=80, n_test=1, seed=4))
+        reg = RegularizationConfig(0.01, 0.01, 1.0)
+        params, _ = train_corrlog(add_bias_column(train), TrainConfig(reg=reg, max_iters=300))
+        assert params.nnz_alpha() == 1
+        first = save_model(params, reg, {"trainer": "corrlog"})
+        loaded = load_model(first)
+        assert save_model(loaded.params, loaded.reg, loaded.metadata) == first
+
+    def test_explicit_zero_triple_loads_and_is_dropped_on_resave(self):
+        doc = json.loads(save_model(ModelParams(np.ones((3, 1)), {(0, 2): 0.5}, 3, 1),
+                                    RegularizationConfig()))
+        doc["alpha"] = [[0, 1, (0.0).hex()]] + doc["alpha"]
+        loaded = load_model(json.dumps(doc))
+        assert loaded.params.alpha[0, 1] == 0.0 and loaded.params.nnz_alpha() == 1
+        resaved = json.loads(save_model(loaded.params, loaded.reg))
+        assert resaved["alpha"] == [[0, 2, (0.5).hex()]]
+
+    @pytest.mark.parametrize("triple", [
+        [1, 0, "0x1.0p-1"],  # unordered
+        [1, 1, "0x1.0p-1"],  # diagonal
+        [0, 3, "0x1.0p-1"],  # out of range
+        [0, 1, "inf"],
+        [0, 1, "nan"],
+    ])
+    def test_invalid_alpha_triple_is_a_format_error(self, triple):
+        doc = json.loads(save_model(ModelParams.zeros(3, 1), RegularizationConfig()))
+        doc["alpha"] = [triple]
+        with pytest.raises(ModelFormatError, match="inconsistent"):
+            load_model(json.dumps(doc))
 
     def test_bad_magic_rejected(self):
         doc = save_model(ModelParams.zeros(1, 1), RegularizationConfig())
@@ -68,9 +99,9 @@ class TestModelDocument:
         reg = RegularizationConfig(0.001, 0.001, 0.0)
         params, _ = train_corrlog(train, TrainConfig(reg=reg, max_iters=5000))
         loaded = load_model(save_model(params, reg)).params
-        for inst in test.instances:
-            orig, _ = predict_map_bp(params, inst.features)
-            back, _ = predict_map_bp(loaded, inst.features)
+        for x in test.features:
+            orig, _ = predict_map_bp(params, x)
+            back, _ = predict_map_bp(loaded, x)
             assert np.array_equal(orig, back)
 
 
