@@ -61,8 +61,6 @@ from .objective import (
     smooth_objective,
 )
 from .optimizer import (
-    BacktrackingStep,
-    FixedStep,
     TrainConfig,
     TrainTrace,
     soft_threshold,

@@ -10,6 +10,10 @@ function never appears.  The full objective splits as
 whose smooth part (everything except the l1 terms) has the closed-form
 gradient implemented here.  Pairwise gradients are materialized for all
 m(m-1)/2 candidate pairs so the proximal step can activate or kill any pair.
+:func:`smooth_grad_dense` returns the smooth value together with both
+gradients from one activation pass, so an optimizer step reads the data once
+at its anchor point.  The loss and each penalty are written once and shared
+by every value function, so all of them agree bit for bit.
 
 The ``*_dense`` functions take beta (m x D) and the strict upper triangle of
 alpha (m x m), the coordinates the optimizer moves, one per pair; the others
@@ -55,67 +59,82 @@ def _activations(beta: np.ndarray, alpha_upper: np.ndarray,
     return x_mat @ beta.T + y_mat @ alpha_sym
 
 
-def nll_pl_dense(beta: np.ndarray, alpha_upper: np.ndarray,
-                 x_mat: np.ndarray, y_mat: np.ndarray) -> float:
+def _neg_margins(beta: np.ndarray, alpha_upper: np.ndarray,
+                 x_mat: np.ndarray, y_mat: np.ndarray) -> np.ndarray:
+    """n x m values -2 y a: each term's loss is softplus of it, its slope a sigmoid."""
+    return -2.0 * y_mat * _activations(beta, alpha_upper, x_mat, y_mat)
+
+
+def _mean_loss(neg_margins: np.ndarray) -> float:
     """Mean over instances of the summed per-label conditional negative log-probs."""
-    a = _activations(beta, alpha_upper, x_mat, y_mat)
     # -log sigmoid(2 y a) = softplus(-2 y a), stable for any score magnitude
-    losses = np.logaddexp(0.0, -2.0 * y_mat * a)
-    return float(losses.sum(axis=1).mean())
+    return float(np.logaddexp(0.0, neg_margins).sum(axis=1).mean())
 
 
-def smooth_value_dense(beta: np.ndarray, alpha_upper: np.ndarray,
-                       x_mat: np.ndarray, y_mat: np.ndarray,
-                       reg: RegularizationConfig) -> float:
+def add_quadratic_penalty(value: float, beta: np.ndarray, alpha_upper: np.ndarray,
+                          reg: RegularizationConfig) -> float:
+    """value + lambda1*||beta||_2^2 + lambda2*||alpha||_2^2, added in that order."""
     return (
-        nll_pl_dense(beta, alpha_upper, x_mat, y_mat)
+        value
         + reg.lambda1 * float(np.sum(beta * beta))
         + reg.lambda2 * float(np.sum(alpha_upper * alpha_upper))
     )
 
 
-def full_value_dense(beta: np.ndarray, alpha_upper: np.ndarray,
-                     x_mat: np.ndarray, y_mat: np.ndarray,
-                     reg: RegularizationConfig) -> float:
+def add_l1_penalty(value: float, beta: np.ndarray, alpha_upper: np.ndarray,
+                   reg: RegularizationConfig) -> float:
+    """value + lambda1*eps*||beta||_1 + lambda2*eps*||alpha||_1, added in that order."""
     return (
-        smooth_value_dense(beta, alpha_upper, x_mat, y_mat, reg)
+        value
         + reg.lambda1 * reg.epsilon * float(np.sum(np.abs(beta)))
         + reg.lambda2 * reg.epsilon * float(np.sum(np.abs(alpha_upper)))
     )
 
 
+def smooth_value_dense(beta: np.ndarray, alpha_upper: np.ndarray,
+                       x_mat: np.ndarray, y_mat: np.ndarray,
+                       reg: RegularizationConfig) -> float:
+    loss = _mean_loss(_neg_margins(beta, alpha_upper, x_mat, y_mat))
+    return add_quadratic_penalty(loss, beta, alpha_upper, reg)
+
+
+def full_value_dense(beta: np.ndarray, alpha_upper: np.ndarray,
+                     x_mat: np.ndarray, y_mat: np.ndarray,
+                     reg: RegularizationConfig) -> float:
+    smooth = smooth_value_dense(beta, alpha_upper, x_mat, y_mat, reg)
+    return add_l1_penalty(smooth, beta, alpha_upper, reg)
+
+
 def smooth_grad_dense(beta: np.ndarray, alpha_upper: np.ndarray,
                       x_mat: np.ndarray, y_mat: np.ndarray,
-                      reg: RegularizationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the smooth part wrt beta and (upper-triangular) alpha."""
+                      reg: RegularizationConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Smooth value and its gradients wrt beta and (upper-triangular) alpha, from one pass.
+
+    The value is bit-identical to :func:`smooth_value_dense` at the same point.
+    """
     n = x_mat.shape[0]
-    a = _activations(beta, alpha_upper, x_mat, y_mat)
+    neg_margins = _neg_margins(beta, alpha_upper, x_mat, y_mat)
+    value = add_quadratic_penalty(_mean_loss(neg_margins), beta, alpha_upper, reg)
     # xi[l, i] = -2 y_li * sigmoid(-2 y_li a_li), the per-term loss derivative
-    xi = -2.0 * y_mat * sigmoid(-2.0 * y_mat * a)
+    xi = -2.0 * y_mat * sigmoid(neg_margins)
     grad_beta = (xi.T @ x_mat) / n + 2.0 * reg.lambda1 * beta
     pair = xi.T @ y_mat
     grad_alpha = np.triu(pair + pair.T, 1) / n + 2.0 * reg.lambda2 * alpha_upper
-    return grad_beta, grad_alpha
+    return value, grad_beta, grad_alpha
 
 
 def neg_log_pseudo_likelihood(params: ModelParams, dataset: MultilabelDataset) -> float:
     """Mean negative log pseudo-likelihood over the dataset; always >= 0."""
     _check_model_data(params, dataset)
-    return nll_pl_dense(params.beta, np.triu(params.alpha, 1),
-                        dataset.feature_matrix, dataset.label_matrix)
+    return _mean_loss(_neg_margins(params.beta, np.triu(params.alpha, 1),
+                                   dataset.feature_matrix, dataset.label_matrix))
 
 
 def elastic_net_penalty(params: ModelParams, reg: RegularizationConfig) -> float:
     """lambda1*(||beta||_2^2 + eps*||beta||_1) + lambda2*(||alpha||_2^2 + eps*||alpha||_1)."""
-    beta_sq = float(np.sum(params.beta * params.beta))
-    beta_l1 = float(np.sum(np.abs(params.beta)))
     upper = np.triu(params.alpha, 1)
-    alpha_sq = float(np.sum(upper * upper))
-    alpha_l1 = float(np.sum(np.abs(upper)))
-    return (
-        reg.lambda1 * (beta_sq + reg.epsilon * beta_l1)
-        + reg.lambda2 * (alpha_sq + reg.epsilon * alpha_l1)
-    )
+    return add_l1_penalty(add_quadratic_penalty(0.0, params.beta, upper, reg),
+                          params.beta, upper, reg)
 
 
 def smooth_objective(params: ModelParams, dataset: MultilabelDataset,
@@ -129,7 +148,9 @@ def smooth_objective(params: ModelParams, dataset: MultilabelDataset,
 def full_objective(params: ModelParams, dataset: MultilabelDataset,
                    reg: RegularizationConfig) -> float:
     """The quantity training minimizes: pseudo-likelihood plus elastic-net penalty."""
-    return neg_log_pseudo_likelihood(params, dataset) + elastic_net_penalty(params, reg)
+    _check_model_data(params, dataset)
+    return full_value_dense(params.beta, np.triu(params.alpha, 1),
+                            dataset.feature_matrix, dataset.label_matrix, reg)
 
 
 def smooth_gradient(params: ModelParams, dataset: MultilabelDataset,
@@ -141,7 +162,7 @@ def smooth_gradient(params: ModelParams, dataset: MultilabelDataset,
     """
     _check_model_data(params, dataset)
     return smooth_grad_dense(params.beta, np.triu(params.alpha, 1),
-                             dataset.feature_matrix, dataset.label_matrix, reg)
+                             dataset.feature_matrix, dataset.label_matrix, reg)[1:]
 
 
 def _check_model_data(params: ModelParams, dataset: MultilabelDataset) -> None:

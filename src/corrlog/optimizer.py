@@ -6,11 +6,14 @@ Minimizes  nll_pl + elastic_net  from the all-zeros start by iterating
 
 with the threshold eta*lambda1*eps on beta coordinates and eta*lambda2*eps on
 pairwise coordinates: the exact minimizer of the quadratic-plus-l1 surrogate
-built around theta_k.  The step size backtracks until that surrogate majorizes
-the smooth part at the candidate, so every accepted step decreases the full
-objective.  Optional two-point momentum gives the accelerated O(1/k^2) rate;
-whenever an extrapolated step would increase the objective the momentum is
-restarted and the step retaken plainly, which keeps the trace monotone.
+built around theta_k.  The step size starts at 1/lipschitz_bound and halves
+until that surrogate majorizes the smooth part at the candidate, so every
+accepted step decreases the full objective.  A step makes one fused
+value+gradient pass at its anchor point and one value pass per candidate, and
+the accepted candidate's value becomes the next objective.  Optional
+two-point momentum gives the accelerated O(1/k^2) rate; whenever an
+extrapolated step would increase the objective the momentum is restarted and
+the step retaken plainly, which keeps the trace monotone.
 
 Training is deterministic: identical inputs produce bit-identical models.
 """
@@ -18,7 +21,7 @@ Training is deterministic: identical inputs produce bit-identical models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .errors import DataError, NumericError
 from .model import ModelParams, MultilabelDataset
 from .objective import (
     RegularizationConfig,
+    add_l1_penalty,
     check_finite_dataset,
     full_value_dense,
     params_from_dense,
@@ -37,37 +41,8 @@ MAX_BACKTRACKS = 100
 
 
 @dataclass(frozen=True)
-class FixedStep:
-    """Constant step size; the caller asserts 1/eta exceeds the gradient's Lipschitz constant."""
-
-    eta: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise DataError("fixed step size must be positive")
-
-
-@dataclass(frozen=True)
-class BacktrackingStep:
-    """Halving line search; ``initial_eta=None`` derives a safe start from the data."""
-
-    initial_eta: float | None = None
-    shrink_factor: float = 0.5
-
-    def __post_init__(self):
-        if self.initial_eta is not None and self.initial_eta <= 0:
-            raise DataError("initial_eta must be positive")
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise DataError("shrink_factor must lie in (0, 1)")
-
-
-StepPolicy = Union[FixedStep, BacktrackingStep]
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     reg: RegularizationConfig = field(default_factory=RegularizationConfig)
-    step: StepPolicy = field(default_factory=BacktrackingStep)
     max_iters: int = 5000
     rel_tol: float = 1e-7
     accelerate: bool = True
@@ -142,7 +117,7 @@ def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
     |grad_smooth| <= lam*eps; returns the largest deviation from either.
     """
     alpha_upper = np.triu(params.alpha, 1)
-    gb, ga = smooth_grad_dense(
+    _, gb, ga = smooth_grad_dense(
         params.beta, alpha_upper, dataset.feature_matrix, dataset.label_matrix, reg,
     )
 
@@ -172,30 +147,12 @@ def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
 
     x_mat, y_mat = dataset.feature_matrix, dataset.label_matrix
     m, d = dataset.num_labels, dataset.num_features
-
-    def value(b, a):
-        return full_value_dense(b, a, x_mat, y_mat, reg)
-
-    def smooth(b, a):
-        return smooth_value_dense(b, a, x_mat, y_mat, reg)
-
-    def gradient(b, a):
-        gb, ga = smooth_grad_dense(b, a, x_mat, y_mat, reg)
-        if not fit_alpha:
-            ga = np.zeros_like(ga)
-        return gb, ga
-
-    backtracking = isinstance(config.step, BacktrackingStep)
-    if backtracking:
-        eta = config.step.initial_eta or default_initial_step(dataset, reg)
-        shrink = config.step.shrink_factor
-    else:
-        eta = config.step.eta
+    eta = default_initial_step(dataset, reg)
 
     beta = np.zeros((m, d))
     alpha = np.zeros((m, m))
     beta_prev, alpha_prev = beta, alpha
-    f_cur = value(beta, alpha)
+    f_cur = full_value_dense(beta, alpha, x_mat, y_mat, reg)
     if not np.isfinite(f_cur):
         raise NumericError("objective is not finite at the zero start")
     t_momentum = 1.0
@@ -203,23 +160,26 @@ def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
     trace = TrainTrace()
 
     def attempt_step(zb, za, eta):
-        """Prox step from (zb, za), backtracking eta until the surrogate majorizes."""
-        gb, ga = gradient(zb, za)
-        smooth_z = smooth(zb, za)
+        """Prox step from (zb, za), halving eta until the surrogate majorizes.
+
+        Returns the candidate, its step size and its full objective.
+        """
+        smooth_z, gb, ga = smooth_grad_dense(zb, za, x_mat, y_mat, reg)
+        if not fit_alpha:
+            ga = np.zeros_like(ga)
         for _ in range(MAX_BACKTRACKS):
             nb, na = _prox_dense(zb, za, gb, ga, eta, reg)
-            if not backtracking:
-                return nb, na, eta
             db, da = nb - zb, na - za
             quad = (
                 smooth_z
                 + float(np.sum(gb * db)) + float(np.sum(ga * da))
                 + (float(np.sum(db * db)) + float(np.sum(da * da))) / (2.0 * eta)
             )
-            if smooth(nb, na) <= quad + 1e-15 * max(1.0, abs(quad)):
-                return nb, na, eta
-            eta *= shrink
-        return nb, na, eta
+            smooth_new = smooth_value_dense(nb, na, x_mat, y_mat, reg)
+            if smooth_new <= quad + 1e-15 * max(1.0, abs(quad)):
+                break
+            eta *= 0.5
+        return nb, na, eta, add_l1_penalty(smooth_new, nb, na, reg)
 
     for k in range(config.max_iters):
         if config.accelerate and k > 0:
@@ -231,22 +191,19 @@ def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
         else:
             zb, za = beta, alpha
 
-        new_beta, new_alpha, eta = attempt_step(zb, za, eta)
-        f_new = value(new_beta, new_alpha)
+        new_beta, new_alpha, eta, f_new = attempt_step(zb, za, eta)
 
         if f_new > f_cur and (zb is not beta):
             # momentum overshot: restart and retake the step from the current point
             t_momentum = 1.0
-            new_beta, new_alpha, eta = attempt_step(beta, alpha, eta)
-            f_new = value(new_beta, new_alpha)
+            new_beta, new_alpha, eta, f_new = attempt_step(beta, alpha, eta)
 
         if not np.isfinite(f_new):
             raise NumericError(f"objective became non-finite at iteration {k}")
 
         if f_new > f_cur:
-            # No descent available: either a fixed step too large for the
-            # problem, or float-level stagnation at the optimum.  Stop without
-            # accepting the candidate.
+            # No descent available: float-level stagnation at the optimum, or
+            # a line search out of halvings.  Stop without accepting the candidate.
             if abs(f_new - f_cur) < config.rel_tol * max(1.0, abs(f_cur)):
                 trace.converged = True
             break

@@ -10,6 +10,7 @@ for byte.  Pairwise weights are stored as (i, j, value) triples, i < j, with
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +92,25 @@ def load_model(document: str) -> ModelDocument:
     except DataError as exc:
         raise ModelFormatError(f"model document is inconsistent: {exc}") from exc
     return ModelDocument(
-        params=params, reg=reg, metadata=doc.get("metadata", {}), version=FORMAT_VERSION
+        params=params, reg=reg, metadata=_check_metadata(doc.get("metadata", {})),
+        version=FORMAT_VERSION,
     )
+
+
+def _check_metadata(metadata) -> dict:
+    """Reject metadata whose preparation fields predict/eval could not apply."""
+    if not isinstance(metadata, dict):
+        raise ModelFormatError("model metadata must be a JSON object")
+    scale = metadata.get("feature_scale")
+    # 0.0 is what training records when every feature is zero
+    if scale is not None and (isinstance(scale, bool) or not isinstance(scale, (int, float))
+                              or not 0.0 <= scale <= sys.float_info.max):
+        raise ModelFormatError(
+            f"metadata feature_scale must be null or a finite number >= 0, got {scale!r}")
+    if not isinstance(metadata.get("add_bias", False), bool):
+        raise ModelFormatError(
+            f"metadata add_bias must be true or false, got {metadata['add_bias']!r}")
+    return metadata
 
 
 @dataclass

@@ -235,6 +235,20 @@ class TestPredictAndEval:
         assert err == "error: model predicts 2 labels, data has 3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("metadata", [[], {"feature_scale": "abc"}, {"feature_scale": -2.0}])
+    def test_malformed_metadata_exits_3(self, trained_model, toy_files, tmp_path, capsys,
+                                        command, metadata):
+        doc = json.loads(trained_model.read_text())
+        doc["metadata"] = metadata
+        model = tmp_path / "bad.model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.txt"
+        extra = ["--out", str(out)] if command == "predict" else ["--json-out", str(out)]
+        assert main([command, str(model), str(toy_files[1]), *extra]) == 3
+        assert "metadata" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCv:
     def test_five_fold_table_and_json(self, toy_files, tmp_path, capsys):

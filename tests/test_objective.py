@@ -12,8 +12,10 @@ from corrlog.objective import (
     elastic_net_penalty,
     full_objective,
     neg_log_pseudo_likelihood,
+    smooth_grad_dense,
     smooth_gradient,
     smooth_objective,
+    smooth_value_dense,
 )
 
 from conftest import (
@@ -219,6 +221,19 @@ class TestSmoothGradient:
             p = random_params(rng, m, d, density=0.6)
             reg = RegularizationConfig(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.5)), 1.0)
             assert_gradient_matches_fd(p, ds, reg)
+
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_fused_value_is_the_smooth_value_bit_for_bit(self, density):
+        rng = np.random.default_rng(66)
+        for _ in range(10):
+            m, d, n = int(rng.integers(1, 7)), int(rng.integers(1, 9)), int(rng.integers(1, 21))
+            ds = random_dataset(rng, n, m, d)
+            p = random_params(rng, m, d, density=density)
+            reg = RegularizationConfig(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.5)), 1.0)
+            upper = np.triu(p.alpha, 1)
+            args = (p.beta, upper, ds.feature_matrix, ds.label_matrix, reg)
+            value, _, _ = smooth_grad_dense(*args)
+            assert value == smooth_value_dense(*args)
 
     def test_covers_pairs_with_zero_weight(self):
         rng = np.random.default_rng(55)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrlog.optimizer
 from corrlog.errors import DataError, NumericError
 from corrlog.model import ModelParams, MultilabelDataset
 from corrlog.objective import (
@@ -11,8 +14,6 @@ from corrlog.objective import (
     smooth_gradient,
 )
 from corrlog.optimizer import (
-    BacktrackingStep,
-    FixedStep,
     TrainConfig,
     default_initial_step,
     soft_threshold,
@@ -171,15 +172,50 @@ class TestTrainingDescent:
         )
         assert trace_fast.objectives()[-1] <= trace_slow.objectives()[-1] + 1e-8
 
-    def test_fixed_step_descends(self):
-        rng = np.random.default_rng(10)
-        ds = random_dataset(rng, 10, 2, 3)
-        reg = RegularizationConfig(0.1, 0.1, 1.0)
-        eta = default_initial_step(ds, reg)
-        _, trace = train_corrlog(
-            ds, TrainConfig(reg=reg, step=FixedStep(eta), max_iters=300, rel_tol=1e-9)
-        )
-        assert np.all(np.diff(trace.objectives()) <= 1e-12)
+
+class TestPassCount:
+    """Each attempted step makes one fused value+gradient pass at its anchor
+    and one value pass per candidate; only the zero start asks for the full
+    objective."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counts = {"fused": 0, "candidate": 0, "full": 0}
+        for key, name in (("fused", "smooth_grad_dense"), ("candidate", "smooth_value_dense"),
+                          ("full", "full_value_dense")):
+            def counted(*args, _key=key, _original=getattr(corrlog.optimizer, name)):
+                counts[_key] += 1
+                return _original(*args)
+            monkeypatch.setattr(corrlog.optimizer, name, counted)
+        return counts
+
+    def test_plain_steps_make_two_passes_each(self, passes):
+        rng = np.random.default_rng(21)
+        ds = random_dataset(rng, 30, 4, 5)
+        reg = RegularizationConfig(0.01, 0.01, 1.0)
+        _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=40, accelerate=False))
+        assert trace.iterations == 40 and not trace.converged
+        assert passes == {"fused": 40, "candidate": 40, "full": 1}
+        # the 1/L start always majorizes, so it never backtracks
+        assert {r.step_size for r in trace.records} == {default_initial_step(ds, reg)}
+
+    def test_momentum_passes_bounded_by_attempts_and_backtracks(self, passes, monkeypatch):
+        # a start far above 1/L makes the line search halve
+        start = 4.0
+        monkeypatch.setattr(corrlog.optimizer, "default_initial_step", lambda ds, reg: start)
+        rng = np.random.default_rng(22)
+        ds = random_dataset(rng, 30, 4, 5)
+        reg = RegularizationConfig(0.01, 0.01, 1.0)
+        _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=25, rel_tol=1e-12))
+        assert trace.iterations == 25
+        attempts = passes["fused"]
+        # the step only halves, so the last accepted step counts every backtrack
+        backtracks = round(math.log2(start / trace.records[-1].step_size))
+        assert backtracks > 0
+        assert trace.iterations < attempts <= 2 * trace.iterations  # restarts happened
+        assert passes["full"] == 1
+        assert passes["candidate"] == attempts + backtracks
+        assert sum(passes.values()) <= 1 + 2 * attempts + backtracks
 
 
 class TestTrainCorrlog:
@@ -196,6 +232,16 @@ class TestTrainCorrlog:
         reg = RegularizationConfig(0.01, 0.01, 0.0)
         params, _ = train_corrlog(ds, TrainConfig(reg=reg, max_iters=3000, rel_tol=1e-10))
         assert params.alpha[0, 1] > 0.1
+
+    @pytest.mark.parametrize("accelerate", [True, False])
+    def test_final_trace_objective_is_full_objective_bit_for_bit(self, accelerate):
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            ds = random_dataset(rng, 25, 3, 4)
+            reg = RegularizationConfig(0.02, 0.01, 1.0)
+            params, trace = train_corrlog(
+                ds, TrainConfig(reg=reg, max_iters=300, accelerate=accelerate))
+            assert trace.records[-1].objective == full_objective(params, ds, reg)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(12)

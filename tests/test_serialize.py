@@ -70,6 +70,36 @@ class TestModelDocument:
         with pytest.raises(ModelFormatError, match="inconsistent"):
             load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("metadata", [
+        [],
+        "notes",
+        {"feature_scale": "abc"},
+        {"feature_scale": -2.0},
+        {"feature_scale": float("inf")},
+        {"feature_scale": float("nan")},
+        {"feature_scale": 10**400},  # no finite float64
+        {"feature_scale": True},
+        {"add_bias": "yes"},
+        {"add_bias": 1},
+        {"add_bias": None},
+    ])
+    def test_malformed_metadata_is_a_format_error(self, metadata):
+        doc = json.loads(save_model(ModelParams.zeros(2, 1), RegularizationConfig()))
+        doc["metadata"] = metadata
+        with pytest.raises(ModelFormatError, match="metadata"):
+            load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("metadata", [
+        {},
+        {"feature_scale": None, "add_bias": False},
+        {"feature_scale": 0.0, "add_bias": True},  # training on all-zero features
+        {"feature_scale": 3},
+        {"feature_scale": 0.5, "label_names": ["a", "b"]},
+    ])
+    def test_wellformed_metadata_loads(self, metadata):
+        doc = save_model(ModelParams.zeros(2, 1), RegularizationConfig(), metadata)
+        assert load_model(doc).metadata == metadata
+
     def test_bad_magic_rejected(self):
         doc = save_model(ModelParams.zeros(1, 1), RegularizationConfig())
         broken = doc.replace("corrlog-model", "something-else")
