@@ -240,10 +240,6 @@ def write_dense_csv(dataset: MultilabelDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sign(value: float) -> int:
-    return 1 if value >= 0 else -1
-
-
 def generate_toy(spec: ToySpec) -> tuple[MultilabelDataset, MultilabelDataset]:
     """Sample the correlated two-label toy problem.
 
@@ -256,15 +252,12 @@ def generate_toy(spec: ToySpec) -> tuple[MultilabelDataset, MultilabelDataset]:
     radii = np.sqrt(rng.uniform(size=total))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=total)
     xs = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    eta1 = np.asarray(spec.eta1)
-    eta2 = np.asarray(spec.eta2)
+    xt = np.column_stack([xs, np.ones(total)])
 
-    labels = np.empty((total, 2), dtype=np.int8)
-    for r, x in enumerate(xs):
-        xt = np.array([x[0], x[1], 1.0])
-        y1 = _sign(float(eta1 @ xt))
-        y2 = 1 if (y1 == 1 or _sign(float(eta2 @ xt)) == 1) else -1
-        labels[r] = (y1, y2)
+    # signs with ties to +1; the second label is +1 wherever the first is
+    pos1 = xt @ np.asarray(spec.eta1) >= 0
+    pos2 = pos1 | (xt @ np.asarray(spec.eta2) >= 0)
+    labels = np.where(np.stack([pos1, pos2], axis=1), 1, -1).astype(np.int8)
 
     names = ("label1", "label2")
     train = MultilabelDataset(xs[: spec.n_train], labels[: spec.n_train], names)

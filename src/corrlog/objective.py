@@ -13,7 +13,8 @@ m(m-1)/2 candidate pairs so the proximal step can activate or kill any pair.
 :func:`smooth_grad_dense` returns the smooth value together with both
 gradients from one activation pass, so an optimizer step reads the data once
 at its anchor point.  The loss and each penalty are written once and shared
-by every value function, so all of them agree bit for bit.
+by every value function, so all of them agree bit for bit.  Each loss term
+softplus(z) and its slope sigmoid(z) are built from one shared exp(-|z|).
 
 The ``*_dense`` functions take beta (m x D) and the strict upper triangle of
 alpha (m x m), the coordinates the optimizer moves, one per pair; the others
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .model import ModelParams, MultilabelDataset, sigmoid
+from .model import ModelParams, MultilabelDataset
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,21 @@ def _neg_margins(beta: np.ndarray, alpha_upper: np.ndarray,
     return -2.0 * y_mat * _activations(beta, alpha_upper, x_mat, y_mat)
 
 
-def _mean_loss(neg_margins: np.ndarray) -> float:
-    """Mean over instances of the summed per-label conditional negative log-probs."""
-    # -log sigmoid(2 y a) = softplus(-2 y a), stable for any score magnitude
-    return float(np.logaddexp(0.0, neg_margins).sum(axis=1).mean())
+def _mean_loss(neg_margins: np.ndarray, exp_neg_abs: np.ndarray | None = None) -> float:
+    """Mean over instances of the summed per-label conditional negative log-probs.
+
+    ``exp_neg_abs`` is exp(-|neg_margins|), computed here unless given.
+    """
+    if exp_neg_abs is None:
+        exp_neg_abs = np.exp(-np.abs(neg_margins))
+    # -log sigmoid(2 y a) = softplus(z) = max(z, 0) + log1p(exp(-|z|)) at z = -2 y a,
+    # the formula np.logaddexp(0, z) evaluates, stable for any score magnitude
+    return float((np.maximum(neg_margins, 0.0) + np.log1p(exp_neg_abs)).sum(axis=1).mean())
+
+
+def _slope(neg_margins: np.ndarray, exp_neg_abs: np.ndarray) -> np.ndarray:
+    """sigmoid(z) from exp(-|z|); the same exp inputs as model.sigmoid, so the same bits."""
+    return np.where(neg_margins >= 0, 1.0, exp_neg_abs) / (1.0 + exp_neg_abs)
 
 
 def add_quadratic_penalty(value: float, beta: np.ndarray, alpha_upper: np.ndarray,
@@ -114,9 +126,10 @@ def smooth_grad_dense(beta: np.ndarray, alpha_upper: np.ndarray,
     """
     n = x_mat.shape[0]
     neg_margins = _neg_margins(beta, alpha_upper, x_mat, y_mat)
-    value = add_quadratic_penalty(_mean_loss(neg_margins), beta, alpha_upper, reg)
+    exp_neg_abs = np.exp(-np.abs(neg_margins))
+    value = add_quadratic_penalty(_mean_loss(neg_margins, exp_neg_abs), beta, alpha_upper, reg)
     # xi[l, i] = -2 y_li * sigmoid(-2 y_li a_li), the per-term loss derivative
-    xi = -2.0 * y_mat * sigmoid(neg_margins)
+    xi = -2.0 * y_mat * _slope(neg_margins, exp_neg_abs)
     grad_beta = (xi.T @ x_mat) / n + 2.0 * reg.lambda1 * beta
     pair = xi.T @ y_mat
     grad_alpha = np.triu(pair + pair.T, 1) / n + 2.0 * reg.lambda2 * alpha_upper

@@ -92,13 +92,14 @@ def load_model(document: str) -> ModelDocument:
     except DataError as exc:
         raise ModelFormatError(f"model document is inconsistent: {exc}") from exc
     return ModelDocument(
-        params=params, reg=reg, metadata=_check_metadata(doc.get("metadata", {})),
+        params=params, reg=reg,
+        metadata=_check_metadata(doc.get("metadata", {}), params.num_labels),
         version=FORMAT_VERSION,
     )
 
 
-def _check_metadata(metadata) -> dict:
-    """Reject metadata whose preparation fields predict/eval could not apply."""
+def _check_metadata(metadata, num_labels: int) -> dict:
+    """Reject metadata whose preparation fields or label names could not be applied."""
     if not isinstance(metadata, dict):
         raise ModelFormatError("model metadata must be a JSON object")
     scale = metadata.get("feature_scale")
@@ -110,6 +111,11 @@ def _check_metadata(metadata) -> dict:
     if not isinstance(metadata.get("add_bias", False), bool):
         raise ModelFormatError(
             f"metadata add_bias must be true or false, got {metadata['add_bias']!r}")
+    names = metadata.get("label_names")
+    if names is not None and (not isinstance(names, list) or len(names) != num_labels
+                              or not all(isinstance(name, str) for name in names)):
+        raise ModelFormatError(
+            f"metadata label_names must be null or a list of {num_labels} strings, got {names!r}")
     return metadata
 
 

@@ -249,6 +249,22 @@ class TestPredictAndEval:
         assert "metadata" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["graph", "predict", "eval"])
+    @pytest.mark.parametrize("names", [5, "ab", ["y1"]])
+    def test_malformed_label_names_exit_3(self, trained_model, toy_files, tmp_path, capsys,
+                                          command, names):
+        doc = json.loads(trained_model.read_text())
+        doc["metadata"]["label_names"] = names
+        model = tmp_path / "bad.model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out.txt"
+        extra = {"graph": ["--json-out", str(out)], "predict": [str(toy_files[1]), "--out", str(out)],
+                 "eval": [str(toy_files[1]), "--json-out", str(out)]}[command]
+        assert main([command, str(model), *extra]) == 3
+        err = capsys.readouterr().err
+        assert "label_names" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCv:
     def test_five_fold_table_and_json(self, toy_files, tmp_path, capsys):

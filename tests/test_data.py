@@ -178,6 +178,22 @@ class TestGenerateToy:
             y2 = 1 if (y1 == 1 or eta2 @ xt >= 0) else -1
             assert (y1, y2) == expected
 
+    @pytest.mark.parametrize("eta1,eta2", [
+        ((1.0, 1.0, -0.5), (-1.0, 1.0, -0.5)),
+        ((0.0, 0.0, 0.0), (0.3, -2.0, 0.1)),  # every first label is a tie: +1
+        ((0.3, -2.0, 0.1), (0.0, 0.0, 0.0)),  # every second label is a tie: +1
+    ])
+    def test_labels_follow_the_rule_row_by_row(self, eta1, eta2):
+        train, test = generate_toy(ToySpec(n_train=200, n_test=50, eta1=eta1, eta2=eta2,
+                                           seed=11))
+        for ds in (train, test):
+            assert ds.labels.dtype == np.int8
+            for x, labels in zip(ds.features, ds.labels):
+                xt = np.append(x, 1.0)
+                y1 = 1 if np.asarray(eta1) @ xt >= 0 else -1
+                y2 = 1 if (y1 == 1 or np.asarray(eta2) @ xt >= 0) else -1
+                assert tuple(labels) == (y1, y2)
+
     def test_split_sizes_and_dimensions(self):
         train, test = generate_toy(ToySpec(n_train=120, n_test=80, seed=3))
         assert len(train) == 120 and len(test) == 80

@@ -9,6 +9,9 @@ from corrlog.errors import DataError
 from corrlog.model import ModelParams, MultilabelDataset, sigmoid
 from corrlog.objective import (
     RegularizationConfig,
+    _mean_loss,
+    _neg_margins,
+    _slope,
     elastic_net_penalty,
     full_objective,
     neg_log_pseudo_likelihood,
@@ -279,6 +282,63 @@ class TestSmoothGradient:
     def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
             MultilabelDataset(np.zeros((0, 1)), np.zeros((0, 1)), ("a",))
+
+
+class TestSharedExp:
+    """Each loss term and its slope are built from one exp(-|z|)."""
+
+    EXTREMES = (0.0, -0.0, 1e-20, -1e-20, 1.0, -1.0, 30.0, -30.0, 800.0, -800.0,
+                np.inf, -np.inf)
+    # Fixed from float64 before measuring: each softplus term, by either
+    # formula, is within a few ulp of the exact value, and the row sums and the
+    # mean of nonnegative terms keep that relative bound up to a few ulp per
+    # summed term; the arrays below have at most 7 terms per row.
+    LOSS_RTOL = 64 * np.finfo(float).eps
+
+    def grids(self):
+        rng = np.random.default_rng(404)
+        yield from (np.array([[v]]) for v in self.EXTREMES)
+        yield np.array([[v for v in self.EXTREMES if np.isfinite(v)]])
+        for scale in (1e-3, 1.0, 10.0, 300.0):
+            yield rng.normal(scale=scale, size=(20, 7))
+
+    def test_mean_loss_matches_logaddexp(self):
+        for z in self.grids():
+            expected = float(np.logaddexp(0.0, z).sum(axis=1).mean())
+            got = _mean_loss(z)
+            assert got == _mean_loss(z, np.exp(-np.abs(z)))
+            if np.isinf(expected):
+                assert got == expected
+            else:
+                assert abs(got - expected) <= self.LOSS_RTOL * abs(expected), z
+
+    def test_mean_loss_propagates_nan(self):
+        for z in (np.array([[np.nan]]), np.array([[1.0, np.nan], [-800.0, 800.0]])):
+            assert math.isnan(_mean_loss(z))
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(float(np.logaddexp(0.0, z).sum(axis=1).mean()))
+
+    def test_slope_is_model_sigmoid_bit_for_bit(self):
+        for z in self.grids():
+            assert np.array_equal(_slope(z, np.exp(-np.abs(z))), sigmoid(z))
+        z = np.array([np.nan, -np.nan])
+        assert np.isnan(_slope(z, np.exp(-np.abs(z)))).all()
+
+    def test_trainer_gradient_uses_model_sigmoid_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        for scale in (0.1, 1.0, 100.0):  # margins from near 0 to saturated
+            m, d, n = 4, 5, 15
+            ds = random_dataset(rng, n, m, d)
+            p = random_params(rng, m, d, alpha_scale=scale)
+            beta, upper = p.beta * scale, np.triu(p.alpha, 1)
+            reg = RegularizationConfig(0.1, 0.2, 1.0)
+            x_mat, y_mat = ds.feature_matrix, ds.label_matrix
+            _, grad_beta, grad_alpha = smooth_grad_dense(beta, upper, x_mat, y_mat, reg)
+            xi = -2.0 * y_mat * sigmoid(_neg_margins(beta, upper, x_mat, y_mat))
+            pair = xi.T @ y_mat
+            assert np.array_equal(grad_beta, (xi.T @ x_mat) / n + 2.0 * reg.lambda1 * beta)
+            assert np.array_equal(grad_alpha,
+                                  np.triu(pair + pair.T, 1) / n + 2.0 * reg.lambda2 * upper)
 
 
 class TestSurrogate:

@@ -82,6 +82,13 @@ class TestModelDocument:
         {"add_bias": "yes"},
         {"add_bias": 1},
         {"add_bias": None},
+        {"label_names": 5},
+        {"label_names": "ab"},  # a string of 2 characters for 2 labels
+        {"label_names": ["a"]},
+        {"label_names": ["a", "b", "c"]},
+        {"label_names": []},
+        {"label_names": ["a", 2]},
+        {"label_names": {"a": 1, "b": 2}},
     ])
     def test_malformed_metadata_is_a_format_error(self, metadata):
         doc = json.loads(save_model(ModelParams.zeros(2, 1), RegularizationConfig()))
@@ -95,6 +102,7 @@ class TestModelDocument:
         {"feature_scale": 0.0, "add_bias": True},  # training on all-zero features
         {"feature_scale": 3},
         {"feature_scale": 0.5, "label_names": ["a", "b"]},
+        {"label_names": None},
     ])
     def test_wellformed_metadata_loads(self, metadata):
         doc = save_model(ModelParams.zeros(2, 1), RegularizationConfig(), metadata)
