@@ -6,14 +6,16 @@ Minimizes  nll_pl + elastic_net  from the all-zeros start by iterating
 
 with the threshold eta*lambda1*eps on beta coordinates and eta*lambda2*eps on
 pairwise coordinates: the exact minimizer of the quadratic-plus-l1 surrogate
-built around theta_k.  The step size starts at 1/lipschitz_bound and halves
-until that surrogate majorizes the smooth part at the candidate, so every
-accepted step decreases the full objective.  A step makes one fused
-value+gradient pass at its anchor point and one value pass per candidate, and
-the accepted candidate's value becomes the next objective.  Optional
-two-point momentum gives the accelerated O(1/k^2) rate; whenever an
-extrapolated step would increase the objective the momentum is restarted and
-the step retaken plainly, which keeps the trace monotone.
+built around theta_k.  The step size starts from 1/lipschitz_bound; each step
+tries twice the last step, then halves until that surrogate majorizes the
+smooth part at the candidate (Scheinberg, Goldfarb & Bai 2014), so every
+accepted step decreases the full objective and the step can grow where the
+bound is loose.  A step makes one fused value+gradient pass at its anchor
+point and one value pass per candidate, and the accepted candidate's value
+becomes the next objective.  Optional two-point momentum gives the
+accelerated O(1/k^2) rate; whenever an extrapolated step would increase the
+objective the momentum is restarted and the step retaken plainly, which keeps
+the trace monotone.
 
 Training is deterministic: identical inputs produce bit-identical models.
 """
@@ -160,13 +162,14 @@ def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
     trace = TrainTrace()
 
     def attempt_step(zb, za, eta):
-        """Prox step from (zb, za), halving eta until the surrogate majorizes.
+        """Prox step from (zb, za): try 2*eta, then halve until the surrogate majorizes.
 
         Returns the candidate, its step size and its full objective.
         """
         smooth_z, gb, ga = smooth_grad_dense(zb, za, x_mat, y_mat, reg)
         if not fit_alpha:
             ga = np.zeros_like(ga)
+        eta /= 0.5
         for _ in range(MAX_BACKTRACKS):
             nb, na = _prox_dense(zb, za, gb, ga, eta, reg)
             db, da = nb - zb, na - za
