@@ -79,13 +79,17 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _load_raw(args: argparse.Namespace):
+def _load_data(args: argparse.Namespace, feature_scale: float | None = None,
+               add_bias: bool = False):
+    """Load ``args.data``; a given ``feature_scale`` and ``add_bias`` prepare it as it loads."""
     spec = DatasetSpec(
         format=args.format,
         num_labels=args.num_labels,
         num_features=args.num_features,
+        normalization="none" if feature_scale is None else "global-max-norm",
+        add_bias=add_bias,
     )
-    return load_dataset(args.data, spec)
+    return load_dataset(args.data, spec, feature_scale=feature_scale)
 
 
 def _prepare_like_training(dataset, normalize: bool, add_bias: bool,
@@ -104,7 +108,7 @@ def _prepare_like_training(dataset, normalize: bool, add_bias: bool,
 def cmd_train(args: argparse.Namespace) -> int:
     _echo_config(args)
     dataset, scale = _prepare_like_training(
-        _load_raw(args), args.normalize == "global-max-norm", args.add_bias, None
+        _load_data(args), args.normalize == "global-max-norm", args.add_bias, None
     )
     config = _train_config(args)
     records = []
@@ -134,14 +138,9 @@ def _load_model_and_data(args: argparse.Namespace):
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = load_model(fh.read())
     meta = doc.metadata
-    # no reference to the raw dataset outlives preparation, so each copy
-    # of the features is freed as soon as the next one exists
-    dataset, _ = _prepare_like_training(
-        _load_raw(args),
-        normalize=meta.get("feature_scale") is not None,
-        add_bias=bool(meta.get("add_bias", False)),
-        feature_scale=meta.get("feature_scale"),
-    )
+    # the training preparation is known before the data is read, so a sparse
+    # file is written into one prepared array
+    dataset = _load_data(args, meta.get("feature_scale"), bool(meta.get("add_bias", False)))
     if dataset.num_features != doc.params.num_features:
         raise DataError(
             f"model expects {doc.params.num_features} features, data has {dataset.num_features}"
@@ -192,7 +191,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     _echo_config(args)
     dataset, _ = _prepare_like_training(
-        _load_raw(args), args.normalize == "global-max-norm", args.add_bias, None
+        _load_data(args), args.normalize == "global-max-norm", args.add_bias, None
     )
     config = _train_config(args)
     result = cross_validate(dataset, args.folds, args.trainer, config, args.seed)
@@ -240,7 +239,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     _echo_config(args)
-    dataset = _load_raw(args)
+    dataset = _load_data(args)
     pool_spec = DatasetSpec(format=args.format, num_labels=args.num_labels,
                             num_features=args.num_features)
     pool = load_dataset(args.pool, pool_spec)

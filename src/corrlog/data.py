@@ -8,18 +8,28 @@ Two on-disk formats are supported:
 * ``sparse-multilabel``: LIBSVM-style lines ``<pos-labels> idx:val idx:val``
   where ``<pos-labels>`` is a comma-separated list of 1-based positive label
   indices (omitted entirely when no label is positive) and feature indices
-  are 1-based.
+  are 1-based.  Every index is a run of ASCII decimal digits.
+
+A sparse file is parsed a whole file at a time: each line is split once, and
+the feature tokens of all lines are split at their colon, converted and
+checked together as arrays.  At the first irregularity the file is parsed
+again line by line, which raises the error with its line number; tests use
+that per-line parser as the reference.
 
 Feature preparation follows the model's instance-space convention ||x|| <= 1:
 ``global-max-norm`` divides every vector by the largest training-set l2 norm,
 and the optional bias column appends a constant after normalization, then
 rescales the augmented vector by 1/sqrt(2) so the norm bound still holds.
+When a sparse file is loaded with a known scale (or none), the prepared
+values of its entries are written straight into one zeroed array, rounded in
+the same two steps, so no unprepared copy of the dense matrix is made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +37,7 @@ from .errors import DataError, ParseError
 from .model import ModelParams, MultilabelDataset
 
 _LABEL_SYMBOLS = {"0": -1, "1": 1, "-1": -1, "+1": 1}
+_ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,10 @@ class DatasetSpec:
             raise DataError(f"unknown dataset format {self.format!r}")
         if self.normalization not in ("none", "global-max-norm"):
             raise DataError(f"unknown normalization {self.normalization!r}")
+        for field in ("num_labels", "num_features"):
+            value = getattr(self, field)
+            if value is not None and value < 1:
+                raise DataError(f"{field} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +137,18 @@ def _load_dense(lines: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
     return np.array(features), np.array(labels, dtype=np.int8), tuple(label_names)
 
 
-def _load_sparse(lines: list[str], spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+def _parse_index(token: str, line_no: int, what: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"bad {what} index {token!r}", line_no)
+    idx = int(token)
+    if idx < 1:
+        raise ParseError(f"{what} indices are 1-based, got {idx}", line_no)
+    return idx
+
+
+def _load_sparse_lines(lines: list[str], spec: DatasetSpec
+                       ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Parse a sparse file line by line, raising the first error with its line number."""
     rows: list[tuple[int, list[int], dict[int, float]]] = []
     max_label = 0
     max_feature = 0
@@ -137,24 +163,13 @@ def _load_sparse(lines: list[str], spec: DatasetSpec) -> tuple[np.ndarray, np.nd
             for part in tokens[0].split(","):
                 if not part.strip():
                     raise ParseError("empty entry in label list", line_no)
-                try:
-                    idx = int(part)
-                except ValueError as exc:
-                    raise ParseError(f"bad label index {part!r}", line_no) from exc
-                if idx < 1:
-                    raise ParseError(f"label indices are 1-based, got {idx}", line_no)
-                positives.append(idx)
+                positives.append(_parse_index(part, line_no, "label"))
         values: dict[int, float] = {}
         for token in feature_tokens:
             if token.count(":") != 1:
                 raise ParseError(f"bad feature token {token!r}", line_no)
             idx_part, val_part = token.split(":")
-            try:
-                idx = int(idx_part)
-            except ValueError as exc:
-                raise ParseError(f"bad feature index {idx_part!r}", line_no) from exc
-            if idx < 1:
-                raise ParseError(f"feature indices are 1-based, got {idx}", line_no)
+            idx = _parse_index(idx_part, line_no, "feature")
             if idx in values:
                 raise ParseError(f"duplicate feature index {idx}", line_no)
             values[idx] = _parse_float(val_part, line_no)
@@ -185,6 +200,98 @@ def _load_sparse(lines: list[str], spec: DatasetSpec) -> tuple[np.ndarray, np.nd
     return features, labels, tuple(f"label{i + 1}" for i in range(m))
 
 
+def _index_array(texts: list[str]) -> np.ndarray | None:
+    """The indices as int64, or None unless each is ASCII digits worth 1 to 2**63 - 1."""
+    if not texts:
+        return np.zeros(0, dtype=np.int64)
+    digits = "".join(texts)
+    if "" in texts or not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        indices = np.fromiter(map(int, texts), dtype=np.int64, count=len(texts))
+    except OverflowError:
+        return None
+    return indices if indices.min() >= 1 else None
+
+
+def _sparse_entries(lines: list[str], spec: DatasetSpec):
+    """Parse a whole sparse file at once, or return None if anything is irregular.
+
+    Returns the row, 0-based column and value of every feature entry, the
+    label matrix and the feature count.  Each line is split once; all feature
+    tokens are then split at their colon and converted together, and the
+    checks of the per-line parser run on whole arrays.
+    """
+    label_tokens: list[str] = []
+    label_rows: list[int] = []
+    feature_tokens: list[str] = []
+    row_sizes: list[int] = []
+    for line in lines:
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if ":" not in tokens[0]:
+            label_rows.append(len(row_sizes))
+            label_tokens.append(tokens.pop(0))
+        feature_tokens += tokens
+        row_sizes.append(len(tokens))
+    n, k = len(row_sizes), len(feature_tokens)
+    colons = np.fromiter(map(str.count, feature_tokens, repeat(":")), dtype=np.intp, count=k)
+    if n == 0 or np.any(colons != 1):
+        return None
+    # with exactly one colon per token, index and value texts alternate
+    parts = ":".join(feature_tokens).split(":") if k else []
+    del feature_tokens
+    cols = _index_array(parts[0::2])
+    try:
+        values = np.fromiter(map(float, parts[1::2]), dtype=float, count=k)
+    except ValueError:
+        return None
+    del parts
+    label_idx = _index_array(",".join(label_tokens).split(",") if label_tokens else [])
+    if cols is None or label_idx is None or not np.all(np.isfinite(values)):
+        return None
+    max_label, max_feature = int(label_idx.max(initial=0)), int(cols.max(initial=0))
+    m = spec.num_labels if spec.num_labels is not None else max_label
+    d = spec.num_features if spec.num_features is not None else max_feature
+    if m < 1 or d < 1 or max_label > m or max_feature > d or n * d >= 2**63:
+        return None
+    rows = np.repeat(np.arange(n), row_sizes)
+    cols -= 1
+    if np.any(np.diff(np.sort(rows * d + cols)) == 0):
+        return None  # a feature index repeats within a row
+
+    labels = np.full((n, m), -1, dtype=np.int8)
+    label_counts = [token.count(",") + 1 for token in label_tokens]
+    labels[np.repeat(np.array(label_rows, dtype=np.intp), label_counts), label_idx - 1] = 1
+    return rows, cols, values, labels, d
+
+
+def _load_sparse(lines: list[str], spec: DatasetSpec, scale: float | None = None,
+                 add_bias: bool = False) -> MultilabelDataset:
+    """Parse a sparse file into features divided by ``scale`` and biased if asked.
+
+    The prepared values of the entries are written into one zeroed array, so
+    no unprepared copy of the matrix is ever made.  Each entry is rounded in
+    the same two steps as by ``scale_features`` and ``add_bias_column``.
+    """
+    entries = _sparse_entries(lines, spec)
+    if entries is None:
+        # an irregular file: the per-line parser raises the positioned error
+        return _prepare(MultilabelDataset(*_load_sparse_lines(lines, spec)), scale, add_bias)
+    rows, cols, values, labels, d = entries
+    if scale is not None and scale > 0:
+        values /= scale
+    if add_bias:
+        values *= _ROOT_HALF
+    features = np.zeros((len(labels), d + add_bias))
+    features[rows, cols] = values
+    if add_bias:
+        features[:, d] = _ROOT_HALF
+    names = tuple(f"label{i + 1}" for i in range(labels.shape[1]))
+    return MultilabelDataset(features, labels, names)
+
+
 def compute_feature_scale(dataset: MultilabelDataset) -> float:
     """Largest instance l2 norm; the shared constant for global-max-norm."""
     return float(np.max(np.linalg.norm(dataset.feature_matrix, axis=1)))
@@ -199,11 +306,10 @@ def scale_features(dataset: MultilabelDataset, scale: float) -> MultilabelDatase
 
 def add_bias_column(dataset: MultilabelDataset) -> MultilabelDataset:
     """Append a constant feature, rescaling by 1/sqrt(2) to keep ||x|| <= 1."""
-    root_half = 1.0 / math.sqrt(2.0)
     n, d = dataset.features.shape
     features = np.empty((n, d + 1))
-    np.multiply(dataset.features, root_half, out=features[:, :d])
-    features[:, d] = root_half
+    np.multiply(dataset.features, _ROOT_HALF, out=features[:, :d])
+    features[:, d] = _ROOT_HALF
     return MultilabelDataset(features, dataset.labels, dataset.label_names)
 
 
@@ -214,18 +320,24 @@ def load_dataset(path, spec: DatasetSpec, *, feature_scale: float | None = None)
     reuse the scale computed on its training set.
     """
     lines = _read_text(path)
+    scale = feature_scale if spec.normalization == "global-max-norm" else None
+    if spec.format == "sparse-multilabel" and (scale is not None or spec.normalization == "none"):
+        # the scale is known before the matrix exists, so it is built prepared
+        return _load_sparse(lines, spec, scale, spec.add_bias)
     if spec.format == "dense-csv":
-        features, labels, label_names = _load_dense(lines)
+        dataset = MultilabelDataset(*_load_dense(lines))
     else:
-        features, labels, label_names = _load_sparse(lines, spec)
-    dataset = MultilabelDataset(features, labels, label_names)
-    if spec.normalization == "global-max-norm":
-        scale = feature_scale if feature_scale is not None else compute_feature_scale(dataset)
-        if scale > 0:
-            dataset = scale_features(dataset, scale)
-    if spec.add_bias:
-        dataset = add_bias_column(dataset)
-    return dataset
+        dataset = _load_sparse(lines, spec)
+    if spec.normalization == "global-max-norm" and scale is None:
+        scale = compute_feature_scale(dataset)
+    return _prepare(dataset, scale, spec.add_bias)
+
+
+def _prepare(dataset: MultilabelDataset, scale: float | None, add_bias: bool) -> MultilabelDataset:
+    """Divide by ``scale`` unless it is None or not positive, then add the bias column if asked."""
+    if scale is not None and scale > 0:
+        dataset = scale_features(dataset, scale)
+    return add_bias_column(dataset) if add_bias else dataset
 
 
 def write_dense_csv(dataset: MultilabelDataset, path) -> None:

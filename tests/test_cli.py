@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrlog.cli import main
+from corrlog.data import DatasetSpec, load_dataset
 from corrlog.serialize import load_model
 
 
@@ -73,6 +74,17 @@ class TestTrain:
         doc = load_model(model.read_text())
         assert doc.reg.epsilon == 0.0
         assert doc.params.nnz_beta() == doc.params.beta.size
+
+    @pytest.mark.parametrize("flag,value", [("--num-labels", "0"), ("--num-labels", "-2"),
+                                            ("--num-features", "0")])
+    def test_count_below_one_exits_3(self, tmp_path, capsys, flag, value):
+        data = tmp_path / "s.txt"
+        data.write_text("1 1:0.5\n2 2:0.5\n")
+        code = main(["train", str(data), "--format", "sparse-multilabel", flag, value,
+                     "--model-out", str(tmp_path / "m")])
+        assert code == 3
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be at least 1, got {value}\n"
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")])
@@ -217,6 +229,27 @@ class TestPredictAndEval:
         shown = " ".join(str(i) for i in range(20))
         assert line == ("message passing did not converge on instances: "
                         f"{shown} ... (25 of 25 rows)")
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_sparse_file_scores_like_its_dense_twin(self, toy_files, tmp_path, command):
+        train, test = toy_files
+        model = tmp_path / "norm.model.json"
+        assert main(["train", str(train), "--normalize", "global-max-norm", "--add-bias",
+                     "--model-out", str(model)]) == 0
+        raw = load_dataset(test, DatasetSpec())
+        sparse = tmp_path / "test.txt"
+        sparse.write_text("".join(
+            ",".join(str(j + 1) for j in np.flatnonzero(y > 0)) + " "
+            + " ".join(f"{i + 1}:{v!r}" for i, v in enumerate(x.tolist())) + "\n"
+            for x, y in zip(raw.features, raw.labels)))
+        outputs = []
+        for data, fmt in ((test, []), (sparse, ["--format", "sparse-multilabel",
+                                                "--num-labels", "2"])):
+            out = tmp_path / f"{data.stem}.{command}.out"
+            flag = "--out" if command == "predict" else "--json-out"
+            assert main([command, str(model), str(data), *fmt, flag, str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_dimension_mismatch_exits_3(self, trained_model, tmp_path):
         other = tmp_path / "wide.csv"

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrlog import data
 from corrlog.data import (
     DatasetSpec,
     ToySpec,
@@ -15,7 +19,7 @@ from corrlog.data import (
     write_dense_csv,
 )
 from corrlog.errors import DataError, ParseError
-from corrlog.model import ModelParams
+from corrlog.model import ModelParams, MultilabelDataset
 
 DENSE_SAMPLE = """f1,f2|l1,l2
 0.5,0.5,1,0
@@ -111,6 +115,250 @@ class TestSparseLoader:
         path.write_text("1 0:0.5\n")
         with pytest.raises(ParseError, match="1-based"):
             load_dataset(path, DatasetSpec(format="sparse-multilabel"))
+
+
+SPARSE = "sparse-multilabel"
+# every bad line sits on line 4, after a good row, a comment and a blank line
+SPARSE_HEAD = "1,2 1:0.5 3:-1\n# comment\n\n"
+
+
+class TestSparseErrors:
+    """Every positioned ParseError of the sparse loader, with its exact text."""
+
+    @pytest.mark.parametrize("bad_line,message", [
+        ("1,,2 1:0.5", "empty entry in label list"),
+        (",1 1:0.5", "empty entry in label list"),
+        ("1, 1:0.5", "empty entry in label list"),
+        ("x 1:0.5", "bad label index 'x'"),
+        ("0 1:0.5", "label indices are 1-based, got 0"),
+        ("2,00 1:0.5", "label indices are 1-based, got 0"),
+        ("1 1:2:3", "bad feature token '1:2:3'"),
+        ("1 1:0.5 5", "bad feature token '5'"),
+        ("1 :5", "bad feature index ''"),
+        ("1 5:", "non-numeric feature ''"),
+        ("1 a:5", "bad feature index 'a'"),
+        ("1 0:5", "feature indices are 1-based, got 0"),
+        ("1 2:0.5 2:0.7", "duplicate feature index 2"),
+        ("2:0.5 1:1 02:0.7", "duplicate feature index 2"),
+        ("1 2:abc", "non-numeric feature 'abc'"),
+        ("1 2:nan", "non-finite feature 'nan'"),
+        ("1 2:-inf", "non-finite feature '-inf'"),
+        ("1 2:1e400", "non-finite feature '1e400'"),
+    ])
+    def test_line_error(self, tmp_path, bad_line, message):
+        path = tmp_path / "s.txt"
+        path.write_text(SPARSE_HEAD + bad_line + "\n1 1:1\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path, DatasetSpec(format=SPARSE))
+        assert str(exc.value) == f"line 4: {message}"
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("bad_line,message", [
+        ("+3 1:0.5", "bad label index '+3'"),
+        ("0_2 1:0.5", "bad label index '0_2'"),
+        ("١ 1:0.5", "bad label index '١'"),
+        ("-3 1:0.5", "bad label index '-3'"),
+        ("1 +3:0.5", "bad feature index '+3'"),
+        ("1 0_2:0.5", "bad feature index '0_2'"),
+        ("1 ١:0.5", "bad feature index '١'"),
+        ("1 -2:0.5", "bad feature index '-2'"),
+        ("1 ３:0.5", "bad feature index '３'"),
+    ])
+    def test_indices_are_ascii_decimal_digits(self, tmp_path, bad_line, message):
+        path = tmp_path / "s.txt"
+        path.write_text(SPARSE_HEAD + bad_line + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path, DatasetSpec(format=SPARSE))
+        assert str(exc.value) == f"line 4: {message}"
+
+    @pytest.mark.parametrize("bad_line,counts,message", [
+        ("7 1:0.5", {"num_labels": 3}, "label index 7 exceeds label count 3"),
+        ("1 9:0.5", {"num_features": 3}, "feature index 9 exceeds feature count 3"),
+        ("3 3:0.5", {"num_labels": 3, "num_features": 3}, None),
+    ])
+    def test_index_beyond_explicit_count(self, tmp_path, bad_line, counts, message):
+        path = tmp_path / "s.txt"
+        path.write_text(SPARSE_HEAD + bad_line + "\n")
+        if message is None:
+            ds = load_dataset(path, DatasetSpec(format=SPARSE, **counts))
+            assert ds.labels[1, 2] == 1 and ds.features[1, 2] == 0.5
+            return
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path, DatasetSpec(format=SPARSE, **counts))
+        assert str(exc.value) == f"line 4: {message}"
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "file contains no data rows"),
+        ("# only a comment\n\n  \t\n", "file contains no data rows"),
+        ("1:0.5\n3:1\n",
+         "cannot infer the label count: no positive labels and no num_labels given"),
+        ("1\n2\n", "cannot infer the feature count: no features and no num_features given"),
+    ])
+    def test_file_error(self, tmp_path, text, message):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path, DatasetSpec(format=SPARSE))
+        assert str(exc.value) == message
+        assert exc.value.line is None
+
+    @pytest.mark.parametrize("field", ["num_labels", "num_features"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_spec_rejects_counts_below_one(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be at least 1, got {value}$"):
+            DatasetSpec(format=SPARSE, **{field: value})
+
+
+VALUE_TEXTS = ["0", "-0", "-0.0", "+1.5", ".5", "5.", "1e-3", "-2E+2", "1_000", "-7",
+               "4.9e-324", "1.7976931348623157e308"]
+SEPARATORS = [" ", "\t", "  ", " \t "]
+
+
+@st.composite
+def sparse_files(draw):
+    """A well-formed sparse file as (rows of tokens, num_labels, num_features, newline).
+
+    Rows may lack labels or features; a row with neither is a blank line.
+    Counts are inferred or explicit and at least the largest index.
+    """
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        labels = draw(st.lists(st.integers(1, 5), max_size=3))
+        features = draw(st.dictionaries(
+            st.integers(1, 12),
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.sampled_from(VALUE_TEXTS)),
+            max_size=5))
+        tokens = [",".join(map(str, labels))] if labels else []
+        for idx, text in features.items():
+            zeros = "0" * draw(st.integers(0, 1) if idx % 3 == 0 else st.just(0))
+            tokens.append(f"{zeros}{idx}:{text}")
+        rows.append(tokens)
+    if not any(rows):
+        rows[0] = ["1:1"]
+    max_label = max((int(i) for r in rows for t in r if ":" not in t for i in t.split(",")),
+                    default=0)
+    max_feature = max((int(t.split(":")[0]) for r in rows for t in r if ":" in t), default=0)
+    num_labels = draw(st.none() if max_label else st.just(3)) if draw(st.booleans()) else (
+        max(max_label, 1) + draw(st.integers(0, 2)))
+    num_features = draw(st.none() if max_feature else st.just(4)) if draw(st.booleans()) else (
+        max(max_feature, 1) + draw(st.integers(0, 2)))
+    return rows, num_labels, num_features, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def render_sparse(draw, rows, newline) -> list[str]:
+    """The file's lines as ``_read_text`` gives them, with blank and comment lines mixed in."""
+    text = []
+    for tokens in rows:
+        if draw(st.booleans()):
+            text.append(draw(st.sampled_from(["", "  \t", "# note", "\t#1 2:3 x"])))
+        sep = draw(st.sampled_from(SEPARATORS))
+        text.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens)
+                    + draw(st.sampled_from(["", " ", "\t "])))
+    return newline.join(text).splitlines()
+
+
+def arrays_identical(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def must_not_fall_back(lines, spec):
+    raise AssertionError("the whole-file parser fell back on a well-formed file")
+
+
+BAD_FEATURE_TOKENS = ["1:2:3", "5", ":5", "5:", "+3:1", "0_2:1", "\u0661:1", "\uff13:1", "0:1",
+                      "-2:1", "1:nan", "1:inf", "1:abc", "1:1e400", "1:0x1p0", "99:1",
+                      "123456789012345678901:1", "9223372036854775808:1", "#:1"]
+BAD_LABEL_TOKENS = ["1,,2", ",", "+1", "0", "x", "\u0661", "-1", "9", "1,00",
+                    "99999999999999999999"]
+
+
+class TestWholeFileParser:
+    """The whole-file parser against the per-line parser it falls back to."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_files(), st.data())
+    def test_matches_per_line_parser_without_falling_back(self, file, draw):
+        rows, num_labels, num_features, newline = file
+        lines = render_sparse(draw.draw, rows, newline)
+        spec = DatasetSpec(format=SPARSE, num_labels=num_labels, num_features=num_features)
+        expected = data._load_sparse_lines(lines, spec)
+        with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
+            got = data._load_sparse(lines, spec)
+        assert arrays_identical(got.features, expected[0])
+        assert arrays_identical(got.labels, expected[1])
+        assert got.label_names == expected[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_files(), st.data())
+    def test_one_corrupt_token_gives_the_same_error(self, file, draw):
+        rows, num_labels, num_features, newline = file
+        rows = [list(r) for r in rows]
+        r = draw.draw(st.integers(0, len(rows) - 1))
+        has_labels = bool(rows[r]) and ":" not in rows[r][0]
+        if has_labels and draw.draw(st.booleans()):
+            rows[r][0] = draw.draw(st.sampled_from(BAD_LABEL_TOKENS))
+        elif draw.draw(st.booleans()) and len(rows[r]) > has_labels:
+            # repeat an index of this row under another value
+            pos = draw.draw(st.integers(has_labels, len(rows[r]) - 1))
+            rows[r].append(rows[r][pos].split(":")[0] + ":0.25")
+        else:
+            pos = draw.draw(st.integers(has_labels, len(rows[r])))
+            rows[r].insert(pos, draw.draw(st.sampled_from(BAD_FEATURE_TOKENS)))
+        lines = render_sparse(draw.draw, rows, newline)
+        spec = DatasetSpec(format=SPARSE, num_labels=num_labels, num_features=num_features)
+        try:
+            expected = data._load_sparse_lines(lines, spec)
+        except ParseError as exc:
+            assert data._sparse_entries(lines, spec) is None
+            with pytest.raises(ParseError) as got:
+                data._load_sparse(lines, spec)
+            assert str(got.value) == str(exc) and got.value.line == exc.line
+            return
+        except (ValueError, MemoryError):
+            # an index too large to allocate the matrix for
+            assert data._sparse_entries(lines, spec) is None
+            return
+        got = data._load_sparse(lines, spec)
+        assert arrays_identical(got.features, expected[0])
+        assert arrays_identical(got.labels, expected[1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_files(), st.data(),
+           st.one_of(st.none(), st.floats(min_value=1e-300, max_value=1e300)),
+           st.booleans())
+    def test_prepared_array_equals_two_step_preparation(self, file, draw, scale, add_bias):
+        rows, num_labels, num_features, newline = file
+        lines = render_sparse(draw.draw, rows, newline)
+        spec = DatasetSpec(format=SPARSE, num_labels=num_labels, num_features=num_features)
+        raw = MultilabelDataset(*data._load_sparse_lines(lines, spec))
+        expected = scale_features(raw, scale) if scale is not None else raw
+        expected = add_bias_column(expected) if add_bias else expected
+        with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
+            got = data._load_sparse(lines, spec, scale, add_bias)
+        assert arrays_identical(got.features, expected.features)
+        assert arrays_identical(got.labels, expected.labels)
+
+    def test_prepared_load_makes_one_feature_array(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n, d = 1000, 2000
+        lines = []
+        for _ in range(n):
+            cols = np.sort(rng.choice(d, size=20, replace=False)) + 1
+            lines.append("1,3 " + " ".join(f"{c}:{v!r}" for c, v in
+                                           zip(cols.tolist(), rng.normal(size=20).tolist())))
+        path = tmp_path / "wide.txt"
+        path.write_text("\n".join(lines) + "\n")
+        spec = DatasetSpec(format=SPARSE, normalization="global-max-norm", add_bias=True)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path, spec, feature_scale=7.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (n, d + 1)
+        assert peak <= 1.5 * ds.features.nbytes
 
 
 class TestFeaturePreparation:
