@@ -146,6 +146,14 @@ def _parse_index(token: str, line_no: int, what: str) -> int:
     return idx
 
 
+def _allocate(rows: int, count: int, what: str, fill: int = 0) -> np.ndarray:
+    """Float zeros, or int8 labels set to ``fill``; too large an array is a DataError."""
+    try:
+        return np.full((rows, count), fill, np.int8) if fill else np.zeros((rows, count))
+    except (MemoryError, ValueError):
+        raise DataError(f"{rows} rows x {count} {what} are too many to hold in memory") from None
+
+
 def _load_sparse_lines(lines: list[str], spec: DatasetSpec
                        ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Parse a sparse file line by line, raising the first error with its line number."""
@@ -186,8 +194,8 @@ def _load_sparse_lines(lines: list[str], spec: DatasetSpec
     if d < 1:
         raise ParseError("cannot infer the feature count: no features and no num_features given")
 
-    labels = np.full((len(rows), m), -1, dtype=np.int8)
-    features = np.zeros((len(rows), d))
+    labels = _allocate(len(rows), m, "labels", -1)
+    features = _allocate(len(rows), d, "features")
     for r, (line_no, positives, values) in enumerate(rows):
         for idx in positives:
             if idx > m:
@@ -261,7 +269,7 @@ def _sparse_entries(lines: list[str], spec: DatasetSpec):
     if np.any(np.diff(np.sort(rows * d + cols)) == 0):
         return None  # a feature index repeats within a row
 
-    labels = np.full((n, m), -1, dtype=np.int8)
+    labels = _allocate(n, m, "labels", -1)
     label_counts = [token.count(",") + 1 for token in label_tokens]
     labels[np.repeat(np.array(label_rows, dtype=np.intp), label_counts), label_idx - 1] = 1
     return rows, cols, values, labels, d
@@ -284,7 +292,7 @@ def _load_sparse(lines: list[str], spec: DatasetSpec, scale: float | None = None
         values /= scale
     if add_bias:
         values *= _ROOT_HALF
-    features = np.zeros((len(labels), d + add_bias))
+    features = _allocate(len(labels), d + add_bias, "features")
     features[rows, cols] = values
     if add_bias:
         features[:, d] = _ROOT_HALF

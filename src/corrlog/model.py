@@ -35,12 +35,6 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def log_sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    """log(sigmoid(z)) without overflow: -log(1 + exp(-z))."""
-    res = -np.logaddexp(0.0, -np.asarray(z, dtype=float))
-    return res if res.ndim else float(res)
-
-
 @dataclass(eq=False)
 class ModelParams:
     """Learned parameters: per-label coefficients and symmetric pairwise weights.

@@ -8,18 +8,19 @@ function never appears.  The full objective splits as
                   + lambda2*(||alpha||_2^2 + eps*||alpha||_1)
 
 whose smooth part (everything except the l1 terms) has the closed-form
-gradient implemented here.  Pairwise gradients are materialized for all
-m(m-1)/2 candidate pairs so the proximal step can activate or kill any pair.
-:func:`smooth_grad_dense` returns the smooth value together with both
-gradients from one activation pass, so an optimizer step reads the data once
-at its anchor point.  The loss and each penalty are written once and shared
-by every value function, so all of them agree bit for bit.  Each loss term
-softplus(z) and its slope sigmoid(z) are built from one shared exp(-|z|).
+gradient implemented here, for all m(m-1)/2 candidate pairs so the proximal
+step can activate or kill any pair.  :func:`smooth_grad_dense` returns the
+smooth value with the gradient from one activation pass, so an optimizer step
+reads the data once at its anchor point.  The loss and each penalty are
+written once and shared by every value function, so all agree bit for bit.
+Each loss term softplus(z) and its slope sigmoid(z) share one exp(-|z|).
 
-The ``*_dense`` functions take beta (m x D) and the strict upper triangle of
-alpha (m x m), the coordinates the optimizer moves, one per pair; the others
-take :class:`~corrlog.model.ModelParams`, whose alpha is the full symmetric
-matrix, and read the data arrays of :class:`~corrlog.model.MultilabelDataset`.
+The ``*_dense`` functions take one flat coordinate vector theta and the
+:class:`Problem` that lays it out: beta (m x D) row-major, then, when pairs
+are fitted, alpha's m x m upper-triangle array row-major, whose strict upper
+triangle holds one coordinate per pair while the other slots stay +0.0.  The
+other functions pack :class:`~corrlog.model.ModelParams` into theta and call
+the same passes.
 """
 
 from __future__ import annotations
@@ -45,25 +46,51 @@ class RegularizationConfig:
             raise DataError("regularization weights must be nonnegative")
 
 
-def params_from_dense(beta: np.ndarray, alpha_upper: np.ndarray,
-                      num_features: int) -> ModelParams:
-    """Build ModelParams from beta and the strict upper triangle of alpha."""
-    upper = np.triu(alpha_upper, 1)
-    return ModelParams(beta=beta.copy(), alpha=upper + upper.T,
-                       num_labels=beta.shape[0], num_features=num_features)
+class Problem:
+    """The layout of theta and the data each pass reads, built once per training.
+
+    ``blocks`` pairs each block's slice of theta with its lambda, beta first;
+    there is no pair block without ``fit_alpha``.  ``lam`` is each coordinate's
+    lambda.  Without a dataset only the penalties can be evaluated.
+    """
+
+    def __init__(self, reg: RegularizationConfig, num_labels: int, num_features: int,
+                 dataset: MultilabelDataset | None = None, fit_alpha: bool = True):
+        m, d = num_labels, num_features
+        self.reg, self.num_labels, self.num_features = reg, m, d
+        self.blocks = ((slice(0, m * d), reg.lambda1),
+                       (slice(m * d, m * d + m * m), reg.lambda2))[:1 + fit_alpha]
+        self.lam = np.concatenate([np.full(s.stop - s.start, lam) for s, lam in self.blocks])
+        self.upper = np.triu(np.ones((m, m), dtype=bool), 1) if fit_alpha else None
+        if dataset is not None:
+            self.x_mat, self.y_mat = dataset.feature_matrix, dataset.label_matrix
+            self.neg2y = -2.0 * self.y_mat
+
+    def pack(self, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """theta from beta and alpha; only alpha's strict upper triangle is read."""
+        return np.concatenate([beta.ravel(), np.triu(alpha, 1).ravel()][:len(self.blocks)])
+
+    def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Views of beta (m x D) and alpha's upper-triangle array (m x m, or None)."""
+        m, d = self.num_labels, self.num_features
+        beta = theta[:m * d].reshape(m, d)
+        return beta, None if self.upper is None else theta[m * d:].reshape(m, m)
 
 
-def _activations(beta: np.ndarray, alpha_upper: np.ndarray,
-                 x_mat: np.ndarray, y_mat: np.ndarray) -> np.ndarray:
-    """n x m activations: a[l, i] = <beta_i, x_l> + sum_{j != i} alpha_{ij} y_{lj}."""
-    alpha_sym = alpha_upper + alpha_upper.T
-    return x_mat @ beta.T + y_mat @ alpha_sym
+def params_from_dense(theta: np.ndarray, problem: Problem) -> ModelParams:
+    """Build ModelParams from theta: a copy of beta and the symmetric alpha."""
+    beta, upper = problem.unpack(theta)
+    alpha = np.zeros((problem.num_labels,) * 2) if upper is None else upper + upper.T
+    return ModelParams(beta.copy(), alpha, problem.num_labels, problem.num_features)
 
 
-def _neg_margins(beta: np.ndarray, alpha_upper: np.ndarray,
-                 x_mat: np.ndarray, y_mat: np.ndarray) -> np.ndarray:
-    """n x m values -2 y a: each term's loss is softplus of it, its slope a sigmoid."""
-    return -2.0 * y_mat * _activations(beta, alpha_upper, x_mat, y_mat)
+def _neg_margins(theta: np.ndarray, problem: Problem) -> np.ndarray:
+    """n x m values z = -2 y a, where a[l, i] = <beta_i, x_l> + sum_{j != i} alpha_ij y_lj."""
+    beta, upper = problem.unpack(theta)
+    act = problem.x_mat @ beta.T
+    if upper is not None:
+        act += problem.y_mat @ (upper + upper.T)
+    return problem.neg2y * act
 
 
 def _mean_loss(neg_margins: np.ndarray, exp_neg_abs: np.ndarray | None = None) -> float:
@@ -75,95 +102,97 @@ def _mean_loss(neg_margins: np.ndarray, exp_neg_abs: np.ndarray | None = None) -
         exp_neg_abs = np.exp(-np.abs(neg_margins))
     # -log sigmoid(2 y a) = softplus(z) = max(z, 0) + log1p(exp(-|z|)) at z = -2 y a,
     # the formula np.logaddexp(0, z) evaluates, stable for any score magnitude
-    return float((np.maximum(neg_margins, 0.0) + np.log1p(exp_neg_abs)).sum(axis=1).mean())
+    per_row = (np.maximum(neg_margins, 0.0) + np.log1p(exp_neg_abs)).sum(axis=1)
+    return float(per_row.sum() / per_row.size)  # the bits of per_row.mean(), in fewer calls
 
 
 def _slope(neg_margins: np.ndarray, exp_neg_abs: np.ndarray) -> np.ndarray:
-    """sigmoid(z) from exp(-|z|); the same exp inputs as model.sigmoid, so the same bits."""
-    return np.where(neg_margins >= 0, 1.0, exp_neg_abs) / (1.0 + exp_neg_abs)
+    """sigmoid(z) from exp(-|z|); the same exp inputs as model.sigmoid, so the same bits.
+
+    The numerator is 1 where z >= 0 (there exp(-|z|) <= 1) and exp(-|z|) elsewhere.
+    """
+    return np.maximum(exp_neg_abs, neg_margins >= 0) / (1.0 + exp_neg_abs)
 
 
-def add_quadratic_penalty(value: float, beta: np.ndarray, alpha_upper: np.ndarray,
-                          reg: RegularizationConfig) -> float:
+def add_quadratic_penalty(value: float, theta: np.ndarray, problem: Problem) -> float:
     """value + lambda1*||beta||_2^2 + lambda2*||alpha||_2^2, added in that order."""
-    return (
-        value
-        + reg.lambda1 * float(np.sum(beta * beta))
-        + reg.lambda2 * float(np.sum(alpha_upper * alpha_upper))
-    )
+    sq = theta * theta
+    for block, lam in problem.blocks:
+        value = value + lam * float(sq[block].sum())
+    return value
 
 
-def add_l1_penalty(value: float, beta: np.ndarray, alpha_upper: np.ndarray,
-                   reg: RegularizationConfig) -> float:
+def add_l1_penalty(value: float, theta: np.ndarray, problem: Problem) -> float:
     """value + lambda1*eps*||beta||_1 + lambda2*eps*||alpha||_1, added in that order."""
-    return (
-        value
-        + reg.lambda1 * reg.epsilon * float(np.sum(np.abs(beta)))
-        + reg.lambda2 * reg.epsilon * float(np.sum(np.abs(alpha_upper)))
-    )
+    mag = np.abs(theta)
+    for block, lam in problem.blocks:
+        value = value + lam * problem.reg.epsilon * float(mag[block].sum())
+    return value
 
 
-def smooth_value_dense(beta: np.ndarray, alpha_upper: np.ndarray,
-                       x_mat: np.ndarray, y_mat: np.ndarray,
-                       reg: RegularizationConfig) -> float:
-    loss = _mean_loss(_neg_margins(beta, alpha_upper, x_mat, y_mat))
-    return add_quadratic_penalty(loss, beta, alpha_upper, reg)
+def smooth_value_dense(theta: np.ndarray, problem: Problem) -> float:
+    return add_quadratic_penalty(_mean_loss(_neg_margins(theta, problem)), theta, problem)
 
 
-def full_value_dense(beta: np.ndarray, alpha_upper: np.ndarray,
-                     x_mat: np.ndarray, y_mat: np.ndarray,
-                     reg: RegularizationConfig) -> float:
-    smooth = smooth_value_dense(beta, alpha_upper, x_mat, y_mat, reg)
-    return add_l1_penalty(smooth, beta, alpha_upper, reg)
+def full_value_dense(theta: np.ndarray, problem: Problem) -> float:
+    return add_l1_penalty(smooth_value_dense(theta, problem), theta, problem)
 
 
-def smooth_grad_dense(beta: np.ndarray, alpha_upper: np.ndarray,
-                      x_mat: np.ndarray, y_mat: np.ndarray,
-                      reg: RegularizationConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Smooth value and its gradients wrt beta and (upper-triangular) alpha, from one pass.
+def smooth_grad_dense(theta: np.ndarray, problem: Problem) -> tuple[float, np.ndarray]:
+    """Smooth value and its gradient wrt theta, from one pass.
 
     The value is bit-identical to :func:`smooth_value_dense` at the same point.
+    The gradient is +0.0 on alpha's slots outside the strict upper triangle.
     """
-    n = x_mat.shape[0]
-    neg_margins = _neg_margins(beta, alpha_upper, x_mat, y_mat)
+    neg_margins = _neg_margins(theta, problem)
     exp_neg_abs = np.exp(-np.abs(neg_margins))
-    value = add_quadratic_penalty(_mean_loss(neg_margins, exp_neg_abs), beta, alpha_upper, reg)
+    value = add_quadratic_penalty(_mean_loss(neg_margins, exp_neg_abs), theta, problem)
     # xi[l, i] = -2 y_li * sigmoid(-2 y_li a_li), the per-term loss derivative
-    xi = -2.0 * y_mat * _slope(neg_margins, exp_neg_abs)
-    grad_beta = (xi.T @ x_mat) / n + 2.0 * reg.lambda1 * beta
-    pair = xi.T @ y_mat
-    grad_alpha = np.triu(pair + pair.T, 1) / n + 2.0 * reg.lambda2 * alpha_upper
-    return value, grad_beta, grad_alpha
+    xi = problem.neg2y * _slope(neg_margins, exp_neg_abs)
+    parts = [(xi.T @ problem.x_mat).ravel()]
+    if problem.upper is not None:
+        pair = xi.T @ problem.y_mat
+        parts.append(np.where(problem.upper, pair + pair.T, 0.0).ravel())
+    grad = np.concatenate(parts)
+    grad /= problem.x_mat.shape[0]
+    grad += 2.0 * problem.lam * theta
+    return value, grad
+
+
+def pack_params(params: ModelParams, dataset: MultilabelDataset,
+                reg: RegularizationConfig) -> tuple[np.ndarray, Problem]:
+    """theta for params and the Problem over dataset, after checking their dimensions."""
+    if params.num_features != dataset.num_features or params.num_labels != dataset.num_labels:
+        raise DataError(
+            f"model dimensions ({params.num_labels} labels, {params.num_features} features) "
+            f"do not match dataset ({dataset.num_labels} labels, {dataset.num_features} features)"
+        )
+    problem = Problem(reg, params.num_labels, params.num_features, dataset)
+    return problem.pack(params.beta, params.alpha), problem
 
 
 def neg_log_pseudo_likelihood(params: ModelParams, dataset: MultilabelDataset) -> float:
     """Mean negative log pseudo-likelihood over the dataset; always >= 0."""
-    _check_model_data(params, dataset)
-    return _mean_loss(_neg_margins(params.beta, np.triu(params.alpha, 1),
-                                   dataset.feature_matrix, dataset.label_matrix))
+    return _mean_loss(_neg_margins(*pack_params(params, dataset, RegularizationConfig())))
 
 
 def elastic_net_penalty(params: ModelParams, reg: RegularizationConfig) -> float:
     """lambda1*(||beta||_2^2 + eps*||beta||_1) + lambda2*(||alpha||_2^2 + eps*||alpha||_1)."""
-    upper = np.triu(params.alpha, 1)
-    return add_l1_penalty(add_quadratic_penalty(0.0, params.beta, upper, reg),
-                          params.beta, upper, reg)
+    problem = Problem(reg, params.num_labels, params.num_features)
+    theta = problem.pack(params.beta, params.alpha)
+    return add_l1_penalty(add_quadratic_penalty(0.0, theta, problem), theta, problem)
 
 
 def smooth_objective(params: ModelParams, dataset: MultilabelDataset,
                      reg: RegularizationConfig) -> float:
     """Pseudo-likelihood plus only the quadratic penalty terms (epsilon plays no role)."""
-    _check_model_data(params, dataset)
-    return smooth_value_dense(params.beta, np.triu(params.alpha, 1),
-                              dataset.feature_matrix, dataset.label_matrix, reg)
+    return smooth_value_dense(*pack_params(params, dataset, reg))
 
 
 def full_objective(params: ModelParams, dataset: MultilabelDataset,
                    reg: RegularizationConfig) -> float:
     """The quantity training minimizes: pseudo-likelihood plus elastic-net penalty."""
-    _check_model_data(params, dataset)
-    return full_value_dense(params.beta, np.triu(params.alpha, 1),
-                            dataset.feature_matrix, dataset.label_matrix, reg)
+    return full_value_dense(*pack_params(params, dataset, reg))
 
 
 def smooth_gradient(params: ModelParams, dataset: MultilabelDataset,
@@ -173,17 +202,8 @@ def smooth_gradient(params: ModelParams, dataset: MultilabelDataset,
     grad_alpha_upper is m x m; its strict upper triangle holds the gradient of
     every candidate pair (i, j), i < j, including pairs whose weight is zero.
     """
-    _check_model_data(params, dataset)
-    return smooth_grad_dense(params.beta, np.triu(params.alpha, 1),
-                             dataset.feature_matrix, dataset.label_matrix, reg)[1:]
-
-
-def _check_model_data(params: ModelParams, dataset: MultilabelDataset) -> None:
-    if params.num_features != dataset.num_features or params.num_labels != dataset.num_labels:
-        raise DataError(
-            f"model dimensions ({params.num_labels} labels, {params.num_features} features) "
-            f"do not match dataset ({dataset.num_labels} labels, {dataset.num_features} features)"
-        )
+    theta, problem = pack_params(params, dataset, reg)
+    return problem.unpack(smooth_grad_dense(theta, problem)[1])
 
 
 def check_finite_dataset(dataset: MultilabelDataset) -> None:

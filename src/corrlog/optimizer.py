@@ -4,18 +4,21 @@ Minimizes  nll_pl + elastic_net  from the all-zeros start by iterating
 
     theta_{k+1} = soft_threshold(theta_k - eta * grad_smooth(theta_k), eta * lam * eps)
 
-with the threshold eta*lambda1*eps on beta coordinates and eta*lambda2*eps on
-pairwise coordinates: the exact minimizer of the quadratic-plus-l1 surrogate
-built around theta_k.  The step size starts from 1/lipschitz_bound; each step
-tries twice the last step, then halves until that surrogate majorizes the
-smooth part at the candidate (Scheinberg, Goldfarb & Bai 2014), so every
-accepted step decreases the full objective and the step can grow where the
-bound is loose.  A step makes one fused value+gradient pass at its anchor
-point and one value pass per candidate, and the accepted candidate's value
-becomes the next objective.  Optional two-point momentum gives the
-accelerated O(1/k^2) rate; whenever an extrapolated step would increase the
-objective the momentum is restarted and the step retaken plainly, which keeps
-the trace monotone.
+on one flat coordinate vector theta (beta, then alpha's upper-triangle array
+when pairs are fitted; see :mod:`corrlog.objective`) with a per-coordinate
+lam: lambda1 on beta coordinates and lambda2 on pairwise ones.  So one
+soft-threshold, one momentum update and one difference serve both blocks, and
+ILRs carry no pair block at all.  Each step is the exact minimizer of the
+quadratic-plus-l1 surrogate built around theta_k.  The step size starts from
+1/lipschitz_bound; each step tries twice the last step, then halves until that
+surrogate majorizes the smooth part at the candidate (Scheinberg, Goldfarb &
+Bai 2014), so every accepted step decreases the full objective and the step
+can grow where the bound is loose.  A step makes one fused value+gradient pass
+at its anchor point and one value pass per candidate, and the accepted
+candidate's value becomes the next objective.  Optional two-point momentum
+gives the accelerated O(1/k^2) rate; whenever an extrapolated step would
+increase the objective the momentum is restarted and the step retaken
+plainly, which keeps the trace monotone.
 
 Training is deterministic: identical inputs produce bit-identical models.
 """
@@ -30,10 +33,12 @@ import numpy as np
 from .errors import DataError, NumericError
 from .model import ModelParams, MultilabelDataset
 from .objective import (
+    Problem,
     RegularizationConfig,
     add_l1_penalty,
     check_finite_dataset,
     full_value_dense,
+    pack_params,
     params_from_dense,
     smooth_grad_dense,
     smooth_value_dense,
@@ -83,12 +88,13 @@ class TrainTrace:
 ProgressSink = Callable[[TraceRecord], None]
 
 
-def soft_threshold(u: float | np.ndarray, t: float) -> float | np.ndarray:
-    """Shrink toward zero by t; exact zero inside [-t, t]."""
-    if t < 0:
+def soft_threshold(u: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """Shrink toward zero by t, a scalar or one threshold per element; exact zero inside [-t, t]."""
+    if (np.asarray(t) < 0).any():
         raise DataError("threshold must be nonnegative")
     u = np.asarray(u, dtype=float)
-    out = np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
+    out = np.maximum(np.abs(u) - t, 0.0)
+    out *= np.sign(u)
     return out if out.ndim else float(out)
 
 
@@ -104,12 +110,6 @@ def default_initial_step(dataset: MultilabelDataset, reg: RegularizationConfig) 
     return 1.0 / lipschitz_bound(dataset, reg)
 
 
-def _prox_dense(beta, alpha_upper, grad_beta, grad_alpha, eta, reg):
-    new_beta = soft_threshold(beta - eta * grad_beta, eta * reg.lambda1 * reg.epsilon)
-    new_alpha = soft_threshold(alpha_upper - eta * grad_alpha, eta * reg.lambda2 * reg.epsilon)
-    return new_beta, np.triu(new_alpha, 1)
-
-
 def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
                          reg: RegularizationConfig) -> float:
     """Max violation of the zero-subgradient optimality conditions.
@@ -117,25 +117,14 @@ def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
     At an exact minimizer, nonzero coordinates satisfy
     grad_smooth + lam*eps*sign = 0 and zero coordinates satisfy
     |grad_smooth| <= lam*eps; returns the largest deviation from either.
+    alpha's slots outside the strict upper triangle are zero with a zero
+    gradient, so they violate nothing.
     """
-    alpha_upper = np.triu(params.alpha, 1)
-    _, gb, ga = smooth_grad_dense(
-        params.beta, alpha_upper, dataset.feature_matrix, dataset.label_matrix, reg,
-    )
-
-    def coord_violation(theta, grad, lam_eps):
-        nonzero = theta != 0.0
-        viol_nz = np.abs(grad + lam_eps * np.sign(theta))[nonzero]
-        viol_z = np.maximum(np.abs(grad) - lam_eps, 0.0)[~nonzero]
-        parts = [v.max() for v in (viol_nz, viol_z) if v.size]
-        return max(parts) if parts else 0.0
-
-    m = params.num_labels
-    iu = np.triu_indices(m, 1)
-    return max(
-        coord_violation(params.beta.ravel(), gb.ravel(), reg.lambda1 * reg.epsilon),
-        coord_violation(alpha_upper[iu], ga[iu], reg.lambda2 * reg.epsilon) if iu[0].size else 0.0,
-    )
+    theta, problem = pack_params(params, dataset, reg)
+    grad, lam_eps = smooth_grad_dense(theta, problem)[1], problem.lam * reg.epsilon
+    viol = np.where(theta != 0.0, np.abs(grad + lam_eps * np.sign(theta)),
+                    np.maximum(np.abs(grad) - lam_eps, 0.0))
+    return float(viol.max())
 
 
 def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
@@ -147,59 +136,54 @@ def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
     if fit_alpha and reg.lambda2 <= 0:
         raise DataError("training requires lambda2 > 0")
 
-    x_mat, y_mat = dataset.feature_matrix, dataset.label_matrix
-    m, d = dataset.num_labels, dataset.num_features
+    problem = Problem(reg, dataset.num_labels, dataset.num_features, dataset, fit_alpha)
+    lam, blocks = problem.lam, problem.blocks
     eta = default_initial_step(dataset, reg)
 
-    beta = np.zeros((m, d))
-    alpha = np.zeros((m, m))
-    beta_prev, alpha_prev = beta, alpha
-    f_cur = full_value_dense(beta, alpha, x_mat, y_mat, reg)
+    theta = theta_prev = np.zeros_like(lam)
+    f_cur = full_value_dense(theta, problem)
     if not np.isfinite(f_cur):
         raise NumericError("objective is not finite at the zero start")
     t_momentum = 1.0
 
     trace = TrainTrace()
 
-    def attempt_step(zb, za, eta):
-        """Prox step from (zb, za): try 2*eta, then halve until the surrogate majorizes.
+    def attempt_step(z, eta):
+        """Prox step from z: try 2*eta, then halve until the surrogate majorizes.
 
         Returns the candidate, its step size and its full objective.
         """
-        smooth_z, gb, ga = smooth_grad_dense(zb, za, x_mat, y_mat, reg)
-        if not fit_alpha:
-            ga = np.zeros_like(ga)
+        smooth_z, grad = smooth_grad_dense(z, problem)
         eta /= 0.5
         for _ in range(MAX_BACKTRACKS):
-            nb, na = _prox_dense(zb, za, gb, ga, eta, reg)
-            db, da = nb - zb, na - za
-            quad = (
-                smooth_z
-                + float(np.sum(gb * db)) + float(np.sum(ga * da))
-                + (float(np.sum(db * db)) + float(np.sum(da * da))) / (2.0 * eta)
-            )
-            smooth_new = smooth_value_dense(nb, na, x_mat, y_mat, reg)
+            cand = soft_threshold(z - eta * grad, (eta * lam) * reg.epsilon)
+            diff = cand - z
+            lin, sq = grad * diff, diff * diff
+            quad, sq_sum = smooth_z, 0.0
+            for block, _ in blocks:  # each block summed alone, added in block order
+                quad, sq_sum = quad + float(lin[block].sum()), sq_sum + float(sq[block].sum())
+            quad += sq_sum / (2.0 * eta)
+            smooth_new = smooth_value_dense(cand, problem)
             if smooth_new <= quad + 1e-15 * max(1.0, abs(quad)):
                 break
             eta *= 0.5
-        return nb, na, eta, add_l1_penalty(smooth_new, nb, na, reg)
+        return cand, eta, add_l1_penalty(smooth_new, cand, problem)
 
     for k in range(config.max_iters):
         if config.accelerate and k > 0:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
             omega = (t_momentum - 1.0) / t_next
-            zb = beta + omega * (beta - beta_prev)
-            za = alpha + omega * (alpha - alpha_prev)
+            z = theta + omega * (theta - theta_prev)
             t_momentum = t_next
         else:
-            zb, za = beta, alpha
+            z = theta
 
-        new_beta, new_alpha, eta, f_new = attempt_step(zb, za, eta)
+        new_theta, eta, f_new = attempt_step(z, eta)
 
-        if f_new > f_cur and (zb is not beta):
+        if f_new > f_cur and (z is not theta):
             # momentum overshot: restart and retake the step from the current point
             t_momentum = 1.0
-            new_beta, new_alpha, eta, f_new = attempt_step(beta, alpha, eta)
+            new_theta, eta, f_new = attempt_step(theta, eta)
 
         if not np.isfinite(f_new):
             raise NumericError(f"objective became non-finite at iteration {k}")
@@ -211,27 +195,20 @@ def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
                 trace.converged = True
             break
 
-        beta_prev, alpha_prev = beta, alpha
-        beta, alpha = new_beta, new_alpha
-
-        record = TraceRecord(
-            iteration=k,
-            objective=f_new,
-            step_size=eta,
-            nnz_alpha=int(np.count_nonzero(alpha)),
-            nnz_beta=int(np.count_nonzero(beta)),
-        )
+        theta_prev, theta = theta, new_theta
+        nnz_beta = int(np.count_nonzero(theta[blocks[0][0]]))
+        record = TraceRecord(iteration=k, objective=f_new, step_size=eta,
+                             nnz_alpha=int(np.count_nonzero(theta)) - nnz_beta, nnz_beta=nnz_beta)
         trace.records.append(record)
         if progress is not None:
             progress(record)
 
         if abs(f_cur - f_new) < config.rel_tol * max(1.0, abs(f_cur)):
-            f_cur = f_new
             trace.converged = True
             break
         f_cur = f_new
 
-    return params_from_dense(beta, alpha, d), trace
+    return params_from_dense(theta, problem), trace
 
 
 def train_corrlog(dataset: MultilabelDataset, config: TrainConfig,

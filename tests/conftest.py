@@ -19,8 +19,8 @@ import numpy as np
 from corrlog.errors import DataError
 from corrlog.inference import BeliefState, BpConfig
 from corrlog.model import ModelParams, MultilabelDataset
-from corrlog.objective import RegularizationConfig, params_from_dense, smooth_objective
-from corrlog.optimizer import _prox_dense
+from corrlog.objective import RegularizationConfig, smooth_objective
+from corrlog.optimizer import soft_threshold
 
 
 def oracle_score(beta, alpha_pairs, x, y) -> float:
@@ -188,10 +188,10 @@ def prox_step(params: ModelParams, grad: GradientBuffer, eta: float,
     """One proximal update; minimizer of the surrogate built at ``params``."""
     if eta <= 0:
         raise DataError("eta must be positive")
-    beta, alpha = _prox_dense(
-        params.beta, np.triu(params.alpha, 1), grad.grad_beta, grad.grad_alpha, eta, reg
-    )
-    return params_from_dense(beta, alpha, params.num_features)
+    beta = soft_threshold(params.beta - eta * grad.grad_beta, eta * reg.lambda1 * reg.epsilon)
+    upper = np.triu(soft_threshold(np.triu(params.alpha, 1) - eta * grad.grad_alpha,
+                                   eta * reg.lambda2 * reg.epsilon), 1)
+    return ModelParams(beta, upper + upper.T, params.num_labels, params.num_features)
 
 
 def surrogate_objective(candidate: ModelParams, anchor: ModelParams,

@@ -86,6 +86,23 @@ class TestTrain:
         field = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: {field} must be at least 1, got {value}\n"
 
+    # 10**15 float64 columns (7 PiB) exceed any 64-bit address space, so the
+    # allocation fails whatever the overcommit setting; 10**19 does not fit in
+    # int64 and takes the per-line parser.
+    @pytest.mark.parametrize("line,count,what", [
+        ("1 1000000000000000:1", 10**15, "features"),
+        ("1 10000000000000000000:1", 10**19, "features"),
+        ("1000000000000000 1:1", 10**15, "labels"),
+    ])
+    def test_huge_sparse_index_exits_3(self, tmp_path, capsys, line, count, what):
+        data = tmp_path / "huge.txt"
+        data.write_text(line + "\n")
+        code = main(["train", str(data), "--format", "sparse-multilabel",
+                     "--model-out", str(tmp_path / "m")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: 1 rows x {count} {what} are too many to hold in memory\n")
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")])
         assert code == 3

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from corrlog.errors import DataError
 from corrlog.model import ModelParams, MultilabelDataset, sigmoid
 from corrlog.objective import (
+    Problem,
     RegularizationConfig,
     _mean_loss,
     _neg_margins,
@@ -233,10 +234,10 @@ class TestSmoothGradient:
             ds = random_dataset(rng, n, m, d)
             p = random_params(rng, m, d, density=density)
             reg = RegularizationConfig(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.5)), 1.0)
-            upper = np.triu(p.alpha, 1)
-            args = (p.beta, upper, ds.feature_matrix, ds.label_matrix, reg)
-            value, _, _ = smooth_grad_dense(*args)
-            assert value == smooth_value_dense(*args)
+            problem = Problem(reg, m, d, ds)
+            theta = problem.pack(p.beta, p.alpha)
+            value, _ = smooth_grad_dense(theta, problem)
+            assert value == smooth_value_dense(theta, problem)
 
     def test_covers_pairs_with_zero_weight(self):
         rng = np.random.default_rng(55)
@@ -333,8 +334,10 @@ class TestSharedExp:
             beta, upper = p.beta * scale, np.triu(p.alpha, 1)
             reg = RegularizationConfig(0.1, 0.2, 1.0)
             x_mat, y_mat = ds.feature_matrix, ds.label_matrix
-            _, grad_beta, grad_alpha = smooth_grad_dense(beta, upper, x_mat, y_mat, reg)
-            xi = -2.0 * y_mat * sigmoid(_neg_margins(beta, upper, x_mat, y_mat))
+            problem = Problem(reg, m, d, ds)
+            theta = problem.pack(beta, upper)
+            grad_beta, grad_alpha = problem.unpack(smooth_grad_dense(theta, problem)[1])
+            xi = -2.0 * y_mat * sigmoid(_neg_margins(theta, problem))
             pair = xi.T @ y_mat
             assert np.array_equal(grad_beta, (xi.T @ x_mat) / n + 2.0 * reg.lambda1 * beta)
             assert np.array_equal(grad_alpha,

@@ -81,6 +81,22 @@ class TestSoftThreshold:
         with pytest.raises(DataError):
             soft_threshold(1.0, -0.1)
 
+    def test_array_threshold_gives_the_bits_of_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        u = np.concatenate([rng.normal(size=300) * 10.0 ** rng.integers(-3, 4, size=300),
+                            [0.0, -0.0, 0.5, -0.5, 2.0]])
+        t = np.abs(rng.normal(size=u.size))
+        t[:30] = 0.0
+        t[-5:] = [0.0, 0.0, 0.5, 0.5, 0.0]
+        want = np.array([soft_threshold(a, b) for a, b in zip(u, t)])
+        assert soft_threshold(u, t).tobytes() == want.tobytes()  # the sign of each zero too
+
+    def test_one_negative_threshold_element_is_rejected(self):
+        t = np.full(5, 0.3)
+        t[3] = -1e-300
+        with pytest.raises(DataError, match="nonnegative"):
+            soft_threshold(np.ones(5), t)
+
 
 class TestProxStep:
     def _grad(self, params, dataset, reg):
@@ -305,6 +321,23 @@ class TestTrainIlrs:
         ds = random_dataset(rng, 20, 3, 3)
         params = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.01, 0.01, 1.0)))
         assert np.array_equal(params.alpha, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("accelerate", [True, False])
+    def test_has_no_pair_coordinates(self, accelerate):
+        ds = random_dataset(np.random.default_rng(18), 40, 4, 5)
+        records = []
+        config = TrainConfig(reg=RegularizationConfig(0.01, 0.01, 1.0), accelerate=accelerate)
+        params = train_ilrs(ds, config, progress=records.append)
+        assert len(records) > 5 and all(r.nnz_alpha == 0 for r in records)
+        assert params.alpha.tobytes() == np.zeros((4, 4)).tobytes()  # every entry +0.0
+
+    def test_lambda2_zero_still_trains_and_plays_no_role(self):
+        ds = random_dataset(np.random.default_rng(19), 40, 3, 4)
+        params = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.05, 0.0, 1.0)))
+        assert params.nnz_beta() > 0
+        # lambda2 below lambda1 leaves even the start step unchanged
+        same = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.05, 0.01, 1.0)))
+        assert params.beta.tobytes() == same.beta.tobytes()
 
     def test_separable_single_label_high_accuracy(self):
         rng = np.random.default_rng(16)
