@@ -37,7 +37,6 @@ from .evaluation import (
 )
 from .inference import (
     BeliefState,
-    BpConfig,
     decode_rows,
     map_bruteforce,
     margin,

@@ -29,7 +29,7 @@ from .evaluation import (
     predict_dataset,
     stability_experiment,
 )
-from .inference import BpConfig
+from .inference import MAX_ITERS
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, compute_metrics
 from .objective import RegularizationConfig
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
@@ -155,8 +155,7 @@ def _load_model_and_data(args: argparse.Namespace):
 def cmd_predict(args: argparse.Namespace) -> int:
     _echo_config(args)
     doc, dataset = _load_model_and_data(args)
-    bp = BpConfig(max_iters=args.bp_iters)
-    preds, flagged = predict_dataset(doc.params, dataset, bp)
+    preds, flagged = predict_dataset(doc.params, dataset, args.bp_iters)
     lines = [",".join(str(int(v)) for v in row) for row in preds]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -174,7 +173,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     _echo_config(args)
     doc, dataset = _load_model_and_data(args)
-    preds, flagged = predict_dataset(doc.params, dataset, BpConfig(max_iters=args.bp_iters))
+    preds, flagged = predict_dataset(doc.params, dataset, args.bp_iters)
     report = compute_metrics(dataset.labels, preds)
     for name in METRIC_NAMES:
         print(f"{DISPLAY_NAMES[name]:<13} {getattr(report, name):.4f}")
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data")
     _add_format_flags(p)
-    p.add_argument("--bp-iters", type=int, default=50,
+    p.add_argument("--bp-iters", type=int, default=MAX_ITERS,
                    help="message-passing iteration cap")
     p.add_argument("--out", required=True, help="predictions output file")
     p.set_defaults(func=cmd_predict)
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data")
     _add_format_flags(p)
-    p.add_argument("--bp-iters", type=int, default=50,
+    p.add_argument("--bp-iters", type=int, default=MAX_ITERS,
                    help="message-passing iteration cap")
     p.add_argument("--json-out", default=None, help="also write metrics as JSON")
     p.set_defaults(func=cmd_eval)

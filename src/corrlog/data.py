@@ -289,7 +289,7 @@ def _load_sparse(lines: list[str], spec: DatasetSpec, scale: float | None = None
         return _prepare(MultilabelDataset(*_load_sparse_lines(lines, spec)), scale, add_bias)
     rows, cols, values, labels, d = entries
     if scale is not None and scale > 0:
-        values /= scale
+        _divide(values, scale, out=values)
     if add_bias:
         values *= _ROOT_HALF
     features = _allocate(len(labels), d + add_bias, "features")
@@ -301,15 +301,28 @@ def _load_sparse(lines: list[str], spec: DatasetSpec, scale: float | None = None
 
 
 def compute_feature_scale(dataset: MultilabelDataset) -> float:
-    """Largest instance l2 norm; the shared constant for global-max-norm."""
-    return float(np.max(np.linalg.norm(dataset.feature_matrix, axis=1)))
+    """Largest instance l2 norm; the shared constant for global-max-norm.
+
+    A norm too large for a float is inf, which ``scale_features`` refuses.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.max(np.linalg.norm(dataset.feature_matrix, axis=1)))
+
+
+def _divide(values: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """values / scale; a scale that is not positive and finite, or an overflow, is refused."""
+    if not 0.0 < scale < math.inf:
+        raise DataError(f"feature scale must be positive and finite, got {scale!r}")
+    with np.errstate(over="ignore"):
+        out = np.divide(values, scale, out=out)
+    if not np.isfinite(out).all():
+        raise DataError(f"dividing the features by the scale {scale!r} overflows")
+    return out
 
 
 def scale_features(dataset: MultilabelDataset, scale: float) -> MultilabelDataset:
-    """Divide every feature vector by one shared positive constant."""
-    if scale <= 0:
-        raise DataError("feature scale must be positive")
-    return MultilabelDataset(dataset.features / scale, dataset.labels, dataset.label_names)
+    """Divide every feature vector by one shared positive finite constant."""
+    return MultilabelDataset(_divide(dataset.features, scale), dataset.labels, dataset.label_names)
 
 
 def add_bias_column(dataset: MultilabelDataset) -> MultilabelDataset:

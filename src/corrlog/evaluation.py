@@ -26,16 +26,12 @@ import numpy as np
 from .errors import DataError
 # predict_map_bp is not called here; it stays importable from this module
 # because the benchmark tracer (benchmarks/spans.py) wraps it by this name.
-from .inference import BpConfig, decode_rows, predict_map_bp  # noqa: F401
+from .inference import MAX_ITERS, decode_rows, predict_map_bp  # noqa: F401
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, MetricsReport, compute_metrics
 from .model import ModelParams, MultilabelDataset
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
 
 TRAINERS = ("corrlog", "ilrs")
-
-# Floats per working array when decoding a dataset (8 MiB); the rows per
-# chunk follow from the model's directed-edge count and feature count.
-DECODE_CHUNK_FLOATS = 1 << 20
 
 
 # --- paired t-test -----------------------------------------------------------
@@ -203,28 +199,17 @@ def _fit(trainer: str, train_set: MultilabelDataset, config: TrainConfig) -> Mod
 
 
 def predict_dataset(params: ModelParams, dataset: MultilabelDataset,
-                    bp_config: BpConfig | None = None) -> tuple[np.ndarray, list[int]]:
+                    max_iters: int = MAX_ITERS) -> tuple[np.ndarray, list[int]]:
     """Decode every instance; returns (n x m predictions, non-converged indices).
 
-    Rows are decoded in chunks whose message and feature arrays each stay
-    within ``DECODE_CHUNK_FLOATS`` floats.
+    ``decode_rows`` takes the rows in chunks of bounded memory itself.
     """
-    # a row's widest decoding temporary holds 4 floats per directed edge
-    per_row = max(8 * params.nnz_alpha(), dataset.num_features, 1)
-    rows = max(1, DECODE_CHUNK_FLOATS // per_row)
-    X = dataset.feature_matrix
-    preds = np.empty((len(X), params.num_labels), dtype=np.int8)
-    flagged = []
-    for start in range(0, len(X), rows):
-        labels, converged = decode_rows(params, X[start:start + rows], bp_config)
-        preds[start:start + len(labels)] = labels
-        flagged.extend(int(i) + start for i in np.flatnonzero(~converged))
-    return preds, flagged
+    preds, converged = decode_rows(params, dataset.feature_matrix, max_iters)
+    return preds, np.flatnonzero(~converged).tolist()
 
 
 def cross_validate(dataset: MultilabelDataset, k: int, trainer: str,
-                   config: TrainConfig, seed: int,
-                   bp_config: BpConfig | None = None) -> CvResult:
+                   config: TrainConfig, seed: int) -> CvResult:
     """Train on k-1 folds and score the held-out fold, for every fold."""
     folds = fold_indices(len(dataset), k, seed)
     reports = []
@@ -233,7 +218,7 @@ def cross_validate(dataset: MultilabelDataset, k: int, trainer: str,
         train_set = _subset(dataset, train_idx)
         test_set = _subset(dataset, folds[held_out])
         params = _fit(trainer, train_set, config)
-        preds, _ = predict_dataset(params, test_set, bp_config)
+        preds, _ = predict_dataset(params, test_set)
         reports.append(compute_metrics(test_set.labels, preds))
     means = {n: float(np.mean([getattr(r, n) for r in reports])) for n in METRIC_NAMES}
     stds = {n: float(np.std([getattr(r, n) for r in reports], ddof=1)) for n in METRIC_NAMES}

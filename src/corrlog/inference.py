@@ -9,12 +9,14 @@ round by subtracting their maximum, which never changes the argmax.
 
 One kernel decodes a batch: each round updates the 2-vector messages of every
 row and every directed edge with a few numpy operations, and a row is frozen
-at the round where its own largest message change drops below the tolerance.
-Every sum is taken in the order a one-row loop over a dict of messages would
-take it, so a row's labels, beliefs and convergence flag do not depend on the
-batch it was decoded in.  ``decode_rows`` is the batch entry point (callers
-bound its memory by chunking rows); ``predict_map_bp`` decodes one vector and
-also returns its messages and beliefs.
+at the round where its own largest message change drops below 1e-9.  The
+updates are undamped, and the one setting is the round cap ``max_iters``
+(default ``MAX_ITERS``; the CLI's ``--bp-iters``).  Every sum is taken in the
+order a one-row loop over a dict of messages would take it, so a row's labels,
+beliefs and convergence flag do not depend on the batch it was decoded in.
+``decode_rows`` is the batch entry point and decodes its rows in chunks whose
+working arrays stay within ``DECODE_CHUNK_FLOATS`` floats; ``predict_map_bp``
+decodes one vector and also returns its messages and beliefs.
 
 Ties at decode time resolve to +1; the brute-force oracle mirrors this by
 scanning configurations in lexicographic order with +1 sorted before -1.
@@ -27,28 +29,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .model import ModelParams
+from .model import ModelParams, _check_dims
 
 ENUMERATION_LIMIT = 20
 _CHUNK = 1 << 16
 
+MAX_ITERS = 50  # message-passing rounds before a row is reported non-converged
+_TOLERANCE = 1e-9  # a row converges when no message moves by this much in a round
+# Floats per working array when decoding rows (8 MiB); the rows per chunk
+# follow from the model's directed-edge count and feature count.
+DECODE_CHUNK_FLOATS = 1 << 20
+
 # index 0 holds the value for state +1, index 1 for state -1
 _STATES = np.array([1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class BpConfig:
-    max_iters: int = 50
-    damping: float = 0.0
-    convergence_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise DataError("max_iters must be positive")
-        if not 0.0 <= self.damping < 1.0:
-            raise DataError("damping must lie in [0, 1)")
-        if self.convergence_tol < 0:
-            raise DataError("convergence_tol must be nonnegative")
 
 
 @dataclass
@@ -118,7 +111,7 @@ def _edge_layout(params: ModelParams) -> _EdgeLayout:
 
 
 def _message_round(messages: np.ndarray, node_terms: np.ndarray,
-                   layout: _EdgeLayout, damping: float) -> np.ndarray:
+                   layout: _EdgeLayout) -> np.ndarray:
     """One synchronous max-product update of every row's directed-edge messages.
 
     messages is (rows, 2E, 2) and node_terms (rows, m, 2) holds u_i * s_i.
@@ -129,20 +122,18 @@ def _message_round(messages: np.ndarray, node_terms: np.ndarray,
         src_belief[:, edges] += messages[:, others]
     # msg[s_dst] = max over s_src of src_belief + weight*s_src*s_dst
     msg = (src_belief[..., :, None] + layout.pairwise).max(axis=-2)
-    msg = msg - msg.max(axis=-1, keepdims=True)
-    if damping > 0.0:
-        msg = damping * messages + (1.0 - damping) * msg
-    return msg
+    return msg - msg.max(axis=-1, keepdims=True)
 
 
-def _max_product(params: ModelParams, unary: np.ndarray, config: BpConfig):
+def _max_product(unary: np.ndarray, layout: _EdgeLayout, max_iters: int):
     """Loopy max-product on rows of unaries (n x m), each row on its own.
 
-    Returns (messages n x 2E x 2, beliefs n x m x 2, converged n, iterations n,
-    layout).  A row is frozen at the round whose largest message change drops
-    below the tolerance; rows still moving stop at ``max_iters``.
+    Returns (messages n x 2E x 2, beliefs n x m x 2, converged n, iterations n).
+    A row is frozen at the round whose largest message change drops below the
+    tolerance; rows still moving stop at ``max_iters``.
     """
-    layout = _edge_layout(params)
+    if max_iters < 1:
+        raise DataError("max_iters must be positive")
     n = unary.shape[0]
     node_terms = unary[:, :, None] * _STATES
     messages = np.zeros((n, layout.src.size, 2))
@@ -151,14 +142,14 @@ def _max_product(params: ModelParams, unary: np.ndarray, config: BpConfig):
     if layout.src.size:
         active = np.arange(n)
         current = messages
-        for rnd in range(1, config.max_iters + 1):
+        for rnd in range(1, max_iters + 1):
             if not active.size:
                 break
-            updated = _message_round(current, node_terms[active], layout, config.damping)
+            updated = _message_round(current, node_terms[active], layout)
             change = np.abs(updated - current).max(axis=(1, 2))
             current = updated
             iterations[active] = rnd
-            done = change < config.convergence_tol
+            done = change < _TOLERANCE
             if done.any():
                 messages[active[done]] = current[done]
                 converged[active[done]] = True
@@ -168,7 +159,7 @@ def _max_product(params: ModelParams, unary: np.ndarray, config: BpConfig):
     beliefs = node_terms.copy()
     for nodes, edges in layout.deliver:
         beliefs[:, nodes] += messages[:, edges]
-    return messages, beliefs, converged, iterations, layout
+    return messages, beliefs, converged, iterations
 
 
 def _labels(beliefs: np.ndarray) -> np.ndarray:
@@ -176,46 +167,49 @@ def _labels(beliefs: np.ndarray) -> np.ndarray:
 
 
 def decode_rows(params: ModelParams, X: np.ndarray,
-                config: BpConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+                max_iters: int = MAX_ITERS) -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
 
     Row r gets exactly the labels and convergence flag that
-    ``predict_map_bp(params, X[r], config)`` reports.  Working memory grows
-    with rows x directed edges, so callers with many rows decode in chunks.
+    ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded in
+    chunks whose message and feature arrays each stay within
+    ``DECODE_CHUNK_FLOATS`` floats, so memory stays bounded at any n.
     """
-    if config is None:
-        config = BpConfig()
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.num_features:
         raise DataError(
             f"feature matrix has shape {X.shape}, expected (n, {params.num_features})"
         )
-    # one product per row: a batched X @ beta.T rounds differently
-    unary = np.empty((X.shape[0], params.num_labels))
-    for r, x in enumerate(X):
-        unary[r] = params.beta @ x
-    _, beliefs, converged, _, _ = _max_product(params, unary, config)
-    return _labels(beliefs), converged
+    layout = _edge_layout(params)
+    # a row's widest decoding temporary holds 4 floats per directed edge
+    rows = max(1, DECODE_CHUNK_FLOATS // max(4 * layout.src.size, X.shape[1], 1))
+    labels = np.empty((X.shape[0], params.num_labels), dtype=np.int8)
+    converged = np.empty(X.shape[0], dtype=bool)
+    for start in range(0, X.shape[0], rows):
+        chunk = X[start:start + rows]
+        # one product per row: a batched X @ beta.T rounds differently
+        unary = np.empty((len(chunk), params.num_labels))
+        for r, x in enumerate(chunk):
+            unary[r] = params.beta @ x
+        _, beliefs, done, _ = _max_product(unary, layout, max_iters)
+        labels[start:start + len(chunk)] = _labels(beliefs)
+        converged[start:start + len(chunk)] = done
+    return labels, converged
 
 
 def predict_map_bp(params: ModelParams, x: np.ndarray,
-                   config: BpConfig | None = None) -> tuple[np.ndarray, BeliefState]:
+                   max_iters: int = MAX_ITERS) -> tuple[np.ndarray, BeliefState]:
     """Decode the most probable label vector for x; returns (labels, state).
 
     With an empty interaction map this reduces exactly to per-label sign
     decisions (ties to +1).  Non-convergence within the iteration budget is
     reported on the state, not raised.
     """
-    if config is None:
-        config = BpConfig()
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (params.num_features,):
-        raise DataError(
-            f"feature vector has shape {x.shape}, expected ({params.num_features},)"
-        )
+    _check_dims(params, x)
     unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
-    messages, beliefs, converged, iterations, layout = _max_product(
-        params, unary[None, :], config)
+    layout = _edge_layout(params)
+    messages, beliefs, converged, iterations = _max_product(unary[None, :], layout, max_iters)
     state = BeliefState(
         messages={(int(s), int(t)): messages[0, d]
                   for d, (s, t) in enumerate(zip(layout.src, layout.dst))},
@@ -258,10 +252,7 @@ def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """
     _guard_enumeration(params.num_labels)
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (params.num_features,):
-        raise DataError(
-            f"feature vector has shape {x.shape}, expected ({params.num_features},)"
-        )
+    _check_dims(params, x)
     best_score = -np.inf
     best = None
     for _, configs in _config_chunks(params.num_labels):
@@ -282,9 +273,8 @@ def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     _guard_enumeration(params.num_labels)
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y).reshape(-1)
+    _check_dims(params, x, y)
     m = params.num_labels
-    if x.shape != (params.num_features,) or y.shape != (m,):
-        raise DataError("dimension mismatch between parameters, features, and labels")
     if not np.all((y == 1) | (y == -1)):
         raise DataError("labels must be exactly -1 or +1")
     y_index = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from corrlog.errors import DataError
-from corrlog.inference import BeliefState, BpConfig
+from corrlog.inference import BeliefState
 from corrlog.model import ModelParams, MultilabelDataset
 from corrlog.objective import RegularizationConfig, smooth_objective
 from corrlog.optimizer import soft_threshold
@@ -100,15 +100,13 @@ _STATES = np.array([1.0, -1.0])
 
 
 def reference_predict_map_bp(params: ModelParams, x,
-                             config: BpConfig | None = None) -> tuple[np.ndarray, BeliefState]:
+                             max_iters: int = 50) -> tuple[np.ndarray, BeliefState]:
     """Per-instance loopy max-product over a dict of directed-edge messages.
 
     This is the package's original decoder, kept as the reference that the
     batched kernel must match bit for bit: same neighbour order, same
-    damping, same belief accumulation order.
+    convergence tolerance, same belief accumulation order.
     """
-    if config is None:
-        config = BpConfig()
     x = np.asarray(x, dtype=float).reshape(-1)
     m = params.num_labels
     unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
@@ -128,7 +126,7 @@ def reference_predict_map_bp(params: ModelParams, x,
 
         converged = False
         iterations = 0
-        for iterations in range(1, config.max_iters + 1):
+        for iterations in range(1, max_iters + 1):
             new_messages = {}
             max_change = 0.0
             for (src, dst), old in messages.items():
@@ -142,12 +140,10 @@ def reference_predict_map_bp(params: ModelParams, x,
                 pairwise = weight * np.outer(_STATES, _STATES)
                 msg = (src_belief[:, None] + pairwise).max(axis=0)
                 msg = msg - msg.max()
-                if config.damping > 0.0:
-                    msg = config.damping * old + (1.0 - config.damping) * msg
                 new_messages[(src, dst)] = msg
                 max_change = max(max_change, float(np.max(np.abs(msg - old))))
             messages = new_messages
-            if max_change < config.convergence_tol:
+            if max_change < 1e-9:
                 converged = True
                 break
         state.messages = messages

@@ -103,6 +103,19 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"error: 1 rows x {count} {what} are too many to hold in memory\n")
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_overflowing_row_norm_exits_3(self, tmp_path, capsys, command):
+        # the largest row norm overflows to inf: no usable global-max-norm scale
+        data = tmp_path / "huge.csv"
+        data.write_text("f1,f2|l1\n1e300,1e300,1\n0.5,0.5,0\n0.1,0.2,1\n")
+        model = tmp_path / "m.json"
+        extra = ["--model-out", str(model)] if command == "train" else [
+            "--folds", "2", "--json-out", str(model)]
+        assert main([command, str(data), "--normalize", "global-max-norm", *extra]) == 3
+        assert capsys.readouterr().err == (
+            "error: feature scale must be positive and finite, got inf\n")
+        assert not model.exists()
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")])
         assert code == 3
@@ -283,6 +296,35 @@ class TestPredictAndEval:
         assert main([command, str(trained_model), str(three), *extra]) == 3
         err = capsys.readouterr().err
         assert err == "error: model predicts 2 labels, data has 3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_bp_iters_below_one_exits_3(self, trained_model, toy_files, tmp_path, capsys,
+                                        command):
+        out = tmp_path / "out.txt"
+        extra = ["--out", str(out)] if command == "predict" else ["--json-out", str(out)]
+        assert main([command, str(trained_model), str(toy_files[1]), "--bp-iters", "0",
+                     *extra]) == 3
+        assert capsys.readouterr().err == "error: max_iters must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_feature_scale_that_overflows_exits_3(self, trained_model, toy_files, tmp_path,
+                                                  capsys, command, sparse):
+        doc = json.loads(trained_model.read_text())
+        doc["metadata"]["feature_scale"] = 5e-324
+        model = tmp_path / "tiny.model.json"
+        model.write_text(json.dumps(doc))
+        data, fmt = toy_files[1], []
+        if sparse:
+            data, fmt = tmp_path / "test.txt", ["--format", "sparse-multilabel"]
+            data.write_text("1 1:0.5 2:-0.25\n2 1:0.1\n")
+        out = tmp_path / "out.txt"
+        extra = ["--out", str(out)] if command == "predict" else ["--json-out", str(out)]
+        assert main([command, str(model), str(data), *fmt, *extra]) == 3
+        assert capsys.readouterr().err == (
+            "error: dividing the features by the scale 5e-324 overflows\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])

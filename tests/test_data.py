@@ -333,7 +333,15 @@ class TestWholeFileParser:
         lines = render_sparse(draw.draw, rows, newline)
         spec = DatasetSpec(format=SPARSE, num_labels=num_labels, num_features=num_features)
         raw = MultilabelDataset(*data._load_sparse_lines(lines, spec))
-        expected = scale_features(raw, scale) if scale is not None else raw
+        try:
+            expected = scale_features(raw, scale) if scale is not None else raw
+        except DataError as exc:
+            # a scale so small that a quotient overflows: both paths refuse it
+            with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
+                with pytest.raises(DataError) as got:
+                    data._load_sparse(lines, spec, scale, add_bias)
+            assert str(got.value) == str(exc)
+            return
         expected = add_bias_column(expected) if add_bias else expected
         with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
             got = data._load_sparse(lines, spec, scale, add_bias)
@@ -408,6 +416,32 @@ class TestFeaturePreparation:
         ds = load_dataset(path, DatasetSpec())
         with pytest.raises(DataError):
             scale_features(ds, 0.0)
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        ds = MultilabelDataset(np.ones((1, 1)), np.ones((1, 1)), ("l1",))
+        with pytest.raises(DataError, match="positive and finite"):
+            scale_features(ds, scale)
+
+    def test_overflowing_row_norm_gives_a_refused_scale(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f1,f2|l1\n1e300,1e300,1\n")
+        raw = load_dataset(path, DatasetSpec())
+        assert compute_feature_scale(raw) == np.inf
+        with pytest.raises(DataError, match="got inf"):
+            load_dataset(path, DatasetSpec(normalization="global-max-norm"))
+
+    @pytest.mark.parametrize("text,fmt", [("f1,f2|l1\n0.5,0,1\n", "dense-csv"),
+                                          ("1 1:0.5\n", SPARSE)])
+    def test_scale_whose_quotient_overflows_is_refused(self, tmp_path, text, fmt):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        spec = DatasetSpec(format=fmt, normalization="global-max-norm", add_bias=True)
+        with pytest.raises(DataError, match="overflows"):
+            load_dataset(path, spec, feature_scale=5e-324)
+        # a quotient that stays finite is kept, however large
+        ds = load_dataset(path, spec, feature_scale=1e-300)
+        assert ds.features[0, 0] == 0.5 / 1e-300 * (1.0 / np.sqrt(2.0))
 
 
 class TestGenerateToy:

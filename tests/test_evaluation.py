@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from corrlog import evaluation
+from corrlog import inference
 from corrlog.data import ToySpec, add_bias_column, generate_toy
 from corrlog.errors import DataError
 from corrlog.evaluation import (
@@ -169,7 +169,7 @@ class TestPredictDataset:
         params = random_params(rng, 5, 3, alpha_scale=1.0, density=0.8)
         ds = random_dataset(rng, 25, 5, 3)
         # 4 floats per directed edge, 2 directed edges per pair
-        monkeypatch.setattr(evaluation, "DECODE_CHUNK_FLOATS",
+        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS",
                             8 * params.nnz_alpha() * rows_per_chunk)
         reference = [reference_predict_map_bp(params, x) for x in ds.features]
         preds, flagged = predict_dataset(params, ds)
@@ -180,7 +180,7 @@ class TestPredictDataset:
         assert all(type(i) is int for i in flagged)
 
     def test_edge_free_model_is_sign_rule(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "DECODE_CHUNK_FLOATS", 4)
+        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 4)
         rng = np.random.default_rng(45)
         beta = rng.normal(size=(4, 3))
         beta[2] = 0.0  # label 3 scores exactly zero on every row
