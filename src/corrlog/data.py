@@ -34,6 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DataError, ParseError
+from .inference import _configs
 from .model import ModelParams, MultilabelDataset
 
 _LABEL_SYMBOLS = {"0": -1, "1": 1, "-1": -1, "+1": 1}
@@ -288,7 +289,7 @@ def _load_sparse(lines: list[str], spec: DatasetSpec, scale: float | None = None
         # an irregular file: the per-line parser raises the positioned error
         return _prepare(MultilabelDataset(*_load_sparse_lines(lines, spec)), scale, add_bias)
     rows, cols, values, labels, d = entries
-    if scale is not None and scale > 0:
+    if scale is not None and scale != 0:
         _divide(values, scale, out=values)
     if add_bias:
         values *= _ROOT_HALF
@@ -355,8 +356,12 @@ def load_dataset(path, spec: DatasetSpec, *, feature_scale: float | None = None)
 
 
 def _prepare(dataset: MultilabelDataset, scale: float | None, add_bias: bool) -> MultilabelDataset:
-    """Divide by ``scale`` unless it is None or not positive, then add the bias column if asked."""
-    if scale is not None and scale > 0:
+    """Divide by ``scale`` unless it is None or 0, then add the bias column if asked.
+
+    A scale of 0 comes from all-zero training features; any other scale that
+    is not positive and finite is a ``DataError``.
+    """
+    if scale is not None and scale != 0:
         dataset = scale_features(dataset, scale)
     return add_bias_column(dataset) if add_bias else dataset
 
@@ -402,15 +407,12 @@ def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDatas
     """Draw n instances with x uniform in the unit ball and y ~ p(y|x; params).
 
     Labels are sampled exactly by enumerating all 2^m configurations, so the
-    label count must stay small (m <= 16).
+    label count must stay small (m <= ``ENUMERATION_LIMIT``).
     """
     m, d = params.num_labels, params.num_features
-    if m > 16:
-        raise DataError(f"exact sampling enumerates 2^m outcomes; m={m} is too large")
+    configs = np.ascontiguousarray(_configs(m).T)  # one label vector per row
     rng = np.random.default_rng(seed)
 
-    bits = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
-    configs = (1 - 2 * bits).astype(float)  # bit 0 -> +1, bit 1 -> -1
     pair_scores = 0.5 * np.einsum("ci,ij,cj->c", configs, params.alpha, configs)
 
     features = np.empty((n, d))

@@ -1,25 +1,29 @@
-"""Joint MAP label prediction by loopy max-product message passing.
+"""Joint MAP label prediction: exact enumeration for small m, max-product above.
 
 The prediction problem  argmax_y  sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j
 is a MAP query on a pairwise graphical model whose nodes are labels and whose
-edges are the nonzero pairwise weights.  Max-product is exact when that graph
-is a forest and a well-tested heuristic on loopy graphs; messages live in the
-log domain, are updated synchronously (flooding), and are renormalized every
-round by subtracting their maximum, which never changes the argmax.
+edges are the nonzero pairwise weights.
 
-One kernel decodes a batch: each round updates the 2-vector messages of every
-row and every directed edge with a few numpy operations, and a row is frozen
-at the round where its own largest message change drops below 1e-9.  The
-updates are undamped, and the one setting is the round cap ``max_iters``
-(default ``MAX_ITERS``; the CLI's ``--bp-iters``).  Every sum is taken in the
-order a one-row loop over a dict of messages would take it, so a row's labels,
-beliefs and convergence flag do not depend on the batch it was decoded in.
-``decode_rows`` is the batch entry point and decodes its rows in chunks whose
-working arrays stay within ``DECODE_CHUNK_FLOATS`` floats; ``predict_map_bp``
-decodes one vector and also returns its messages and beliefs.
+With m <= ``ENUMERATION_LIMIT``, ``decode_rows`` scores all 2^m label vectors
+for a chunk of rows at once: each row starts from the pair scores, computed
+once per call, and adds ``unary_i * y_i`` one label at a time.  Every step is
+elementwise, so a row's labels do not depend on its chunk; ``map_bruteforce``
+and ``margin`` score one row with the same code.  Ties go to the
+lexicographically first optimum with +1 ordered before -1.
 
-Ties at decode time resolve to +1; the brute-force oracle mirrors this by
-scanning configurations in lexicographic order with +1 sorted before -1.
+Above the limit, loopy max-product decodes: exact when the graph is a forest
+and a heuristic on loopy graphs.  Messages live in the log domain, are updated
+synchronously (flooding), and are renormalized every round by subtracting
+their maximum, which never changes the argmax.  One kernel decodes a batch:
+each round updates the 2-vector messages of every row and every directed edge
+with a few numpy operations, and a row is frozen at the round where its own
+largest message change drops below 1e-9.  The one setting is the round cap
+``max_iters`` (default ``MAX_ITERS``; the CLI's ``--bp-iters``).  Every sum is
+taken in the order a one-row loop over a dict of messages would take it, so a
+row's labels, beliefs and convergence flag do not depend on its batch; ties
+resolve to +1.  ``predict_map_bp`` runs max-product on one vector at any m and
+also returns its messages and beliefs.  Both paths decode rows in chunks whose
+working arrays stay within ``DECODE_CHUNK_FLOATS`` floats.
 """
 
 from __future__ import annotations
@@ -31,13 +35,13 @@ import numpy as np
 from .errors import DataError
 from .model import ModelParams, _check_dims
 
-ENUMERATION_LIMIT = 20
-_CHUNK = 1 << 16
+# Largest label count decoded, sampled and diagnosed by enumerating 2^m vectors
+ENUMERATION_LIMIT = 16
 
 MAX_ITERS = 50  # message-passing rounds before a row is reported non-converged
 _TOLERANCE = 1e-9  # a row converges when no message moves by this much in a round
 # Floats per working array when decoding rows (8 MiB); the rows per chunk
-# follow from the model's directed-edge count and feature count.
+# follow from the model's config or directed-edge count and feature count.
 DECODE_CHUNK_FLOATS = 1 << 20
 
 # index 0 holds the value for state +1, index 1 for state -1
@@ -170,9 +174,11 @@ def decode_rows(params: ModelParams, X: np.ndarray,
                 max_iters: int = MAX_ITERS) -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
 
-    Row r gets exactly the labels and convergence flag that
+    With m <= ``ENUMERATION_LIMIT``, row r gets the exact MAP of
+    ``map_bruteforce(params, X[r])`` bit for bit and counts as converged.
+    Above it, row r gets the labels and convergence flag that
     ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded in
-    chunks whose message and feature arrays each stay within
+    chunks whose score, message and feature arrays each stay within
     ``DECODE_CHUNK_FLOATS`` floats, so memory stays bounded at any n.
     """
     X = np.asarray(X, dtype=float)
@@ -180,9 +186,23 @@ def decode_rows(params: ModelParams, X: np.ndarray,
         raise DataError(
             f"feature matrix has shape {X.shape}, expected (n, {params.num_features})"
         )
-    layout = _edge_layout(params)
-    # a row's widest decoding temporary holds 4 floats per directed edge
-    rows = max(1, DECODE_CHUNK_FLOATS // max(4 * layout.src.size, X.shape[1], 1))
+    if max_iters < 1:
+        raise DataError("max_iters must be positive")
+    if params.num_labels <= ENUMERATION_LIMIT:
+        configs = _configs(params.num_labels)
+        pair, width = _pair_scores(params, configs), configs.shape[1]
+
+        def decode(unary):
+            best = _scores(unary, configs, pair).argmax(axis=1)
+            return configs.T[best], True
+    else:
+        layout = _edge_layout(params)
+        width = 4 * layout.src.size  # a row's widest BP temporary: 4 floats per directed edge
+
+        def decode(unary):
+            _, beliefs, done, _ = _max_product(unary, layout, max_iters)
+            return _labels(beliefs), done
+    rows = max(1, DECODE_CHUNK_FLOATS // max(width, X.shape[1], 1))
     labels = np.empty((X.shape[0], params.num_labels), dtype=np.int8)
     converged = np.empty(X.shape[0], dtype=bool)
     for start in range(0, X.shape[0], rows):
@@ -191,9 +211,7 @@ def decode_rows(params: ModelParams, X: np.ndarray,
         unary = np.empty((len(chunk), params.num_labels))
         for r, x in enumerate(chunk):
             unary[r] = params.beta @ x
-        _, beliefs, done, _ = _max_product(unary, layout, max_iters)
-        labels[start:start + len(chunk)] = _labels(beliefs)
-        converged[start:start + len(chunk)] = done
+        labels[start:start + len(chunk)], converged[start:start + len(chunk)] = decode(unary)
     return labels, converged
 
 
@@ -220,24 +238,6 @@ def predict_map_bp(params: ModelParams, x: np.ndarray,
     return _labels(beliefs[0]), state
 
 
-def _config_chunks(m: int):
-    """Yield (offset, config_block) over all 2^m label vectors, lexicographic."""
-    total = 1 << m
-    shifts = np.arange(m - 1, -1, -1)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> shifts) & 1
-        yield start, (1 - 2 * bits).astype(float)
-
-
-def _chunk_scores(params: ModelParams, x: np.ndarray, configs: np.ndarray) -> np.ndarray:
-    unary = params.beta @ x
-    scores = configs @ unary
-    for i, j, v in params.pairs():
-        scores += v * configs[:, i] * configs[:, j]
-    return scores
-
-
 def _guard_enumeration(m: int) -> None:
     if m > ENUMERATION_LIMIT:
         raise DataError(
@@ -245,53 +245,58 @@ def _guard_enumeration(m: int) -> None:
         )
 
 
+def _configs(m: int) -> np.ndarray:
+    """All 2^m label vectors as the columns of an m x 2^m +-1 array, lexicographic, +1 first."""
+    _guard_enumeration(m)
+    bits = (np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
+    return (1 - 2 * bits).astype(float)
+
+
+def _pair_scores(params: ModelParams, configs: np.ndarray) -> np.ndarray:
+    """sum_{i<j} alpha_ij y_i y_j for every column y of configs."""
+    return ((np.triu(params.alpha, 1) @ configs) * configs).sum(axis=0)
+
+
+def _scores(unary: np.ndarray, configs: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Joint scores (rows x 2^m): the pair score plus unary_i * y_i, label by label."""
+    scores = np.empty((unary.shape[0], configs.shape[1]))
+    scores[:] = pair
+    for i, row in enumerate(configs):
+        scores += unary[:, i:i + 1] * row
+    return scores
+
+
 def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Exact MAP by scoring all 2^m label vectors; the testing oracle for BP.
+    """Exact MAP by scoring all 2^m label vectors: ``decode_rows`` on one row.
 
     Ties go to the lexicographically first optimum with +1 ordered before -1.
     """
-    _guard_enumeration(params.num_labels)
+    _guard_enumeration(params.num_labels)  # decode_rows would run BP above the limit
     x = np.asarray(x, dtype=float).reshape(-1)
     _check_dims(params, x)
-    best_score = -np.inf
-    best = None
-    for _, configs in _config_chunks(params.num_labels):
-        scores = _chunk_scores(params, x, configs)
-        idx = int(np.argmax(scores))
-        if scores[idx] > best_score:
-            best_score = float(scores[idx])
-            best = configs[idx]
-    return best.astype(np.int8)
+    return decode_rows(params, x[None, :])[0][0]
 
 
 def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Score of y minus the best score among all other label vectors.
 
-    Positive exactly when y is the unique MAP labeling; uses full enumeration,
-    so it is a desk-scale diagnostic (m <= 20).
+    Positive exactly when y is the unique MAP labeling; uses full enumeration
+    with the scores of ``decode_rows``, so it is a desk-scale diagnostic
+    (m <= ``ENUMERATION_LIMIT``).
     """
-    _guard_enumeration(params.num_labels)
+    m = params.num_labels
+    configs = _configs(m)
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y).reshape(-1)
     _check_dims(params, x, y)
-    m = params.num_labels
     if not np.all((y == 1) | (y == -1)):
         raise DataError("labels must be exactly -1 or +1")
-    y_index = 0
-    for pos, value in enumerate(y):
-        if value == -1:
-            y_index |= 1 << (m - 1 - pos)
-
-    own_score = None
-    best_other = -np.inf
-    for offset, configs in _config_chunks(m):
-        scores = _chunk_scores(params, x, configs)
-        local = y_index - offset
-        if 0 <= local < scores.shape[0]:
-            own_score = float(scores[local])
-            scores[local] = -np.inf
-        best_other = max(best_other, float(scores.max()))
-    return own_score - best_other
+    scores = _scores((params.beta @ x)[None, :], configs, _pair_scores(params, configs))[0]
+    # y is the column whose bits, most significant first, mark its -1 labels
+    y_index = int(np.dot(y == -1, 1 << np.arange(m - 1, -1, -1)))
+    own_score = float(scores[y_index])
+    scores[y_index] = -np.inf
+    return own_score - float(scores.max())
 
 
 def margin_loss(params: ModelParams, x: np.ndarray, y: np.ndarray,

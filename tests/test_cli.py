@@ -181,6 +181,29 @@ class TestSeparableRecovery:
         assert [tuple(p) for p in preds] == truth
 
 
+def _frustrated_cycle(tmp_path, m: int, rows: int):
+    """(model, data) files of an odd cycle of -2.0 couplings with tiny unaries.
+
+    Message passing oscillates on it and hits its round cap on every row.
+    """
+    from corrlog.model import ModelParams
+    from corrlog.objective import RegularizationConfig
+    from corrlog.serialize import save_model
+
+    rng = np.random.default_rng(0)
+    params = ModelParams(
+        rng.normal(size=(m, 1)) * 0.01,
+        {(i, i + 1): -2.0 for i in range(m - 1)} | {(0, m - 1): -2.0},
+        m, 1,
+    )
+    model = tmp_path / "frustrated.json"
+    model.write_text(save_model(params, RegularizationConfig()))
+    data = tmp_path / "cycle.csv"
+    header = "f1|" + ",".join(f"l{i + 1}" for i in range(m)) + "\n"
+    data.write_text(header + ("1.0" + ",1" * m + "\n") * rows)
+    return model, data
+
+
 class TestPredictAndEval:
     def test_predictions_deterministic_and_flagged(self, trained_model, toy_files, tmp_path, capsys):
         _, test = toy_files
@@ -216,49 +239,33 @@ class TestPredictAndEval:
         assert 0.0 <= doc["zero_one_loss"] <= 1.0
 
     def test_nonconverged_instances_flagged(self, tmp_path, capsys):
-        from corrlog.model import ModelParams
-        from corrlog.objective import RegularizationConfig
-        from corrlog.serialize import save_model
-
-        # hand-built frustrated 5-cycle: message passing will hit the cap
-        m = 5
-        rng = np.random.default_rng(0)
-        params = ModelParams(
-            rng.normal(size=(m, 1)) * 0.01,
-            {(i, i + 1): -2.0 for i in range(m - 1)} | {(0, m - 1): -2.0},
-            m, 1,
-        )
-        model = tmp_path / "frustrated.json"
-        model.write_text(save_model(params, RegularizationConfig()))
-        data = tmp_path / "one.csv"
-        data.write_text("f1|l1,l2,l3,l4,l5\n1.0,1,1,1,1,1\n")
+        # 17 labels are too many to enumerate, so message passing decodes
+        model, data = _frustrated_cycle(tmp_path, 17, rows=1)
         out = tmp_path / "p.txt"
         assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "did not converge on instances: 0" in printed
 
     def test_nonconverged_listing_is_capped(self, tmp_path, capsys):
-        from corrlog.model import ModelParams
-        from corrlog.objective import RegularizationConfig
-        from corrlog.serialize import save_model
-
-        m = 5
-        rng = np.random.default_rng(0)
-        params = ModelParams(
-            rng.normal(size=(m, 1)) * 0.01,
-            {(i, i + 1): -2.0 for i in range(m - 1)} | {(0, m - 1): -2.0},
-            m, 1,
-        )
-        model = tmp_path / "frustrated.json"
-        model.write_text(save_model(params, RegularizationConfig()))
-        data = tmp_path / "many.csv"
-        data.write_text("f1|l1,l2,l3,l4,l5\n" + "1.0,1,1,1,1,1\n" * 25)
+        model, data = _frustrated_cycle(tmp_path, 17, rows=25)
         out = tmp_path / "p.txt"
         assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
         line = next(l for l in capsys.readouterr().out.splitlines() if "did not converge" in l)
         shown = " ".join(str(i) for i in range(20))
         assert line == ("message passing did not converge on instances: "
                         f"{shown} ... (25 of 25 rows)")
+
+    def test_small_models_report_exact_decoding(self, tmp_path, capsys):
+        m = 5
+        model, data = _frustrated_cycle(tmp_path, m, rows=1)
+        out = tmp_path / "p.txt"
+        assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "every instance was decoded exactly" in printed
+        assert "converge" not in printed.split("\n", 1)[1]
+        # an exact MAP of the cycle: the labels alternate except at one edge
+        labels = [int(v) for v in out.read_text().split(",")]
+        assert sum(labels[i] != labels[(i + 1) % m] for i in range(m)) == m - 1
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_sparse_file_scores_like_its_dense_twin(self, toy_files, tmp_path, command):

@@ -444,6 +444,26 @@ class TestFeaturePreparation:
         assert ds.features[0, 0] == 0.5 / 1e-300 * (1.0 / np.sqrt(2.0))
 
 
+    @pytest.mark.parametrize("text,fmt", [("f1,f2|l1\n3,4,1\n", "dense-csv"),
+                                          ("1 1:3 2:4\n", SPARSE)])
+    @pytest.mark.parametrize("scale", [np.nan, -2.0])
+    def test_reused_scale_that_is_not_positive_is_refused(self, tmp_path, text, fmt, scale):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        spec = DatasetSpec(format=fmt, normalization="global-max-norm")
+        with pytest.raises(DataError, match=f"positive and finite, got {scale!r}"):
+            load_dataset(path, spec, feature_scale=scale)
+
+    @pytest.mark.parametrize("text,fmt", [("f1,f2|l1\n3,4,1\n", "dense-csv"),
+                                          ("1 1:3 2:4\n", SPARSE)])
+    def test_reused_scale_of_zero_leaves_features_unscaled(self, tmp_path, text, fmt):
+        # a zero scale comes from all-zero training features
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        spec = DatasetSpec(format=fmt, normalization="global-max-norm")
+        assert load_dataset(path, spec, feature_scale=0.0).features.tolist() == [[3.0, 4.0]]
+
+
 class TestGenerateToy:
     def test_label_rule_examples(self):
         # evaluate the labeling rule on chosen points via a tiny helper dataset

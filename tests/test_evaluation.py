@@ -165,6 +165,8 @@ class TestPredictDataset:
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, 25])
     def test_chunks_match_reference(self, monkeypatch, rows_per_chunk):
+        # m=5 is decoded exactly; lowering the limit runs max-product in chunks
+        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
         rng = np.random.default_rng(44)
         params = random_params(rng, 5, 3, alpha_scale=1.0, density=0.8)
         ds = random_dataset(rng, 25, 5, 3)
@@ -178,6 +180,18 @@ class TestPredictDataset:
         # non-converged rows sit in the first and in later chunks
         assert min(flagged) < 7 and max(flagged) >= 14
         assert all(type(i) is int for i in flagged)
+
+    @pytest.mark.parametrize("m", [1, 6, 16])
+    def test_nothing_flagged_when_decoded_exactly(self, monkeypatch, m):
+        rng = np.random.default_rng(46 + m)
+        params = random_params(rng, m, 3, alpha_scale=2.0, density=0.9)
+        ds = random_dataset(rng, 6, m, 3)
+        preds, flagged = predict_dataset(params, ds)
+        assert flagged == []
+        assert preds.shape == (6, m)
+        # max-product on the same rows does flag some of them
+        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
+        assert (predict_dataset(params, ds)[1] != []) == (m > 1)
 
     def test_edge_free_model_is_sign_rule(self, monkeypatch):
         monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 4)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrlog import inference
+from corrlog.data import sample_from_model
 from corrlog.errors import DataError
 from corrlog.inference import (
+    ENUMERATION_LIMIT,
     BeliefState,
     decode_rows,
     map_bruteforce,
@@ -167,11 +170,16 @@ def assert_same_state(got: BeliefState, want: BeliefState) -> None:
 
 
 class TestReferenceDecoder:
-    """The batched kernel against the per-instance dict decoder, bit for bit."""
+    """The batched kernel against the per-instance dict decoder, bit for bit.
+
+    ``decode_rows`` enumerates models with m <= ENUMERATION_LIMIT exactly, so
+    the batch tests on such models lower the limit to 0 to run max-product.
+    """
 
     # the ids keep the names these cases had while damping was a second parameter
     @pytest.mark.parametrize("max_iters", [1, 5, 50], ids=["1-0.0", "5-0.0", "50-0.0"])
-    def test_matches_reference_on_loopy_models(self, max_iters):
+    def test_matches_reference_on_loopy_models(self, monkeypatch, max_iters):
+        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
         rng = np.random.default_rng(1000 + max_iters)
         for k in range(6):
             m = int(rng.integers(2, 13))
@@ -189,7 +197,8 @@ class TestReferenceDecoder:
                 assert np.array_equal(labels[r], want_labels)
                 assert converged[r] == want.converged
 
-    def test_batch_with_rows_frozen_at_different_rounds(self):
+    def test_batch_with_rows_frozen_at_different_rounds(self, monkeypatch):
+        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
         rng = np.random.default_rng(31)
         params = random_params(rng, 7, 3, alpha_scale=1.0, density=0.7)
         X = rng.normal(size=(12, 3))
@@ -220,6 +229,88 @@ class TestReferenceDecoder:
             decode_rows(params, np.zeros(3))
         with pytest.raises(DataError):
             decode_rows(params, np.zeros((4, 2)))
+
+
+def frustrated_cycle(m: int) -> ModelParams:
+    """An odd cycle of strong negative couplings with tiny unaries; BP oscillates on it."""
+    rng = np.random.default_rng(0)
+    alpha = {(i, i + 1): -2.0 for i in range(m - 1)} | {(0, m - 1): -2.0}
+    return ModelParams(rng.normal(size=(m, 1)) * 0.01, alpha, m, 1)
+
+
+class TestExactDecode:
+    """decode_rows enumerates every model with m <= ENUMERATION_LIMIT."""
+
+    def test_equals_map_bruteforce_row_by_row(self):
+        rng = np.random.default_rng(60)
+        for m in range(1, ENUMERATION_LIMIT + 1):
+            params = random_params(rng, m, 3, alpha_scale=(0.3, 1.0, 2.0)[m % 3], density=0.7)
+            X = rng.normal(size=(4 if m > 12 else 10, 3))
+            labels, converged = decode_rows(params, X)
+            assert labels.dtype == np.int8 and labels.shape == (len(X), m)
+            assert converged.all()
+            for r, x in enumerate(X):
+                assert labels[r].tobytes() == map_bruteforce(params, x).tobytes(), (m, r)
+
+    def test_frustrated_triangle_tie_is_lexicographically_first(self):
+        alpha = {(0, 1): -1.0, (0, 2): -1.0, (1, 2): -1.0}
+        params = ModelParams(np.zeros((3, 1)), alpha, 3, 1)
+        labels, converged = decode_rows(params, np.zeros((3, 1)))
+        assert labels.tolist() == [[1, 1, -1]] * 3
+        assert converged.all()
+
+    def test_is_the_exact_map_where_bp_fails(self):
+        params = frustrated_cycle(5)
+        x = np.array([1.0])
+        _, state = predict_map_bp(params, x)
+        assert not state.converged
+        table = oracle_joint_table(params, x)
+        labels, converged = decode_rows(params, x[None, :])
+        assert table[tuple(labels[0].tolist())] == max(table.values())
+        assert converged.all()
+
+    @pytest.mark.parametrize("m", [3, 9, 16])
+    def test_labels_do_not_depend_on_chunk_size(self, monkeypatch, m):
+        rng = np.random.default_rng(61 + m)
+        params = random_params(rng, m, 4, density=0.8)
+        X = rng.normal(size=(9, 4))
+        whole, _ = decode_rows(params, X)
+        for floats in (1, 2 << m, 5 << m):  # one row, two rows and five rows per chunk
+            monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", floats)
+            chunked, converged = decode_rows(params, X)
+            assert chunked.tobytes() == whole.tobytes(), floats
+            assert converged.all()
+
+    def test_forests_match_reference_bp(self):
+        rng = np.random.default_rng(62)
+        for trial in range(60):
+            m = int(rng.integers(2, ENUMERATION_LIMIT + 1))
+            kind = ("chain", "star", "random")[trial % 3]
+            params = tree_model(rng, m, kind, drop_prob=0.25 if kind == "random" else 0.0)
+            X = rng.normal(size=(3, 2))
+            labels, _ = decode_rows(params, X)
+            want = np.array([reference_predict_map_bp(params, x)[0] for x in X])
+            assert labels.tobytes() == want.tobytes(), f"trial {trial}"
+
+    def test_above_the_limit_rows_go_to_bp(self):
+        params = frustrated_cycle(ENUMERATION_LIMIT + 1)
+        X = np.ones((3, 1))
+        labels, converged = decode_rows(params, X)
+        want = [reference_predict_map_bp(params, x) for x in X]
+        assert labels.tobytes() == np.array([lab for lab, _ in want]).tobytes()
+        assert converged.tolist() == [state.converged for _, state in want] == [False] * 3
+
+    def test_seventeen_labels_refused_with_one_message(self):
+        m = ENUMERATION_LIMIT + 1
+        params = ModelParams.zeros(m, 1)
+        message = "exact enumeration over 2^17 label vectors is refused (limit m <= 16)"
+        calls = (lambda: map_bruteforce(params, np.zeros(1)),
+                 lambda: margin(params, np.zeros(1), np.ones(m, dtype=np.int8)),
+                 lambda: sample_from_model(params, n=1, seed=0))
+        for call in calls:
+            with pytest.raises(DataError) as err:
+                call()
+            assert str(err.value) == message
 
 
 class TestSingleVectorContract:
