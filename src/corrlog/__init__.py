@@ -2,8 +2,8 @@
 
 Per-label logistic regressions coupled by symmetric pairwise interaction
 weights, trained by elastic-net-regularized maximum pseudo-likelihood
-(proximal gradient with soft thresholding) and decoded jointly: exactly by
-enumeration up to 16 labels, by max-product message passing above that.
+(proximal gradient with soft thresholding) and decoded jointly: by enumeration
+for loopy label graphs of up to 16 labels, by max-product message passing otherwise.
 """
 
 from .data import (

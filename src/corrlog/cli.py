@@ -29,7 +29,7 @@ from .evaluation import (
     predict_dataset,
     stability_experiment,
 )
-from .inference import ENUMERATION_LIMIT, MAX_ITERS
+from .inference import ENUMERATION_LIMIT, MAX_ITERS, enumerates
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, compute_metrics
 from .objective import RegularizationConfig
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
@@ -165,7 +165,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         more = " ..." if len(flagged) > SHOWN_NONCONVERGED else ""
         print(f"message passing did not converge on instances: {shown}{more} "
               f"({len(flagged)} of {len(preds)} rows)")
-    elif doc.params.num_labels <= ENUMERATION_LIMIT:
+    elif enumerates(doc.params):
         print("every instance was decoded exactly")
     else:
         print("message passing converged on every instance")
@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data")
     _add_format_flags(p)
-    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=f"message-passing iteration "
-                   f"cap; applies only to models with more than {ENUMERATION_LIMIT} labels")
+    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=f"message-passing round "
+                   f"cap; unused by loopy models of up to {ENUMERATION_LIMIT} labels, decoded exactly")
     p.add_argument("--out", required=True, help="predictions output file")
     p.set_defaults(func=cmd_predict)
 
@@ -296,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data")
     _add_format_flags(p)
-    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=f"message-passing iteration "
-                   f"cap; applies only to models with more than {ENUMERATION_LIMIT} labels")
+    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=f"message-passing round "
+                   f"cap; unused by loopy models of up to {ENUMERATION_LIMIT} labels, decoded exactly")
     p.add_argument("--json-out", default=None, help="also write metrics as JSON")
     p.set_defaults(func=cmd_eval)
 

@@ -34,7 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DataError, ParseError
-from .inference import _configs
+from .inference import ENUMERATION_LIMIT, _configs, _guard_enumeration
 from .model import ModelParams, MultilabelDataset
 
 _LABEL_SYMBOLS = {"0": -1, "1": 1, "-1": -1, "+1": 1}
@@ -410,6 +410,7 @@ def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDatas
     label count must stay small (m <= ``ENUMERATION_LIMIT``).
     """
     m, d = params.num_labels, params.num_features
+    _guard_enumeration(m, ENUMERATION_LIMIT)
     configs = np.ascontiguousarray(_configs(m).T)  # one label vector per row
     rng = np.random.default_rng(seed)
 

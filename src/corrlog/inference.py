@@ -1,29 +1,25 @@
-"""Joint MAP label prediction: exact enumeration for small m, max-product above.
+"""Joint MAP label prediction: exact enumeration or loopy max-product.
 
 The prediction problem  argmax_y  sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j
 is a MAP query on a pairwise graphical model whose nodes are labels and whose
-edges are the nonzero pairwise weights.
+edges are the nonzero pairwise weights.  ``decode_rows`` decodes a loopy graph
+with m <= ``ENUMERATION_LIMIT`` exactly: it scores all 2^m label vectors for a
+chunk of rows at once, each row adding ``unary_i * y_i`` label by label to pair
+scores computed once per call, and ties go to the lexicographically first
+optimum with +1 before -1.  ``map_bruteforce`` and ``margin`` score one row the
+same way, 2^16 vectors at a time, up to ``BRUTEFORCE_LIMIT`` labels.
 
-With m <= ``ENUMERATION_LIMIT``, ``decode_rows`` scores all 2^m label vectors
-for a chunk of rows at once: each row starts from the pair scores, computed
-once per call, and adds ``unary_i * y_i`` one label at a time.  Every step is
-elementwise, so a row's labels do not depend on its chunk; ``map_bruteforce``
-and ``margin`` score one row with the same code.  Ties go to the
-lexicographically first optimum with +1 ordered before -1.
-
-Above the limit, loopy max-product decodes: exact when the graph is a forest
-and a heuristic on loopy graphs.  Messages live in the log domain, are updated
-synchronously (flooding), and are renormalized every round by subtracting
-their maximum, which never changes the argmax.  One kernel decodes a batch:
-each round updates the 2-vector messages of every row and every directed edge
-with a few numpy operations, and a row is frozen at the round where its own
-largest message change drops below 1e-9.  The one setting is the round cap
-``max_iters`` (default ``MAX_ITERS``; the CLI's ``--bp-iters``).  Every sum is
-taken in the order a one-row loop over a dict of messages would take it, so a
-row's labels, beliefs and convergence flag do not depend on its batch; ties
-resolve to +1.  ``predict_map_bp`` runs max-product on one vector at any m and
-also returns its messages and beliefs.  Both paths decode rows in chunks whose
-working arrays stay within ``DECODE_CHUNK_FLOATS`` floats.
+Every other model decodes by max-product: exact on a forest unless a row's
+optimum is tied, a heuristic on loopy graphs.  Messages live in the log domain,
+are updated synchronously (flooding), and are renormalized every round by
+subtracting their maximum.  One kernel decodes a batch: each round updates the
+2-vector messages of every row and directed edge with a few numpy operations,
+and a row is frozen at the round where its own largest message change drops
+below 1e-9; ``max_iters`` (the CLI's ``--bp-iters``) caps the rounds.  Sums on
+both paths are taken in a fixed order, so a row's labels, beliefs and
+convergence flag do not depend on its batch; ties resolve to +1.
+``predict_map_bp`` runs max-product on one vector and also returns its
+messages and beliefs.
 """
 
 from __future__ import annotations
@@ -35,8 +31,9 @@ import numpy as np
 from .errors import DataError
 from .model import ModelParams, _check_dims
 
-# Largest label count decoded, sampled and diagnosed by enumerating 2^m vectors
-ENUMERATION_LIMIT = 16
+ENUMERATION_LIMIT = 16  # largest label count decoded and sampled by enumerating 2^m vectors
+BRUTEFORCE_LIMIT = 20  # largest label count map_bruteforce and margin enumerate
+_BLOCK = 1 << 16  # label vectors they score at a time
 
 MAX_ITERS = 50  # message-passing rounds before a row is reported non-converged
 _TOLERANCE = 1e-9  # a row converges when no message moves by this much in a round
@@ -174,9 +171,9 @@ def decode_rows(params: ModelParams, X: np.ndarray,
                 max_iters: int = MAX_ITERS) -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
 
-    With m <= ``ENUMERATION_LIMIT``, row r gets the exact MAP of
+    When ``enumerates(params)``, row r gets the exact MAP of
     ``map_bruteforce(params, X[r])`` bit for bit and counts as converged.
-    Above it, row r gets the labels and convergence flag that
+    Otherwise row r gets the labels and convergence flag that
     ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded in
     chunks whose score, message and feature arrays each stay within
     ``DECODE_CHUNK_FLOATS`` floats, so memory stays bounded at any n.
@@ -188,7 +185,7 @@ def decode_rows(params: ModelParams, X: np.ndarray,
         )
     if max_iters < 1:
         raise DataError("max_iters must be positive")
-    if params.num_labels <= ENUMERATION_LIMIT:
+    if enumerates(params):
         configs = _configs(params.num_labels)
         pair, width = _pair_scores(params, configs), configs.shape[1]
 
@@ -238,17 +235,26 @@ def predict_map_bp(params: ModelParams, x: np.ndarray,
     return _labels(beliefs[0]), state
 
 
-def _guard_enumeration(m: int) -> None:
-    if m > ENUMERATION_LIMIT:
-        raise DataError(
-            f"exact enumeration over 2^{m} label vectors is refused (limit m <= {ENUMERATION_LIMIT})"
-        )
+def enumerates(params: ModelParams) -> bool:
+    """Whether ``decode_rows`` enumerates: m <= ``ENUMERATION_LIMIT`` and the label graph
+    has a cycle.  On a forest max-product is exact unless a row's optimum is tied,
+    and it converges within m rounds at a small fraction of enumeration's cost."""
+    if params.num_labels > ENUMERATION_LIMIT:
+        return False
+    linked = (params.alpha != 0).astype(float)
+    # a forest has as many edges as its Laplacian has rank (m minus its components)
+    return params.nnz_alpha() > np.linalg.matrix_rank(np.diag(linked.sum(axis=1)) - linked)
 
 
-def _configs(m: int) -> np.ndarray:
-    """All 2^m label vectors as the columns of an m x 2^m +-1 array, lexicographic, +1 first."""
-    _guard_enumeration(m)
-    bits = (np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
+def _guard_enumeration(m: int, limit: int) -> None:
+    if m > limit:
+        raise DataError(f"exact enumeration over 2^{m} label vectors is refused (limit m <= {limit})")
+
+
+def _configs(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Label vectors start..stop-1 of all 2^m (lexicographic, +1 first) as +-1 columns."""
+    stop = 1 << m if stop is None else min(stop, 1 << m)
+    bits = (np.arange(start, stop) >> np.arange(m - 1, -1, -1)[:, None]) & 1
     return (1 - 2 * bits).astype(float)
 
 
@@ -266,33 +272,43 @@ def _scores(unary: np.ndarray, configs: np.ndarray, pair: np.ndarray) -> np.ndar
     return scores
 
 
-def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Exact MAP by scoring all 2^m label vectors: ``decode_rows`` on one row.
+def _bruteforce_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Joint scores of all 2^m label vectors of x, their table built ``_BLOCK`` columns at a
+    time; with m <= 16 the one block is scored exactly as ``decode_rows`` scores it."""
+    m = params.num_labels
+    _guard_enumeration(m, BRUTEFORCE_LIMIT)
+    unary = (params.beta @ x)[None, :]
+    blocks = (_configs(m, start, start + _BLOCK) for start in range(0, 1 << m, _BLOCK))
+    return np.concatenate([_scores(unary, c, _pair_scores(params, c))[0] for c in blocks])
 
-    Ties go to the lexicographically first optimum with +1 ordered before -1.
+
+def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Exact MAP by scoring all 2^m label vectors (m <= ``BRUTEFORCE_LIMIT``).
+
+    Ties go to the lexicographically first optimum with +1 ordered before -1;
+    a row that ``decode_rows`` enumerates gets the same labels bit for bit.
     """
-    _guard_enumeration(params.num_labels)  # decode_rows would run BP above the limit
     x = np.asarray(x, dtype=float).reshape(-1)
     _check_dims(params, x)
-    return decode_rows(params, x[None, :])[0][0]
+    best = int(_bruteforce_scores(params, x).argmax())
+    return _configs(params.num_labels, best, best + 1)[:, 0].astype(np.int8)
 
 
 def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Score of y minus the best score among all other label vectors.
 
     Positive exactly when y is the unique MAP labeling; uses full enumeration
-    with the scores of ``decode_rows``, so it is a desk-scale diagnostic
-    (m <= ``ENUMERATION_LIMIT``).
+    with the scores of ``map_bruteforce``, so it is a desk-scale diagnostic
+    (m <= ``BRUTEFORCE_LIMIT``).
     """
     m = params.num_labels
-    configs = _configs(m)
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y).reshape(-1)
     _check_dims(params, x, y)
     if not np.all((y == 1) | (y == -1)):
         raise DataError("labels must be exactly -1 or +1")
-    scores = _scores((params.beta @ x)[None, :], configs, _pair_scores(params, configs))[0]
-    # y is the column whose bits, most significant first, mark its -1 labels
+    scores = _bruteforce_scores(params, x)
+    # y is the vector whose bits, most significant first, mark its -1 labels
     y_index = int(np.dot(y == -1, 1 << np.arange(m - 1, -1, -1)))
     own_score = float(scores[y_index])
     scores[y_index] = -np.inf

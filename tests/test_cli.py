@@ -267,6 +267,22 @@ class TestPredictAndEval:
         labels = [int(v) for v in out.read_text().split(",")]
         assert sum(labels[i] != labels[(i + 1) % m] for i in range(m)) == m - 1
 
+    def test_small_forests_report_message_passing(self, tmp_path, capsys):
+        from corrlog.model import ModelParams
+        from corrlog.objective import RegularizationConfig
+        from corrlog.serialize import save_model
+
+        # a 5-label chain: max-product decodes it and converges
+        params = ModelParams(np.full((5, 1), 0.1), {(i, i + 1): -2.0 for i in range(4)}, 5, 1)
+        model = tmp_path / "chain.json"
+        model.write_text(save_model(params, RegularizationConfig()))
+        data = tmp_path / "chain.csv"
+        data.write_text("f1|" + ",".join(f"l{i + 1}" for i in range(5)) + "\n1.0" + ",1" * 5 + "\n")
+        out = tmp_path / "p.txt"
+        assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
+        assert "message passing converged on every instance" in capsys.readouterr().out
+        assert out.read_text().strip() == "1,-1,1,-1,1"
+
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_sparse_file_scores_like_its_dense_twin(self, toy_files, tmp_path, command):
         train, test = toy_files

@@ -9,9 +9,11 @@ from corrlog import inference
 from corrlog.data import sample_from_model
 from corrlog.errors import DataError
 from corrlog.inference import (
+    BRUTEFORCE_LIMIT,
     ENUMERATION_LIMIT,
     BeliefState,
     decode_rows,
+    enumerates,
     map_bruteforce,
     margin,
     margin_loss,
@@ -239,7 +241,7 @@ def frustrated_cycle(m: int) -> ModelParams:
 
 
 class TestExactDecode:
-    """decode_rows enumerates every model with m <= ENUMERATION_LIMIT."""
+    """decode_rows enumerates every loopy model with m <= ENUMERATION_LIMIT."""
 
     def test_equals_map_bruteforce_row_by_row(self):
         rng = np.random.default_rng(60)
@@ -300,17 +302,62 @@ class TestExactDecode:
         assert labels.tobytes() == np.array([lab for lab, _ in want]).tobytes()
         assert converged.tolist() == [state.converged for _, state in want] == [False] * 3
 
-    def test_seventeen_labels_refused_with_one_message(self):
-        m = ENUMERATION_LIMIT + 1
-        params = ModelParams.zeros(m, 1)
-        message = "exact enumeration over 2^17 label vectors is refused (limit m <= 16)"
-        calls = (lambda: map_bruteforce(params, np.zeros(1)),
-                 lambda: margin(params, np.zeros(1), np.ones(m, dtype=np.int8)),
-                 lambda: sample_from_model(params, n=1, seed=0))
-        for call in calls:
+    def test_only_loopy_models_up_to_the_limit_are_enumerated(self):
+        rng = np.random.default_rng(63)
+        for kind in ("chain", "star", "random"):
+            assert not enumerates(tree_model(rng, ENUMERATION_LIMIT, kind, drop_prob=0.3))
+        assert not enumerates(ModelParams.zeros(ENUMERATION_LIMIT, 1))
+        chain = tree_model(rng, 6, "chain")
+        assert not enumerates(chain)
+        alpha = chain.alpha.copy()
+        alpha[0, 5] = alpha[5, 0] = 0.5  # closes the chain into a cycle
+        assert enumerates(ModelParams(chain.beta, alpha, 6, 2))
+        assert enumerates(frustrated_cycle(3))
+        assert not enumerates(frustrated_cycle(ENUMERATION_LIMIT + 1))
+
+    def test_forests_up_to_the_limit_converge(self):
+        rng = np.random.default_rng(64)
+        for kind in ("chain", "star", "random"):
+            params = tree_model(rng, ENUMERATION_LIMIT, kind)
+            assert decode_rows(params, rng.normal(size=(20, 2)))[1].all()
+
+    def test_limits_refuse_with_one_message(self):
+        def refused(m, limit):
+            return f"exact enumeration over 2^{m} label vectors is refused (limit m <= {limit})"
+
+        m, big = ENUMERATION_LIMIT + 1, BRUTEFORCE_LIMIT + 1
+        calls = ((lambda: sample_from_model(ModelParams.zeros(m, 1), n=1, seed=0),
+                  refused(17, 16)),
+                 (lambda: map_bruteforce(ModelParams.zeros(big, 1), np.zeros(1)),
+                  refused(21, 20)),
+                 (lambda: margin(ModelParams.zeros(big, 1), np.zeros(1), np.ones(big)),
+                  refused(21, 20)))
+        for call, message in calls:
             with pytest.raises(DataError) as err:
                 call()
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("first_label", [1, -1])
+    def test_bruteforce_above_the_decode_limit_scores_every_block(self, first_label):
+        # m=17 spans two blocks of 2^16 vectors; the first label picks the block of the MAP
+        m = ENUMERATION_LIMIT + 1
+        rng = np.random.default_rng(65 + first_label)
+        params = random_params(rng, m, 2, alpha_scale=0.5, density=0.5)
+        params.beta[0] = [5.0 * first_label * m, 0.0]
+        x = np.array([1.0, 0.3])
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+        configs = 1.0 - 2.0 * bits
+        table = configs @ (params.beta @ x) + 0.5 * np.einsum(
+            "ci,ij,cj->c", configs, params.alpha, configs)
+        order = np.argsort(-table)
+        y_map = map_bruteforce(params, x)
+        assert y_map.tolist() == configs[order[0]].tolist()
+        assert y_map[0] == first_label
+        assert margin(params, x, y_map) == pytest.approx(table[order[0]] - table[order[1]],
+                                                         abs=1e-9)
+        runner_up = configs[order[1]].astype(np.int8)
+        assert margin(params, x, runner_up) == pytest.approx(table[order[1]] - table[order[0]],
+                                                             abs=1e-9)
 
 
 class TestSingleVectorContract:
