@@ -29,7 +29,7 @@ from .evaluation import (
     predict_dataset,
     stability_experiment,
 )
-from .inference import ENUMERATION_LIMIT, MAX_ITERS, enumerates
+from .inference import ENUMERATION_LIMIT, MAX_ITERS, elimination_width
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, compute_metrics
 from .objective import RegularizationConfig
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
@@ -92,14 +92,10 @@ def _load_data(args: argparse.Namespace, feature_scale: float | None = None,
     return load_dataset(args.data, spec, feature_scale=feature_scale)
 
 
-def _prepare_like_training(dataset, normalize: bool, add_bias: bool,
-                           feature_scale: float | None):
-    if normalize:
-        scale = feature_scale if feature_scale is not None else compute_feature_scale(dataset)
-        if scale > 0:
-            dataset = scale_features(dataset, scale)
-    else:
-        scale = None
+def _prepare_like_training(dataset, normalize: bool, add_bias: bool):
+    scale = compute_feature_scale(dataset) if normalize else None
+    if normalize and scale > 0:
+        dataset = scale_features(dataset, scale)
     if add_bias:
         dataset = add_bias_column(dataset)
     return dataset, scale
@@ -108,7 +104,7 @@ def _prepare_like_training(dataset, normalize: bool, add_bias: bool,
 def cmd_train(args: argparse.Namespace) -> int:
     _echo_config(args)
     dataset, scale = _prepare_like_training(
-        _load_data(args), args.normalize == "global-max-norm", args.add_bias, None
+        _load_data(args), args.normalize == "global-max-norm", args.add_bias
     )
     config = _train_config(args)
     records = []
@@ -165,7 +161,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         more = " ..." if len(flagged) > SHOWN_NONCONVERGED else ""
         print(f"message passing did not converge on instances: {shown}{more} "
               f"({len(flagged)} of {len(preds)} rows)")
-    elif enumerates(doc.params):
+    elif elimination_width(doc.params) < ENUMERATION_LIMIT:
         print("every instance was decoded exactly")
     else:
         print("message passing converged on every instance")
@@ -192,7 +188,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     _echo_config(args)
     dataset, _ = _prepare_like_training(
-        _load_data(args), args.normalize == "global-max-norm", args.add_bias, None
+        _load_data(args), args.normalize == "global-max-norm", args.add_bias
     )
     config = _train_config(args)
     result = cross_validate(dataset, args.folds, args.trainer, config, args.seed)
@@ -263,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pairwise-correlated logistic multilabel classifier",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bp_iters_help = "message-passing round cap, used only by models too wide to decode exactly"
 
     def add_command(name, help_text):
         return sub.add_parser(
@@ -287,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data")
     _add_format_flags(p)
-    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=f"message-passing round "
-                   f"cap; unused by loopy models of up to {ENUMERATION_LIMIT} labels, decoded exactly")
+    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=bp_iters_help)
     p.add_argument("--out", required=True, help="predictions output file")
     p.set_defaults(func=cmd_predict)
 
@@ -296,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("data")
     _add_format_flags(p)
-    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=f"message-passing round "
-                   f"cap; unused by loopy models of up to {ENUMERATION_LIMIT} labels, decoded exactly")
+    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=bp_iters_help)
     p.add_argument("--json-out", default=None, help="also write metrics as JSON")
     p.set_defaults(func=cmd_eval)
 

@@ -1,25 +1,24 @@
-"""Joint MAP label prediction: exact enumeration or loopy max-product.
+"""Joint MAP label prediction: exact max-sum elimination or loopy max-product.
 
 The prediction problem  argmax_y  sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j
 is a MAP query on a pairwise graphical model whose nodes are labels and whose
-edges are the nonzero pairwise weights.  ``decode_rows`` decodes a loopy graph
-with m <= ``ENUMERATION_LIMIT`` exactly: it scores all 2^m label vectors for a
-chunk of rows at once, each row adding ``unary_i * y_i`` label by label to pair
-scores computed once per call, and ties go to the lexicographically first
-optimum with +1 before -1.  ``map_bruteforce`` and ``margin`` score one row the
-same way, 2^16 vectors at a time, up to ``BRUTEFORCE_LIMIT`` labels.
+edges are the nonzero pairwise weights.  When the model's ``elimination_width``
+is below ``ENUMERATION_LIMIT``, ``decode_rows`` runs max-sum variable elimination
+on a chunk of rows at once: labels are eliminated from last to first into tables
+of at most 2^16 entries a row, then read back from first to last with ties to
++1, so each row gets the lexicographically first optimum (+1 before -1), as
+``map_bruteforce`` does; it and ``margin`` score all 2^m label vectors of one
+row, 2^16 at a time, up to ``BRUTEFORCE_LIMIT`` labels.
 
-Every other model decodes by max-product: exact on a forest unless a row's
-optimum is tied, a heuristic on loopy graphs.  Messages live in the log domain,
-are updated synchronously (flooding), and are renormalized every round by
-subtracting their maximum.  One kernel decodes a batch: each round updates the
-2-vector messages of every row and directed edge with a few numpy operations,
-and a row is frozen at the round where its own largest message change drops
-below 1e-9; ``max_iters`` (the CLI's ``--bp-iters``) caps the rounds.  Sums on
-both paths are taken in a fixed order, so a row's labels, beliefs and
-convergence flag do not depend on its batch; ties resolve to +1.
-``predict_map_bp`` runs max-product on one vector and also returns its
-messages and beliefs.
+Wider models decode by max-product, a heuristic on them.  Messages live in the
+log domain, are updated synchronously (flooding), and are renormalized every
+round by subtracting their maximum.  One kernel decodes a batch: each round
+updates the 2-vector messages of every row and directed edge with a few numpy
+operations, and a row is frozen at the round where its own largest message
+change drops below 1e-9; ``max_iters`` (the CLI's ``--bp-iters``) caps the
+rounds.  Sums on both paths are taken in a fixed order, so a row's labels,
+beliefs and convergence flag do not depend on its batch.  ``predict_map_bp``
+runs max-product on one vector and also returns its messages and beliefs.
 """
 
 from __future__ import annotations
@@ -31,14 +30,14 @@ import numpy as np
 from .errors import DataError
 from .model import ModelParams, _check_dims
 
-ENUMERATION_LIMIT = 16  # largest label count decoded and sampled by enumerating 2^m vectors
+ENUMERATION_LIMIT = 16  # exact decoding needs a smaller width; sampling enumerates 2^16
 BRUTEFORCE_LIMIT = 20  # largest label count map_bruteforce and margin enumerate
 _BLOCK = 1 << 16  # label vectors they score at a time
 
 MAX_ITERS = 50  # message-passing rounds before a row is reported non-converged
 _TOLERANCE = 1e-9  # a row converges when no message moves by this much in a round
-# Floats per working array when decoding rows (8 MiB); the rows per chunk
-# follow from the model's config or directed-edge count and feature count.
+# Floats per working array when decoding rows (8 MiB); the rows per chunk follow
+# from the feature count and the model's largest elimination table or edge count.
 DECODE_CHUNK_FLOATS = 1 << 20
 
 # index 0 holds the value for state +1, index 1 for state -1
@@ -167,15 +166,57 @@ def _labels(beliefs: np.ndarray) -> np.ndarray:
     return np.where(beliefs[..., 0] >= beliefs[..., 1], 1, -1).astype(np.int8)
 
 
+def _scopes(params: ModelParams) -> list[np.ndarray]:
+    """Each label's lower neighbours (ascending) once the labels above it are eliminated."""
+    linked = params.alpha != 0
+    scopes = []
+    for v in range(params.num_labels - 1, -1, -1):
+        scopes.append(np.flatnonzero(linked[v, :v]))
+        linked[scopes[-1][:, None], scopes[-1]] = True  # eliminating v links its neighbours
+    return scopes[::-1]
+
+
+def elimination_width(params: ModelParams) -> int:
+    """The most lower neighbours a label has as labels are eliminated from last to first:
+    0 without pairs, 1 on chains and on forests whose parents precede their children."""
+    return max(map(len, _scopes(params)), default=0)
+
+
+def _eliminate(unary: np.ndarray, alpha: np.ndarray, scopes: list[np.ndarray]) -> np.ndarray:
+    """Exact MAP labels of rows of unaries (n x m) by max-sum elimination, ties to +1."""
+    n, m = unary.shape
+    incoming = [[] for _ in range(m)]  # (scope, max table) sent to the bucket of each label
+    plus = [None] * m  # whether +1 is best for v at each state of its scope
+    for v, scope in reversed(list(enumerate(scopes))):
+        # sum_j alpha_jv y_j by doubling: each label's axis above the last, its +1 half first
+        pair = np.zeros(1)
+        for j in scope:
+            pair = np.concatenate([pair + alpha[j, v], pair - alpha[j, v]])
+        bucket = np.empty((2, pair.size, n))  # v's state, its scope's, then the row
+        np.add(pair[:, None], unary[:, v], out=bucket[0])
+        np.negative(bucket[0], out=bucket[1])
+        axes, full = bucket.reshape(*[2] * (scope.size + 1), n), [v, *scope[::-1]]
+        for sent, table in incoming[v]:
+            axes += table.reshape(*[2 if k in sent else 1 for k in full], n)
+        plus[v] = bucket[0] >= bucket[1]
+        if scope.size:
+            incoming[scope[-1]].append((set(scope), np.maximum(bucket[0], bucket[1])))
+    minus, rows = np.zeros((m, n), dtype=bool), np.arange(n)  # one row per label
+    for v, scope in enumerate(scopes):
+        state = (1 << np.arange(scope.size)) @ minus[scope] if scope.size else 0
+        minus[v] = ~plus[v].take(state * n + rows)
+    return (1 - 2 * minus.view(np.int8)).T
+
+
 def decode_rows(params: ModelParams, X: np.ndarray,
                 max_iters: int = MAX_ITERS) -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
 
-    When ``enumerates(params)``, row r gets the exact MAP of
-    ``map_bruteforce(params, X[r])`` bit for bit and counts as converged.
-    Otherwise row r gets the labels and convergence flag that
-    ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded in
-    chunks whose score, message and feature arrays each stay within
+    When ``elimination_width(params) < ENUMERATION_LIMIT``, row r gets its
+    lexicographically first MAP and counts as converged: ``map_bruteforce(params,
+    X[r])``, unless two optima differ only by rounding.  Otherwise it gets the labels
+    and flag that ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded
+    in chunks whose table, message and feature arrays each stay within
     ``DECODE_CHUNK_FLOATS`` floats, so memory stays bounded at any n.
     """
     X = np.asarray(X, dtype=float)
@@ -185,21 +226,21 @@ def decode_rows(params: ModelParams, X: np.ndarray,
         )
     if max_iters < 1:
         raise DataError("max_iters must be positive")
-    if enumerates(params):
-        configs = _configs(params.num_labels)
-        pair, width = _pair_scores(params, configs), configs.shape[1]
+    scopes = _scopes(params)
+    width = max(map(len, scopes), default=0)
+    if width < ENUMERATION_LIMIT:
+        floats = 2 << width  # a row's largest bucket table
 
         def decode(unary):
-            best = _scores(unary, configs, pair).argmax(axis=1)
-            return configs.T[best], True
+            return _eliminate(unary, params.alpha, scopes), True
     else:
         layout = _edge_layout(params)
-        width = 4 * layout.src.size  # a row's widest BP temporary: 4 floats per directed edge
+        floats = 4 * layout.src.size  # a row's widest BP temporary: 4 floats per directed edge
 
         def decode(unary):
             _, beliefs, done, _ = _max_product(unary, layout, max_iters)
             return _labels(beliefs), done
-    rows = max(1, DECODE_CHUNK_FLOATS // max(width, X.shape[1], 1))
+    rows = max(1, DECODE_CHUNK_FLOATS // max(floats, X.shape[1], 1))
     labels = np.empty((X.shape[0], params.num_labels), dtype=np.int8)
     converged = np.empty(X.shape[0], dtype=bool)
     for start in range(0, X.shape[0], rows):
@@ -235,17 +276,6 @@ def predict_map_bp(params: ModelParams, x: np.ndarray,
     return _labels(beliefs[0]), state
 
 
-def enumerates(params: ModelParams) -> bool:
-    """Whether ``decode_rows`` enumerates: m <= ``ENUMERATION_LIMIT`` and the label graph
-    has a cycle.  On a forest max-product is exact unless a row's optimum is tied,
-    and it converges within m rounds at a small fraction of enumeration's cost."""
-    if params.num_labels > ENUMERATION_LIMIT:
-        return False
-    linked = (params.alpha != 0).astype(float)
-    # a forest has as many edges as its Laplacian has rank (m minus its components)
-    return params.nnz_alpha() > np.linalg.matrix_rank(np.diag(linked.sum(axis=1)) - linked)
-
-
 def _guard_enumeration(m: int, limit: int) -> None:
     if m > limit:
         raise DataError(f"exact enumeration over 2^{m} label vectors is refused (limit m <= {limit})")
@@ -258,35 +288,25 @@ def _configs(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return (1 - 2 * bits).astype(float)
 
 
-def _pair_scores(params: ModelParams, configs: np.ndarray) -> np.ndarray:
-    """sum_{i<j} alpha_ij y_i y_j for every column y of configs."""
-    return ((np.triu(params.alpha, 1) @ configs) * configs).sum(axis=0)
-
-
-def _scores(unary: np.ndarray, configs: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Joint scores (rows x 2^m): the pair score plus unary_i * y_i, label by label."""
-    scores = np.empty((unary.shape[0], configs.shape[1]))
-    scores[:] = pair
-    for i, row in enumerate(configs):
-        scores += unary[:, i:i + 1] * row
-    return scores
-
-
 def _bruteforce_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Joint scores of all 2^m label vectors of x, their table built ``_BLOCK`` columns at a
-    time; with m <= 16 the one block is scored exactly as ``decode_rows`` scores it."""
+    """Joint scores of all 2^m label vectors of x, ``_BLOCK`` at a time: the pair score
+    sum_{i<j} alpha_ij y_i y_j, then unary_i * y_i added label by label."""
     m = params.num_labels
     _guard_enumeration(m, BRUTEFORCE_LIMIT)
-    unary = (params.beta @ x)[None, :]
-    blocks = (_configs(m, start, start + _BLOCK) for start in range(0, 1 << m, _BLOCK))
-    return np.concatenate([_scores(unary, c, _pair_scores(params, c))[0] for c in blocks])
+    unary, upper, blocks = params.beta @ x, np.triu(params.alpha, 1), []
+    for start in range(0, 1 << m, _BLOCK):
+        configs = _configs(m, start, start + _BLOCK)
+        blocks.append(((upper @ configs) * configs).sum(axis=0))
+        for u, row in zip(unary, configs):
+            blocks[-1] += u * row
+    return np.concatenate(blocks)
 
 
 def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Exact MAP by scoring all 2^m label vectors (m <= ``BRUTEFORCE_LIMIT``).
 
-    Ties go to the lexicographically first optimum with +1 ordered before -1;
-    a row that ``decode_rows`` enumerates gets the same labels bit for bit.
+    Ties go to the lexicographically first optimum with +1 ordered before -1,
+    as in every row that ``decode_rows`` decodes exactly.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     _check_dims(params, x)

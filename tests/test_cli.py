@@ -181,21 +181,20 @@ class TestSeparableRecovery:
         assert [tuple(p) for p in preds] == truth
 
 
-def _frustrated_cycle(tmp_path, m: int, rows: int):
-    """(model, data) files of an odd cycle of -2.0 couplings with tiny unaries.
+def _frustrated_cycle(tmp_path, m: int, rows: int, complete: bool = False):
+    """(model, data) files of an odd cycle of -2.0 couplings with tiny unaries, or of
+    -2.0 on every pair when ``complete``.
 
-    Message passing oscillates on it and hits its round cap on every row.
+    Message passing oscillates on either and hits its round cap on every row.
     """
     from corrlog.model import ModelParams
     from corrlog.objective import RegularizationConfig
     from corrlog.serialize import save_model
 
     rng = np.random.default_rng(0)
-    params = ModelParams(
-        rng.normal(size=(m, 1)) * 0.01,
-        {(i, i + 1): -2.0 for i in range(m - 1)} | {(0, m - 1): -2.0},
-        m, 1,
-    )
+    pairs = ([(i, j) for i in range(m) for j in range(i + 1, m)] if complete
+             else [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)])
+    params = ModelParams(rng.normal(size=(m, 1)) * 0.01, dict.fromkeys(pairs, -2.0), m, 1)
     model = tmp_path / "frustrated.json"
     model.write_text(save_model(params, RegularizationConfig()))
     data = tmp_path / "cycle.csv"
@@ -239,15 +238,15 @@ class TestPredictAndEval:
         assert 0.0 <= doc["zero_one_loss"] <= 1.0
 
     def test_nonconverged_instances_flagged(self, tmp_path, capsys):
-        # 17 labels are too many to enumerate, so message passing decodes
-        model, data = _frustrated_cycle(tmp_path, 17, rows=1)
+        # the complete 17-label graph is too wide to decode exactly, so message passing decodes
+        model, data = _frustrated_cycle(tmp_path, 17, rows=1, complete=True)
         out = tmp_path / "p.txt"
         assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "did not converge on instances: 0" in printed
 
     def test_nonconverged_listing_is_capped(self, tmp_path, capsys):
-        model, data = _frustrated_cycle(tmp_path, 17, rows=25)
+        model, data = _frustrated_cycle(tmp_path, 17, rows=25, complete=True)
         out = tmp_path / "p.txt"
         assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
         line = next(l for l in capsys.readouterr().out.splitlines() if "did not converge" in l)
@@ -267,12 +266,12 @@ class TestPredictAndEval:
         labels = [int(v) for v in out.read_text().split(",")]
         assert sum(labels[i] != labels[(i + 1) % m] for i in range(m)) == m - 1
 
-    def test_small_forests_report_message_passing(self, tmp_path, capsys):
+    def test_small_forests_report_exact_decoding(self, tmp_path, capsys):
         from corrlog.model import ModelParams
         from corrlog.objective import RegularizationConfig
         from corrlog.serialize import save_model
 
-        # a 5-label chain: max-product decodes it and converges
+        # a 5-label chain has elimination width 1
         params = ModelParams(np.full((5, 1), 0.1), {(i, i + 1): -2.0 for i in range(4)}, 5, 1)
         model = tmp_path / "chain.json"
         model.write_text(save_model(params, RegularizationConfig()))
@@ -280,8 +279,26 @@ class TestPredictAndEval:
         data.write_text("f1|" + ",".join(f"l{i + 1}" for i in range(5)) + "\n1.0" + ",1" * 5 + "\n")
         out = tmp_path / "p.txt"
         assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
-        assert "message passing converged on every instance" in capsys.readouterr().out
+        assert "every instance was decoded exactly" in capsys.readouterr().out
         assert out.read_text().strip() == "1,-1,1,-1,1"
+
+    def test_wide_models_report_message_passing(self, tmp_path, capsys):
+        from corrlog.model import ModelParams
+        from corrlog.objective import RegularizationConfig
+        from corrlog.serialize import save_model
+
+        # every pair of 17 labels weakly coupled: width 16, and max-product converges
+        pairs = {(i, j): 0.01 for i in range(17) for j in range(i + 1, 17)}
+        model = tmp_path / "wide.json"
+        model.write_text(save_model(ModelParams(np.ones((17, 1)), pairs, 17, 1),
+                                    RegularizationConfig()))
+        data = tmp_path / "wide.csv"
+        header = "f1|" + ",".join(f"l{i + 1}" for i in range(17))
+        data.write_text(header + "\n1.0" + ",1" * 17 + "\n")
+        out = tmp_path / "p.txt"
+        assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
+        assert "message passing converged on every instance" in capsys.readouterr().out
+        assert out.read_text().strip() == ",".join(["1"] * 17)
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_sparse_file_scores_like_its_dense_twin(self, toy_files, tmp_path, command):

@@ -13,7 +13,7 @@ from corrlog.inference import (
     ENUMERATION_LIMIT,
     BeliefState,
     decode_rows,
-    enumerates,
+    elimination_width,
     map_bruteforce,
     margin,
     margin_loss,
@@ -174,8 +174,8 @@ def assert_same_state(got: BeliefState, want: BeliefState) -> None:
 class TestReferenceDecoder:
     """The batched kernel against the per-instance dict decoder, bit for bit.
 
-    ``decode_rows`` enumerates models with m <= ENUMERATION_LIMIT exactly, so
-    the batch tests on such models lower the limit to 0 to run max-product.
+    ``decode_rows`` decodes models of elimination width below ENUMERATION_LIMIT
+    exactly, so the batch tests lower the limit to 0 to run max-product.
     """
 
     # the ids keep the names these cases had while damping was a second parameter
@@ -240,8 +240,21 @@ def frustrated_cycle(m: int) -> ModelParams:
     return ModelParams(rng.normal(size=(m, 1)) * 0.01, alpha, m, 1)
 
 
+def frustrated_complete(m: int) -> ModelParams:
+    """Every pair coupled by -2.0, with tiny unaries: elimination width m - 1."""
+    rng = np.random.default_rng(0)
+    alpha = {(i, j): -2.0 for i in range(m) for j in range(i + 1, m)}
+    return ModelParams(rng.normal(size=(m, 1)) * 0.01, alpha, m, 1)
+
+
+def integer_model(rng, m: int, edges) -> ModelParams:
+    """Small integer weights on the given pairs, so that many rows' optima tie."""
+    alpha = {(min(i, j), max(i, j)): float(rng.choice([-2, -1, 1, 2])) for i, j in edges}
+    return ModelParams(rng.integers(-1, 2, size=(m, 2)).astype(float), alpha, m, 2)
+
+
 class TestExactDecode:
-    """decode_rows enumerates every loopy model with m <= ENUMERATION_LIMIT."""
+    """decode_rows decodes every model of elimination width below ENUMERATION_LIMIT exactly."""
 
     def test_equals_map_bruteforce_row_by_row(self):
         rng = np.random.default_rng(60)
@@ -295,25 +308,85 @@ class TestExactDecode:
             assert labels.tobytes() == want.tobytes(), f"trial {trial}"
 
     def test_above_the_limit_rows_go_to_bp(self):
-        params = frustrated_cycle(ENUMERATION_LIMIT + 1)
+        # the complete 17-label graph has width 16
+        params = frustrated_complete(ENUMERATION_LIMIT + 1)
         X = np.ones((3, 1))
         labels, converged = decode_rows(params, X)
         want = [reference_predict_map_bp(params, x) for x in X]
         assert labels.tobytes() == np.array([lab for lab, _ in want]).tobytes()
         assert converged.tolist() == [state.converged for _, state in want] == [False] * 3
 
-    def test_only_loopy_models_up_to_the_limit_are_enumerated(self):
+    def test_elimination_width_by_graph_shape(self):
         rng = np.random.default_rng(63)
         for kind in ("chain", "star", "random"):
-            assert not enumerates(tree_model(rng, ENUMERATION_LIMIT, kind, drop_prob=0.3))
-        assert not enumerates(ModelParams.zeros(ENUMERATION_LIMIT, 1))
+            assert elimination_width(tree_model(rng, 20, kind, drop_prob=0.3)) <= 1
+        assert elimination_width(ModelParams.zeros(ENUMERATION_LIMIT + 4, 1)) == 0
+        labels, converged = decode_rows(ModelParams.zeros(0, 1), np.zeros((3, 1)))
+        assert labels.shape == (3, 0) and converged.all()
         chain = tree_model(rng, 6, "chain")
-        assert not enumerates(chain)
+        assert elimination_width(chain) == 1
         alpha = chain.alpha.copy()
         alpha[0, 5] = alpha[5, 0] = 0.5  # closes the chain into a cycle
-        assert enumerates(ModelParams(chain.beta, alpha, 6, 2))
-        assert enumerates(frustrated_cycle(3))
-        assert not enumerates(frustrated_cycle(ENUMERATION_LIMIT + 1))
+        assert elimination_width(ModelParams(chain.beta, alpha, 6, 2)) == 2
+        assert elimination_width(frustrated_cycle(ENUMERATION_LIMIT + 1)) == 2
+        # a star centred on the last label links all the others when that label goes first
+        alpha = np.zeros((5, 5))
+        alpha[:4, 4] = alpha[4, :4] = 1.0
+        assert elimination_width(ModelParams(np.zeros((5, 1)), alpha, 5, 1)) == 4
+        assert elimination_width(frustrated_complete(ENUMERATION_LIMIT)) == ENUMERATION_LIMIT - 1
+        assert elimination_width(frustrated_complete(ENUMERATION_LIMIT + 1)) == ENUMERATION_LIMIT
+
+    def test_width_below_the_limit_is_exact_at_any_label_count(self):
+        # labels 0..15 complete and label 16 hung on label 0: 17 labels, width 15
+        m = ENUMERATION_LIMIT + 1
+        rng = np.random.default_rng(66)
+        edges = [(i, j) for i in range(m - 1) for j in range(i + 1, m - 1)] + [(0, m - 1)]
+        params = integer_model(rng, m, edges)
+        assert elimination_width(params) == ENUMERATION_LIMIT - 1
+        X = rng.integers(-1, 2, size=(3, 2)).astype(float)
+        labels, converged = decode_rows(params, X)
+        assert converged.all()
+        for r, x in enumerate(X):
+            assert labels[r].tobytes() == map_bruteforce(params, x).tobytes(), r
+
+    def test_tied_forest_gets_the_lexicographically_first_optimum(self):
+        # max-product tie-breaks each label alone and reports (+1, +1), which scores -1
+        params = ModelParams(np.zeros((2, 1)), {(0, 1): -1.0}, 2, 1)
+        labels, converged = decode_rows(params, np.zeros((1, 1)))
+        assert labels.tolist() == [[1, -1]]
+        assert converged.all()
+
+    def test_tied_forests_equal_map_bruteforce(self):
+        rng = np.random.default_rng(67)
+        kinds = ("chain", "star", "random")
+        # every kind up to 16 labels, then one kind per label count: m = 20 costs 0.4 s a row
+        cases = [(m, kind) for m in range(2, 17) for kind in kinds]
+        cases += [(m, kinds[m % 3]) for m in range(17, BRUTEFORCE_LIMIT + 1)]
+        tied = 0
+        for trial, (m, kind) in enumerate(cases):
+            tree = tree_model(rng, m, kind, alpha_scale=1.5,
+                              drop_prob=0.25 if kind == "random" else 0.0)
+            params = ModelParams(np.round(tree.beta), np.round(tree.alpha), m, 2)
+            X = rng.integers(-1, 2, size=(12 if m <= 12 else 3 if m <= 16 else 1, 2)).astype(float)
+            labels, converged = decode_rows(params, X)
+            assert converged.all()
+            for r, x in enumerate(X):
+                assert labels[r].tobytes() == map_bruteforce(params, x).tobytes(), (trial, r)
+                tied += m <= 12 and margin(params, x, labels[r]) == 0.0
+        assert tied >= 200
+
+    def test_sparse_loopy_graphs_above_sixteen_labels_equal_map_bruteforce(self):
+        rng = np.random.default_rng(68)
+        for m in range(ENUMERATION_LIMIT + 1, BRUTEFORCE_LIMIT + 1):
+            density = (0.1, 0.15, 0.2, 0.15)[m % 4]
+            edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.uniform() < density]
+            params = integer_model(rng, m, edges)
+            assert params.nnz_alpha() >= m  # more pairs than a forest holds
+            assert 2 <= elimination_width(params) < ENUMERATION_LIMIT
+            X = rng.integers(-1, 2, size=(1, 2)).astype(float)
+            labels, converged = decode_rows(params, X)
+            assert converged.all()
+            assert labels[0].tobytes() == map_bruteforce(params, X[0]).tobytes(), m
 
     def test_forests_up_to_the_limit_converge(self):
         rng = np.random.default_rng(64)
