@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .data import (
     DatasetSpec,
     ToySpec,
@@ -29,7 +31,7 @@ from .evaluation import (
     predict_dataset,
     stability_experiment,
 )
-from .inference import ENUMERATION_LIMIT, MAX_ITERS, elimination_width
+from .inference import MAX_ITERS, decodes_exactly
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, compute_metrics
 from .objective import RegularizationConfig
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
@@ -79,9 +81,9 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _load_data(args: argparse.Namespace, feature_scale: float | None = None,
+def _load_data(args: argparse.Namespace, path: str, feature_scale: float | None = None,
                add_bias: bool = False):
-    """Load ``args.data``; a given ``feature_scale`` and ``add_bias`` prepare it as it loads."""
+    """Read ``path`` as ``args`` describe; a given ``feature_scale`` and ``add_bias`` prepare it."""
     spec = DatasetSpec(
         format=args.format,
         num_labels=args.num_labels,
@@ -89,7 +91,7 @@ def _load_data(args: argparse.Namespace, feature_scale: float | None = None,
         normalization="none" if feature_scale is None else "global-max-norm",
         add_bias=add_bias,
     )
-    return load_dataset(args.data, spec, feature_scale=feature_scale)
+    return load_dataset(path, spec, feature_scale=feature_scale)
 
 
 def _prepare_like_training(dataset, normalize: bool, add_bias: bool):
@@ -104,7 +106,7 @@ def _prepare_like_training(dataset, normalize: bool, add_bias: bool):
 def cmd_train(args: argparse.Namespace) -> int:
     _echo_config(args)
     dataset, scale = _prepare_like_training(
-        _load_data(args), args.normalize == "global-max-norm", args.add_bias
+        _load_data(args, args.data), args.normalize == "global-max-norm", args.add_bias
     )
     config = _train_config(args)
     records = []
@@ -136,7 +138,7 @@ def _load_model_and_data(args: argparse.Namespace):
     meta = doc.metadata
     # the training preparation is known before the data is read, so a sparse
     # file is written into one prepared array
-    dataset = _load_data(args, meta.get("feature_scale"), bool(meta.get("add_bias", False)))
+    dataset = _load_data(args, args.data, meta.get("feature_scale"), bool(meta.get("add_bias")))
     if dataset.num_features != doc.params.num_features:
         raise DataError(
             f"model expects {doc.params.num_features} features, data has {dataset.num_features}"
@@ -152,16 +154,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _echo_config(args)
     doc, dataset = _load_model_and_data(args)
     preds, flagged = predict_dataset(doc.params, dataset, args.bp_iters)
-    lines = [",".join(str(int(v)) for v in row) for row in preds]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"{len(lines)} predictions written to {args.out}")
+        np.savetxt(fh, preds, fmt="%d", delimiter=",")
+    print(f"{len(preds)} predictions written to {args.out}")
     if flagged:
         shown = " ".join(map(str, flagged[:SHOWN_NONCONVERGED]))
         more = " ..." if len(flagged) > SHOWN_NONCONVERGED else ""
         print(f"message passing did not converge on instances: {shown}{more} "
               f"({len(flagged)} of {len(preds)} rows)")
-    elif elimination_width(doc.params) < ENUMERATION_LIMIT:
+    elif decodes_exactly(doc.params):
         print("every instance was decoded exactly")
     else:
         print("message passing converged on every instance")
@@ -188,7 +189,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     _echo_config(args)
     dataset, _ = _prepare_like_training(
-        _load_data(args), args.normalize == "global-max-norm", args.add_bias
+        _load_data(args, args.data), args.normalize == "global-max-norm", args.add_bias
     )
     config = _train_config(args)
     result = cross_validate(dataset, args.folds, args.trainer, config, args.seed)
@@ -236,13 +237,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     _echo_config(args)
-    dataset = _load_data(args)
-    pool_spec = DatasetSpec(format=args.format, num_labels=args.num_labels,
-                            num_features=args.num_features)
-    pool = load_dataset(args.pool, pool_spec)
-    if args.add_bias:
-        dataset = add_bias_column(dataset)
-        pool = add_bias_column(pool)
+    dataset = _load_data(args, args.data, add_bias=args.add_bias)
+    pool = _load_data(args, args.pool, add_bias=args.add_bias)
     config = _train_config(args)
     report = stability_experiment(dataset, config, trials=args.trials,
                                   seed=args.seed, pool=pool)

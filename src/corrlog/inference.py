@@ -2,11 +2,12 @@
 
 The prediction problem  argmax_y  sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j
 is a MAP query on a pairwise graphical model whose nodes are labels and whose
-edges are the nonzero pairwise weights.  When the model's ``elimination_width``
-is below ``ENUMERATION_LIMIT``, ``decode_rows`` runs max-sum variable elimination
-on a chunk of rows at once: labels are eliminated from last to first into tables
-of at most 2^16 entries a row, then read back from first to last with ties to
-+1, so each row gets the lexicographically first optimum (+1 before -1), as
+edges are the nonzero pairwise weights.  ``decode_rows`` takes a chunk of rows'
+unaries <beta_i, x> in one stacked product that rounds each row as ``beta @ x``.
+When ``decodes_exactly`` (``elimination_width`` below ``ENUMERATION_LIMIT``), it
+runs max-sum variable elimination on the chunk: labels are eliminated from last
+to first into tables of at most 2^16 entries a row, then read back from first to
+last with ties to +1, so each row gets the lexicographically first optimum, as
 ``map_bruteforce`` does; it and ``margin`` score all 2^m label vectors of one
 row, 2^16 at a time, up to ``BRUTEFORCE_LIMIT`` labels.
 
@@ -36,8 +37,8 @@ _BLOCK = 1 << 16  # label vectors they score at a time
 
 MAX_ITERS = 50  # message-passing rounds before a row is reported non-converged
 _TOLERANCE = 1e-9  # a row converges when no message moves by this much in a round
-# Floats per working array when decoding rows (8 MiB); the rows per chunk follow
-# from the feature count and the model's largest elimination table or edge count.
+# Floats per working array when decoding rows (8 MiB); the rows per chunk follow from
+# the model's largest elimination table or edge count and its label count (the unaries).
 DECODE_CHUNK_FLOATS = 1 << 20
 
 # index 0 holds the value for state +1, index 1 for state -1
@@ -182,6 +183,11 @@ def elimination_width(params: ModelParams) -> int:
     return max(map(len, _scopes(params)), default=0)
 
 
+def decodes_exactly(params: ModelParams) -> bool:
+    """Whether ``decode_rows`` decodes exactly (else by max-product): width below the limit."""
+    return elimination_width(params) < ENUMERATION_LIMIT
+
+
 def _eliminate(unary: np.ndarray, alpha: np.ndarray, scopes: list[np.ndarray]) -> np.ndarray:
     """Exact MAP labels of rows of unaries (n x m) by max-sum elimination, ties to +1."""
     n, m = unary.shape
@@ -212,12 +218,12 @@ def decode_rows(params: ModelParams, X: np.ndarray,
                 max_iters: int = MAX_ITERS) -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
 
-    When ``elimination_width(params) < ENUMERATION_LIMIT``, row r gets its
-    lexicographically first MAP and counts as converged: ``map_bruteforce(params,
-    X[r])``, unless two optima differ only by rounding.  Otherwise it gets the labels
-    and flag that ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded
-    in chunks whose table, message and feature arrays each stay within
-    ``DECODE_CHUNK_FLOATS`` floats, so memory stays bounded at any n.
+    When ``decodes_exactly(params)``, row r gets its lexicographically first MAP and
+    counts as converged: ``map_bruteforce(params, X[r])``, unless two optima differ
+    only by rounding.  Otherwise it gets the labels and flag that
+    ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded in chunks
+    whose table, message and unary arrays each stay within ``DECODE_CHUNK_FLOATS``
+    floats, so memory stays bounded at any n; a chunk of X is a view, not a copy.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.num_features:
@@ -226,10 +232,9 @@ def decode_rows(params: ModelParams, X: np.ndarray,
         )
     if max_iters < 1:
         raise DataError("max_iters must be positive")
-    scopes = _scopes(params)
-    width = max(map(len, scopes), default=0)
-    if width < ENUMERATION_LIMIT:
-        floats = 2 << width  # a row's largest bucket table
+    if decodes_exactly(params):
+        scopes = _scopes(params)
+        floats = 2 << max(map(len, scopes), default=0)  # a row's largest bucket table
 
         def decode(unary):
             return _eliminate(unary, params.alpha, scopes), True
@@ -240,15 +245,13 @@ def decode_rows(params: ModelParams, X: np.ndarray,
         def decode(unary):
             _, beliefs, done, _ = _max_product(unary, layout, max_iters)
             return _labels(beliefs), done
-    rows = max(1, DECODE_CHUNK_FLOATS // max(floats, X.shape[1], 1))
+    rows = max(1, DECODE_CHUNK_FLOATS // max(floats, params.num_labels))
     labels = np.empty((X.shape[0], params.num_labels), dtype=np.int8)
     converged = np.empty(X.shape[0], dtype=bool)
     for start in range(0, X.shape[0], rows):
         chunk = X[start:start + rows]
-        # one product per row: a batched X @ beta.T rounds differently
-        unary = np.empty((len(chunk), params.num_labels))
-        for r, x in enumerate(chunk):
-            unary[r] = params.beta @ x
+        # (1 x D) @ (D x m) per row, the product beta @ x makes, so each row rounds alike
+        unary = np.matmul(chunk[:, None, :], params.beta.T)[:, 0]
         labels[start:start + len(chunk)], converged[start:start + len(chunk)] = decode(unary)
     return labels, converged
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from corrlog import inference
 from corrlog.cli import main
 from corrlog.data import DatasetSpec, load_dataset
 from corrlog.serialize import load_model
@@ -203,6 +204,21 @@ def _frustrated_cycle(tmp_path, m: int, rows: int, complete: bool = False):
     return model, data
 
 
+
+def _chain(tmp_path):
+    """(model, data) files of a 5-label chain of -2.0 couplings and one row; its MAP alternates."""
+    from corrlog.model import ModelParams
+    from corrlog.objective import RegularizationConfig
+    from corrlog.serialize import save_model
+
+    params = ModelParams(np.full((5, 1), 0.1), {(i, i + 1): -2.0 for i in range(4)}, 5, 1)
+    model = tmp_path / "chain.json"
+    model.write_text(save_model(params, RegularizationConfig()))
+    data = tmp_path / "chain.csv"
+    data.write_text("f1|" + ",".join(f"l{i + 1}" for i in range(5)) + "\n1.0" + ",1" * 5 + "\n")
+    return model, data
+
+
 class TestPredictAndEval:
     def test_predictions_deterministic_and_flagged(self, trained_model, toy_files, tmp_path, capsys):
         _, test = toy_files
@@ -267,19 +283,20 @@ class TestPredictAndEval:
         assert sum(labels[i] != labels[(i + 1) % m] for i in range(m)) == m - 1
 
     def test_small_forests_report_exact_decoding(self, tmp_path, capsys):
-        from corrlog.model import ModelParams
-        from corrlog.objective import RegularizationConfig
-        from corrlog.serialize import save_model
-
         # a 5-label chain has elimination width 1
-        params = ModelParams(np.full((5, 1), 0.1), {(i, i + 1): -2.0 for i in range(4)}, 5, 1)
-        model = tmp_path / "chain.json"
-        model.write_text(save_model(params, RegularizationConfig()))
-        data = tmp_path / "chain.csv"
-        data.write_text("f1|" + ",".join(f"l{i + 1}" for i in range(5)) + "\n1.0" + ",1" * 5 + "\n")
+        model, data = _chain(tmp_path)
         out = tmp_path / "p.txt"
         assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
         assert "every instance was decoded exactly" in capsys.readouterr().out
+        assert out.read_text().strip() == "1,-1,1,-1,1"
+
+    def test_message_line_follows_the_decoder_limit(self, tmp_path, capsys, monkeypatch):
+        # with no width below the limit, the chain is decoded by max-product
+        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
+        model, data = _chain(tmp_path)
+        out = tmp_path / "p.txt"
+        assert main(["predict", str(model), str(data), "--out", str(out)]) == 0
+        assert "message passing converged on every instance" in capsys.readouterr().out
         assert out.read_text().strip() == "1,-1,1,-1,1"
 
     def test_wide_models_report_message_passing(self, tmp_path, capsys):

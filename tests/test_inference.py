@@ -233,6 +233,47 @@ class TestReferenceDecoder:
             decode_rows(params, np.zeros((4, 2)))
 
 
+def spy_on_eliminate(monkeypatch) -> list[np.ndarray]:
+    """Record the unary array of every chunk that ``decode_rows`` decodes exactly."""
+    seen, eliminate = [], inference._eliminate
+
+    def spy(unary, alpha, scopes):
+        seen.append(unary.copy())
+        return eliminate(unary, alpha, scopes)
+
+    monkeypatch.setattr(inference, "_eliminate", spy)
+    return seen
+
+
+class TestChunkUnaries:
+    """Each chunk's unaries come from one stacked product within the chunk bound."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "row-strided", "reversed", "columns-reversed"])
+    def test_equal_per_row_products_bit_for_bit(self, monkeypatch, layout):
+        rng = np.random.default_rng(70)
+        params = random_params(rng, 13, 300, density=0.3)
+        base = rng.normal(size=(80, 300))
+        X = {"C": base[:40], "F": np.asfortranarray(base[:40]), "row-strided": base[::2],
+             "reversed": base[:40][::-1], "columns-reversed": base[:40, ::-1]}[layout]
+        seen = spy_on_eliminate(monkeypatch)
+        decode_rows(params, X)
+        assert len(seen) == 1  # one chunk, where a batched X @ beta.T would round differently
+        assert seen[0].tobytes() == np.array([params.beta @ x for x in X]).tobytes()
+
+    def test_chunks_bound_the_unary_array(self, monkeypatch):
+        # edge-free with 3 features: a row's table is 2 floats, its unaries 40
+        rng = np.random.default_rng(71)
+        params = ModelParams(rng.normal(size=(40, 3)), {}, 40, 3)
+        X = rng.normal(size=(50, 3))
+        whole, _ = decode_rows(params, X)
+        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 64)
+        seen = spy_on_eliminate(monkeypatch)
+        labels, converged = decode_rows(params, X)
+        assert max(unary.size for unary in seen) <= 64
+        assert sum(map(len, seen)) == 50
+        assert labels.tobytes() == whole.tobytes() and converged.all()
+
+
 def frustrated_cycle(m: int) -> ModelParams:
     """An odd cycle of strong negative couplings with tiny unaries; BP oscillates on it."""
     rng = np.random.default_rng(0)
