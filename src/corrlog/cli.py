@@ -1,9 +1,9 @@
 """Command-line entry points: train, predict, eval, cv, synth, graph, stability.
 
-Every subcommand echoes its resolved configuration, writes machine-readable
-twins (JSON) next to human-readable tables where applicable, and maps failures
-to distinct exit codes: 0 success, 2 usage error (argparse), 3 data/parse
-error, 4 numeric failure.
+``main`` echoes a subcommand's resolved configuration, runs it, and maps failures
+to distinct exit codes: 0 success, 2 usage error (argparse), 3 data/parse error,
+4 numeric failure.  Tables have JSON twins where applicable, and flag defaults
+and choices are read from the library objects the flags configure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import sys
 import numpy as np
 
 from .data import (
+    FORMATS,
+    NORMALIZATIONS,
     DatasetSpec,
     ToySpec,
     add_bias_column,
@@ -26,6 +28,7 @@ from .data import (
 )
 from .errors import DataError, ModelFormatError, NumericError, ParseError
 from .evaluation import (
+    TRAINERS,
     compare_cv,
     cross_validate,
     predict_dataset,
@@ -35,7 +38,7 @@ from .inference import MAX_ITERS, decodes_exactly
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, compute_metrics
 from .objective import RegularizationConfig
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
-from .serialize import export_label_graph, load_model, save_model
+from .serialize import EDGE_THRESHOLD, export_label_graph, load_model, save_model
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -43,14 +46,19 @@ EXIT_NUMERIC = 4
 SHOWN_NONCONVERGED = 20  # `predict` lists at most this many non-converged rows
 
 
-def _echo_config(args: argparse.Namespace) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print("config " + json.dumps(resolved, default=str))
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _read_model(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_model(fh.read())
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["dense-csv", "sparse-multilabel"],
-                        default="dense-csv", help="input dataset format")
+    parser.add_argument("--format", choices=FORMATS,
+                        default=DatasetSpec.format, help="input dataset format")
     parser.add_argument("--num-labels", type=int, default=None,
                         help="label count for sparse files (else inferred)")
     parser.add_argument("--num-features", type=int, default=None,
@@ -58,15 +66,16 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_reg_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda1", type=float, default=0.001,
+    config = TrainConfig()
+    parser.add_argument("--lambda1", type=float, default=config.reg.lambda1,
                         help="quadratic+l1 weight on per-label coefficients")
-    parser.add_argument("--lambda2", type=float, default=0.001,
+    parser.add_argument("--lambda2", type=float, default=config.reg.lambda2,
                         help="quadratic+l1 weight on pairwise weights")
-    parser.add_argument("--epsilon", type=float, default=1.0,
+    parser.add_argument("--epsilon", type=float, default=config.reg.epsilon,
                         help="l1 share of the elastic net (0 = pure quadratic)")
-    parser.add_argument("--max-iters", type=int, default=5000,
+    parser.add_argument("--max-iters", type=int, default=config.max_iters,
                         help="iteration cap for training")
-    parser.add_argument("--tol", type=float, default=1e-7,
+    parser.add_argument("--tol", type=float, default=config.rel_tol,
                         help="relative objective-change stopping tolerance")
     parser.add_argument("--no-accel", action="store_true",
                         help="disable momentum acceleration")
@@ -81,33 +90,54 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
+def _add_training_flags(parser: argparse.ArgumentParser, before: str) -> None:
+    """The format, preparation and regularization flags of train and cv."""
+    _add_format_flags(parser)
+    parser.add_argument("--normalize", choices=NORMALIZATIONS, default=DatasetSpec.normalization,
+                        help=f"feature normalization applied before {before}")
+    parser.add_argument("--add-bias", action="store_true",
+                        help="append a constant feature column after normalization")
+    _add_reg_flags(parser)
+
+
+def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
+    """The model, data, format and round-cap arguments of predict and eval."""
+    parser.add_argument("model")
+    parser.add_argument("data")
+    _add_format_flags(parser)
+    parser.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=(
+        "message-passing round cap, used only by models too wide to decode exactly"))
+
+
 def _load_data(args: argparse.Namespace, path: str, feature_scale: float | None = None,
-               add_bias: bool = False):
-    """Read ``path`` as ``args`` describe; a given ``feature_scale`` and ``add_bias`` prepare it."""
+               add_bias: bool = False, num_labels: int | None = None,
+               num_features: int | None = None):
+    """Read ``path`` as ``args`` describe; a given ``feature_scale`` and ``add_bias`` prepare it,
+    and ``num_labels`` and ``num_features`` are a sparse file's counts unless ``args`` give them."""
     spec = DatasetSpec(
         format=args.format,
-        num_labels=args.num_labels,
-        num_features=args.num_features,
+        num_labels=num_labels if args.num_labels is None else args.num_labels,
+        num_features=num_features if args.num_features is None else args.num_features,
         normalization="none" if feature_scale is None else "global-max-norm",
         add_bias=add_bias,
     )
     return load_dataset(path, spec, feature_scale=feature_scale)
 
 
-def _prepare_like_training(dataset, normalize: bool, add_bias: bool):
+def _prepare_like_training(args: argparse.Namespace):
+    """``args.data`` normalized and biased as ``args`` ask, and the feature scale used."""
+    dataset = _load_data(args, args.data)
+    normalize = args.normalize == "global-max-norm"
     scale = compute_feature_scale(dataset) if normalize else None
     if normalize and scale > 0:
         dataset = scale_features(dataset, scale)
-    if add_bias:
+    if args.add_bias:
         dataset = add_bias_column(dataset)
     return dataset, scale
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    _echo_config(args)
-    dataset, scale = _prepare_like_training(
-        _load_data(args, args.data), args.normalize == "global-max-norm", args.add_bias
-    )
+def cmd_train(args: argparse.Namespace) -> None:
+    dataset, scale = _prepare_like_training(args)
     config = _train_config(args)
     records = []
     if args.ilrs:
@@ -122,23 +152,21 @@ def cmd_train(args: argparse.Namespace) -> int:
         "add_bias": args.add_bias,
         "source_format": args.format,
     }
-    document = save_model(params, config.reg, metadata)
-    with open(args.model_out, "w", encoding="utf-8") as fh:
-        fh.write(document)
+    _write(args.model_out, save_model(params, config.reg, metadata))
     if final is not None:
         print(f"final objective {final.objective:.10g} after {final.iteration + 1} iterations")
     print(f"nnz(alpha) {params.nnz_alpha()}  nnz(beta) {params.nnz_beta()}")
     print(f"model written to {args.model_out}")
-    return EXIT_OK
 
 
 def _load_model_and_data(args: argparse.Namespace):
-    with open(args.model, "r", encoding="utf-8") as fh:
-        doc = load_model(fh.read())
-    meta = doc.metadata
+    doc = _read_model(args.model)
+    meta, add_bias = doc.metadata, bool(doc.metadata.get("add_bias"))
     # the training preparation is known before the data is read, so a sparse
-    # file is written into one prepared array
-    dataset = _load_data(args, args.data, meta.get("feature_scale"), bool(meta.get("add_bias")))
+    # file is written into one prepared array, as wide as the model before its
+    # bias column (a model of the bias column alone leaves the width to the file)
+    dataset = _load_data(args, args.data, meta.get("feature_scale"), add_bias,
+                         doc.params.num_labels, doc.params.num_features - add_bias or None)
     if dataset.num_features != doc.params.num_features:
         raise DataError(
             f"model expects {doc.params.num_features} features, data has {dataset.num_features}"
@@ -150,8 +178,7 @@ def _load_model_and_data(args: argparse.Namespace):
     return doc, dataset
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    _echo_config(args)
+def cmd_predict(args: argparse.Namespace) -> None:
     doc, dataset = _load_model_and_data(args)
     preds, flagged = predict_dataset(doc.params, dataset, args.bp_iters)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -166,11 +193,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print("every instance was decoded exactly")
     else:
         print("message passing converged on every instance")
-    return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    _echo_config(args)
+def cmd_eval(args: argparse.Namespace) -> None:
     doc, dataset = _load_model_and_data(args)
     preds, flagged = predict_dataset(doc.params, dataset, args.bp_iters)
     report = compute_metrics(dataset.labels, preds)
@@ -180,17 +205,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"non-converged instances: {len(flagged)}")
     if args.json_out:
         payload = report.as_dict() | {"n_eval": report.n_eval}
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return EXIT_OK
+        _write(args.json_out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_cv(args: argparse.Namespace) -> int:
-    _echo_config(args)
-    dataset, _ = _prepare_like_training(
-        _load_data(args, args.data), args.normalize == "global-max-norm", args.add_bias
-    )
+def cmd_cv(args: argparse.Namespace) -> None:
+    dataset, _ = _prepare_like_training(args)
     config = _train_config(args)
     result = cross_validate(dataset, args.folds, args.trainer, config, args.seed)
     if args.compare_ilrs and args.trainer != "ilrs":
@@ -199,44 +218,33 @@ def cmd_cv(args: argparse.Namespace) -> int:
         print(baseline.to_text())
     print(result.to_text())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json() + "\n")
-    return EXIT_OK
+        _write(args.json_out, result.to_json() + "\n")
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    _echo_config(args)
-    spec = ToySpec(n_train=args.n_train, n_test=args.n_test, seed=args.seed)
-    train, test = generate_toy(spec)
+def cmd_synth(args: argparse.Namespace) -> None:
+    train, test = generate_toy(ToySpec(n_train=args.n_train, n_test=args.n_test, seed=args.seed))
     write_dense_csv(train, args.train_out)
     write_dense_csv(test, args.test_out)
     print(f"wrote {len(train)} training rows to {args.train_out}")
     print(f"wrote {len(test)} test rows to {args.test_out}")
-    return EXIT_OK
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    _echo_config(args)
-    with open(args.model, "r", encoding="utf-8") as fh:
-        doc = load_model(fh.read())
+def cmd_graph(args: argparse.Namespace) -> None:
+    doc = _read_model(args.model)
     names = doc.metadata.get("label_names") or [
         f"label{i + 1}" for i in range(doc.params.num_labels)
     ]
     graph = export_label_graph(doc.params, names, threshold=args.threshold)
     print(f"{len(graph.nodes)} nodes, {len(graph.edges)} edges above |weight| > {args.threshold:g}")
     if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(graph.to_dot())
+        _write(args.dot_out, graph.to_dot())
     else:
         print(graph.to_dot(), end="")
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(graph.to_json())
-    return EXIT_OK
+        _write(args.json_out, graph.to_json())
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
-    _echo_config(args)
+def cmd_stability(args: argparse.Namespace) -> None:
     dataset = _load_data(args, args.data, add_bias=args.add_bias)
     pool = _load_data(args, args.pool, add_bias=args.add_bias)
     config = _train_config(args)
@@ -244,9 +252,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
                                   seed=args.seed, pool=pool)
     print(report.to_text())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-    return EXIT_OK
+        _write(args.json_out, report.to_json() + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pairwise-correlated logistic multilabel classifier",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    bp_iters_help = "message-passing round cap, used only by models too wide to decode exactly"
 
     def add_command(name, help_text):
         return sub.add_parser(
@@ -265,43 +270,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("train", "fit a model and write a model document")
     p.add_argument("data", help="training dataset file")
-    _add_format_flags(p)
-    p.add_argument("--normalize", choices=["none", "global-max-norm"], default="none",
-                   help="feature normalization applied before training")
-    p.add_argument("--add-bias", action="store_true",
-                   help="append a constant feature column after normalization")
-    _add_reg_flags(p)
+    _add_training_flags(p, "training")
     p.add_argument("--ilrs", action="store_true",
                    help="train independent logistic regressions (no pairwise weights)")
     p.add_argument("--model-out", required=True, help="model document output path")
     p.set_defaults(func=cmd_train)
 
     p = add_command("predict", "decode labels for every instance")
-    p.add_argument("model")
-    p.add_argument("data")
-    _add_format_flags(p)
-    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=bp_iters_help)
+    _add_scoring_args(p)
     p.add_argument("--out", required=True, help="predictions output file")
     p.set_defaults(func=cmd_predict)
 
     p = add_command("eval", "score a model on labeled data")
-    p.add_argument("model")
-    p.add_argument("data")
-    _add_format_flags(p)
-    p.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=bp_iters_help)
+    _add_scoring_args(p)
     p.add_argument("--json-out", default=None, help="also write metrics as JSON")
     p.set_defaults(func=cmd_eval)
 
     p = add_command("cv", "k-fold cross-validation")
     p.add_argument("data")
-    _add_format_flags(p)
-    p.add_argument("--normalize", choices=["none", "global-max-norm"], default="none",
-                   help="feature normalization applied before folding")
-    p.add_argument("--add-bias", action="store_true",
-                   help="append a constant feature column after normalization")
-    _add_reg_flags(p)
+    _add_training_flags(p, "folding")
     p.add_argument("--folds", type=int, default=5, help="number of folds")
-    p.add_argument("--trainer", choices=["corrlog", "ilrs"], default="corrlog",
+    p.add_argument("--trainer", choices=TRAINERS, default=TRAINERS[0],
                    help="which model to cross-validate")
     p.add_argument("--compare-ilrs", action="store_true",
                    help="also run the independent baseline and attach paired t-tests")
@@ -309,17 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", default=None, help="also write the table as JSON")
     p.set_defaults(func=cmd_cv)
 
+    toy = ToySpec()
     p = add_command("synth", "generate the correlated two-label toy data")
-    p.add_argument("--n-train", type=int, default=500, help="training rows")
-    p.add_argument("--n-test", type=int, default=500, help="test rows")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--n-train", type=int, default=toy.n_train, help="training rows")
+    p.add_argument("--n-test", type=int, default=toy.n_test, help="test rows")
+    p.add_argument("--seed", type=int, default=toy.seed, help="generator seed")
     p.add_argument("--train-out", default="toy_train.csv", help="training CSV path")
     p.add_argument("--test-out", default="toy_test.csv", help="test CSV path")
     p.set_defaults(func=cmd_synth)
 
     p = add_command("graph", "export the label-interaction graph")
     p.add_argument("model")
-    p.add_argument("--threshold", type=float, default=1e-8,
+    p.add_argument("--threshold", type=float, default=EDGE_THRESHOLD,
                    help="drop edges with |weight| at or below this")
     p.add_argument("--dot-out", default=None, help="write DOT here instead of stdout")
     p.add_argument("--json-out", default=None, help="also write the graph as JSON")
@@ -344,16 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: echo its resolved configuration, then map its outcome to an exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        print("config " + json.dumps({k: v for k, v in sorted(vars(args).items()) if k != "func"},
+                                     default=str))
+        args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ParseError, DataError, ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

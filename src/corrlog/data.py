@@ -37,6 +37,8 @@ from .errors import DataError, ParseError
 from .inference import ENUMERATION_LIMIT, _configs, _guard_enumeration
 from .model import ModelParams, MultilabelDataset
 
+FORMATS = ("dense-csv", "sparse-multilabel")
+NORMALIZATIONS = ("none", "global-max-norm")
 _LABEL_SYMBOLS = {"0": -1, "1": 1, "-1": -1, "+1": 1}
 _ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -52,9 +54,9 @@ class DatasetSpec:
     add_bias: bool = False
 
     def __post_init__(self):
-        if self.format not in ("dense-csv", "sparse-multilabel"):
+        if self.format not in FORMATS:
             raise DataError(f"unknown dataset format {self.format!r}")
-        if self.normalization not in ("none", "global-max-norm"):
+        if self.normalization not in NORMALIZATIONS:
             raise DataError(f"unknown normalization {self.normalization!r}")
         for field in ("num_labels", "num_features"):
             value = getattr(self, field)

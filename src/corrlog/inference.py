@@ -222,8 +222,8 @@ def decode_rows(params: ModelParams, X: np.ndarray,
     counts as converged: ``map_bruteforce(params, X[r])``, unless two optima differ
     only by rounding.  Otherwise it gets the labels and flag that
     ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded in chunks
-    whose table, message and unary arrays each stay within ``DECODE_CHUNK_FLOATS``
-    floats, so memory stays bounded at any n; a chunk of X is a view, not a copy.
+    whose working arrays each stay within ``DECODE_CHUNK_FLOATS`` floats, so memory
+    stays bounded at any n; a chunk of X is a view, not a copy.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.num_features:
@@ -240,7 +240,9 @@ def decode_rows(params: ModelParams, X: np.ndarray,
             return _eliminate(unary, params.alpha, scopes), True
     else:
         layout = _edge_layout(params)
-        floats = 4 * layout.src.size  # a row's widest BP temporary: 4 floats per directed edge
+        # a row's widest BP arrays: a round's temporary (4 floats per directed edge),
+        # node_terms and beliefs (2 per label)
+        floats = max(4 * layout.src.size, 2 * params.num_labels)
 
         def decode(unary):
             _, beliefs, done, _ = _max_product(unary, layout, max_iters)

@@ -15,15 +15,6 @@ import numpy as np
 
 from .errors import DataError
 
-METRIC_NAMES = (
-    "hamming_loss",
-    "zero_one_loss",
-    "accuracy",
-    "f1_example",
-    "macro_f1",
-    "micro_f1",
-)
-
 DISPLAY_NAMES = {
     "hamming_loss": "Hamming loss",
     "zero_one_loss": "0-1 loss",
@@ -32,6 +23,7 @@ DISPLAY_NAMES = {
     "macro_f1": "Macro-F1",
     "micro_f1": "Micro-F1",
 }
+METRIC_NAMES = tuple(DISPLAY_NAMES)  # in report order
 
 
 @dataclass(frozen=True)

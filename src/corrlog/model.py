@@ -27,12 +27,16 @@ from .errors import DataError
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = _slope(z, np.exp(-np.abs(z)))
     return out if out.ndim else float(out)
+
+
+def _slope(z: np.ndarray, exp_neg_abs: np.ndarray) -> np.ndarray:
+    """sigmoid(z) from exp(-|z|), which the trainer shares with its loss terms.
+
+    The numerator is 1 where z >= 0 (there exp(-|z|) <= 1) and exp(-|z|) elsewhere.
+    """
+    return np.maximum(exp_neg_abs, z >= 0) / (1.0 + exp_neg_abs)
 
 
 @dataclass(eq=False)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .model import ModelParams, MultilabelDataset
+from .model import ModelParams, MultilabelDataset, _slope
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,6 @@ def _mean_loss(neg_margins: np.ndarray, exp_neg_abs: np.ndarray | None = None) -
     # the formula np.logaddexp(0, z) evaluates, stable for any score magnitude
     per_row = (np.maximum(neg_margins, 0.0) + np.log1p(exp_neg_abs)).sum(axis=1)
     return float(per_row.sum() / per_row.size)  # the bits of per_row.mean(), in fewer calls
-
-
-def _slope(neg_margins: np.ndarray, exp_neg_abs: np.ndarray) -> np.ndarray:
-    """sigmoid(z) from exp(-|z|); the same exp inputs as model.sigmoid, so the same bits.
-
-    The numerator is 1 where z >= 0 (there exp(-|z|) <= 1) and exp(-|z|) elsewhere.
-    """
-    return np.maximum(exp_neg_abs, neg_margins >= 0) / (1.0 + exp_neg_abs)
 
 
 def add_quadratic_penalty(value: float, theta: np.ndarray, problem: Problem) -> float:

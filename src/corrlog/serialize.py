@@ -21,6 +21,7 @@ from .objective import RegularizationConfig
 
 MAGIC = "corrlog-model"
 FORMAT_VERSION = 1
+EDGE_THRESHOLD = 1e-8  # a label-graph edge needs |weight| above this
 
 
 @dataclass
@@ -66,12 +67,12 @@ def load_model(document: str) -> ModelDocument:
             f"unsupported model format version {doc.get('version')!r}, expected {FORMAT_VERSION}"
         )
     try:
-        m = int(doc["num_labels"])
-        d = int(doc["num_features"])
+        m = _integer(doc["num_labels"], "num_labels")
+        d = _integer(doc["num_features"], "num_features")
         beta_rows = doc["beta"]
         alpha_triples = doc["alpha"]
         reg_doc = doc["regularization"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ModelFormatError(f"model document is missing or corrupts a field: {exc}") from exc
     if len(beta_rows) != m or any(len(row) != d for row in beta_rows):
         raise ModelFormatError(
@@ -79,7 +80,8 @@ def load_model(document: str) -> ModelDocument:
         )
     try:
         beta = np.array([[float.fromhex(v) for v in row] for row in beta_rows])
-        alpha = {(int(i), int(j)): float.fromhex(v) for i, j, v in alpha_triples}
+        alpha = {(_integer(i, "a pair index"), _integer(j, "a pair index")): float.fromhex(v)
+                 for i, j, v in alpha_triples}
         reg = RegularizationConfig(
             lambda1=float(reg_doc["lambda1"]),
             lambda2=float(reg_doc["lambda2"]),
@@ -87,6 +89,8 @@ def load_model(document: str) -> ModelDocument:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model document holds malformed values: {exc}") from exc
+    if len(alpha) != len(alpha_triples):
+        raise ModelFormatError("alpha lists a pair more than once")
     try:
         params = ModelParams(beta=beta, alpha=alpha, num_labels=m, num_features=d)
     except DataError as exc:
@@ -96,6 +100,13 @@ def load_model(document: str) -> ModelDocument:
         metadata=_check_metadata(doc.get("metadata", {}), params.num_labels),
         version=FORMAT_VERSION,
     )
+
+
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, a bool or a string is refused."""
+    if type(value) is not int:
+        raise ModelFormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _check_metadata(metadata, num_labels: int) -> dict:
@@ -145,7 +156,7 @@ class LabelGraph:
 
 
 def export_label_graph(params: ModelParams, label_names,
-                       threshold: float = 1e-8) -> LabelGraph:
+                       threshold: float = EDGE_THRESHOLD) -> LabelGraph:
     """Graph of pairwise weights: nodes for all labels, edges where |weight| > threshold."""
     label_names = tuple(label_names)
     if len(label_names) != params.num_labels:

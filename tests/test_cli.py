@@ -1,12 +1,17 @@
+import argparse
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from corrlog import inference
-from corrlog.cli import main
-from corrlog.data import DatasetSpec, load_dataset
-from corrlog.serialize import load_model
+from corrlog.cli import build_parser, main
+from corrlog.data import FORMATS, NORMALIZATIONS, DatasetSpec, ToySpec, load_dataset
+from corrlog.evaluation import TRAINERS
+from corrlog.objective import RegularizationConfig
+from corrlog.optimizer import TrainConfig
+from corrlog.serialize import export_label_graph, load_model
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +159,28 @@ class TestTrain:
             assert exc.value.code == 0
             out = capsys.readouterr().out
             assert "default" in out
+
+    def test_parser_defaults_and_choices_are_the_library_ones(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {name: {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
+        config, reg, spec, toy = TrainConfig(), RegularizationConfig(), DatasetSpec(), ToySpec()
+        assert config.reg == reg
+        for name in ("train", "predict", "eval", "cv", "stability"):
+            assert options[name]["format"].choices == FORMATS
+            assert options[name]["format"].default == spec.format
+        for name in ("train", "cv", "stability"):
+            assert [options[name][k].default for k in ("lambda1", "lambda2", "epsilon")] == [
+                reg.lambda1, reg.lambda2, reg.epsilon]
+        for name in ("train", "cv"):
+            assert options[name]["normalize"].choices == NORMALIZATIONS
+            assert options[name]["normalize"].default == spec.normalization
+            assert options[name]["max_iters"].default == config.max_iters
+            assert options[name]["tol"].default == config.rel_tol
+        assert options["cv"]["trainer"].choices == TRAINERS
+        assert [options["synth"][k].default for k in ("n_train", "n_test", "seed")] == [
+            toy.n_train, toy.n_test, toy.seed]
+        threshold = inspect.signature(export_label_graph).parameters["threshold"].default
+        assert options["graph"]["threshold"].default == threshold
 
 
 class TestSeparableRecovery:
@@ -337,6 +364,40 @@ class TestPredictAndEval:
             assert main([command, str(model), str(data), *fmt, flag, str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("prepare", [[], ["--add-bias"], ["--normalize", "global-max-norm"]])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_sparse_counts_default_to_the_model(self, tmp_path, command, prepare):
+        # the eval file names neither the last feature nor the last label
+        train, data = tmp_path / "train.txt", tmp_path / "eval.txt"
+        train.write_text("1 1:0.5 3:0.2\n2 2:0.1 3:0.9\n1,2 1:0.3\n2 3:0.4\n")
+        data.write_text("1 1:0.5\n1 2:0.3\n")
+        model, fmt = tmp_path / "m.json", ["--format", "sparse-multilabel"]
+        assert main(["train", str(train), *fmt, *prepare, "--model-out", str(model)]) == 0
+        flag = "--out" if command == "predict" else "--json-out"
+        outputs = []
+        for counts in ([], ["--num-labels", "2", "--num-features", "3"]):
+            out = tmp_path / f"out{len(counts)}"
+            assert main([command, str(model), str(data), *fmt, *counts, flag, str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_explicit_sparse_counts_win_over_the_model(self, trained_model, tmp_path, capsys):
+        data = tmp_path / "eval.txt"
+        data.write_text("1 1:0.5\n2 2:0.3\n")
+        assert main(["eval", str(trained_model), str(data), "--format", "sparse-multilabel",
+                     "--num-features", "3"]) == 3
+        assert capsys.readouterr().err == "error: model expects 3 features, data has 4\n"
+
+    def test_pair_listed_twice_exits_3(self, trained_model, tmp_path, capsys):
+        doc = json.loads(trained_model.read_text())
+        doc["alpha"] = [[0, 1, "0x1p0"], [0, 1, "0x1p1"]]
+        model = tmp_path / "twice.model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "g.json"
+        assert main(["graph", str(model), "--json-out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: alpha lists a pair more than once\n"
+        assert not out.exists()
 
     def test_dimension_mismatch_exits_3(self, trained_model, tmp_path):
         other = tmp_path / "wide.csv"

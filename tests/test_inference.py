@@ -273,6 +273,29 @@ class TestChunkUnaries:
         assert sum(map(len, seen)) == 50
         assert labels.tobytes() == whole.tobytes() and converged.all()
 
+    @pytest.mark.parametrize("m", [17, 300, 544, 545, 600])
+    def test_max_product_chunks_bound_node_terms_and_beliefs(self, monkeypatch, m):
+        # a complete 17-label graph (width 16: max-product) plus isolated labels; a row
+        # takes 4 floats per directed edge (1,088) in a round, 2m in node_terms and beliefs
+        rng = np.random.default_rng(72)
+        alpha = {(i, j): 0.01 for i in range(17) for j in range(i + 1, 17)}
+        params = ModelParams(rng.normal(size=(m, 1)), alpha, m, 1)
+        X = rng.normal(size=(25, 1))
+        whole, whole_converged = decode_rows(params, X)
+        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 12_000)
+        shapes, max_product = [], inference._max_product
+
+        def spy(unary, layout, max_iters):
+            shapes.append(unary.shape)
+            return max_product(unary, layout, max_iters)
+
+        monkeypatch.setattr(inference, "_max_product", spy)
+        labels, converged = decode_rows(params, X)
+        assert all(rows * max(4 * 272, 2 * m) <= 12_000 for rows, _ in shapes)
+        assert sum(rows for rows, _ in shapes) == 25
+        assert labels.tobytes() == whole.tobytes()
+        assert np.array_equal(converged, whole_converged)
+
 
 def frustrated_cycle(m: int) -> ModelParams:
     """An odd cycle of strong negative couplings with tiny unaries; BP oscillates on it."""

@@ -70,6 +70,28 @@ class TestModelDocument:
         with pytest.raises(ModelFormatError, match="inconsistent"):
             load_model(json.dumps(doc))
 
+    def test_pair_listed_twice_is_a_format_error(self):
+        doc = json.loads(save_model(ModelParams.zeros(3, 1), RegularizationConfig()))
+        doc["alpha"] = [[0, 1, "0x1p0"], [0, 1, "0x1p1"]]
+        with pytest.raises(ModelFormatError, match="alpha lists a pair more than once"):
+            load_model(json.dumps(doc))
+
+    # each value truncates by int() to a count or index the document is consistent with
+    @pytest.mark.parametrize("shape,field,value", [
+        ((3, 1), "num_labels", 3.7),
+        ((1, 1), "num_labels", True),
+        ((2, 1), "num_labels", "2"),
+        ((1, 2), "num_features", 2.0),
+        ((3, 1), "alpha", [[0, 1.5, "0x1p0"]]),
+        ((3, 1), "alpha", [["0", 2, "0x1p0"]]),
+    ])
+    def test_count_or_index_that_is_not_a_json_integer_is_a_format_error(self, shape, field,
+                                                                         value):
+        doc = json.loads(save_model(ModelParams.zeros(*shape), RegularizationConfig()))
+        doc[field] = value
+        with pytest.raises(ModelFormatError, match="must be a JSON integer"):
+            load_model(json.dumps(doc))
+
     @pytest.mark.parametrize("metadata", [
         [],
         "notes",
