@@ -30,7 +30,7 @@ def run(args) -> None:
         train, test = generate_toy(ToySpec(n_train=args.n, n_test=args.n, seed=seed))
         train, test = add_bias_column(train), add_bias_column(test)
         corr, _ = train_corrlog(train, config)
-        ilrs = train_ilrs(train, config)
+        ilrs, _ = train_ilrs(train, config)
         y_true = test.labels
         corr_pred, _ = predict_dataset(corr, test)
         ilrs_pred, _ = predict_dataset(ilrs, test)

@@ -56,13 +56,13 @@ def _read_model(path: str):
         return load_model(fh.read())
 
 
-def _add_format_flags(parser: argparse.ArgumentParser) -> None:
+def _add_format_flags(parser: argparse.ArgumentParser, counts_from: str = "inferred") -> None:
     parser.add_argument("--format", choices=FORMATS,
                         default=DatasetSpec.format, help="input dataset format")
     parser.add_argument("--num-labels", type=int, default=None,
-                        help="label count for sparse files (else inferred)")
+                        help=f"label count for sparse files (else {counts_from})")
     parser.add_argument("--num-features", type=int, default=None,
-                        help="feature count for sparse files (else inferred)")
+                        help=f"feature count for sparse files (else {counts_from})")
 
 
 def _add_reg_flags(parser: argparse.ArgumentParser) -> None:
@@ -104,7 +104,7 @@ def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
     """The model, data, format and round-cap arguments of predict and eval."""
     parser.add_argument("model")
     parser.add_argument("data")
-    _add_format_flags(parser)
+    _add_format_flags(parser, "taken from the model")
     parser.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=(
         "message-passing round cap, used only by models too wide to decode exactly"))
 
@@ -139,12 +139,7 @@ def _prepare_like_training(args: argparse.Namespace):
 def cmd_train(args: argparse.Namespace) -> None:
     dataset, scale = _prepare_like_training(args)
     config = _train_config(args)
-    records = []
-    if args.ilrs:
-        params = train_ilrs(dataset, config, progress=records.append)
-    else:
-        params, _ = train_corrlog(dataset, config, progress=records.append)
-    final = records[-1] if records else None
+    params, trace = (train_ilrs if args.ilrs else train_corrlog)(dataset, config)
     metadata = {
         "trainer": "ilrs" if args.ilrs else "corrlog",
         "label_names": list(dataset.label_names),
@@ -153,7 +148,8 @@ def cmd_train(args: argparse.Namespace) -> None:
         "source_format": args.format,
     }
     _write(args.model_out, save_model(params, config.reg, metadata))
-    if final is not None:
+    if trace.records:
+        final = trace.records[-1]
         print(f"final objective {final.objective:.10g} after {final.iteration + 1} iterations")
     print(f"nnz(alpha) {params.nnz_alpha()}  nnz(beta) {params.nnz_beta()}")
     print(f"model written to {args.model_out}")

@@ -341,10 +341,13 @@ def load_dataset(path, spec: DatasetSpec, *, feature_scale: float | None = None)
     """Read a dataset file and apply the spec's normalization and bias handling.
 
     ``feature_scale`` overrides the normalization constant so a test set can
-    reuse the scale computed on its training set.
+    reuse the scale computed on its training set; with normalization "none"
+    it would be ignored, so it is refused.
     """
+    if feature_scale is not None and spec.normalization == "none":
+        raise DataError(f"feature scale {feature_scale!r} given with normalization 'none'")
     lines = _read_text(path)
-    scale = feature_scale if spec.normalization == "global-max-norm" else None
+    scale = feature_scale
     if spec.format == "sparse-multilabel" and (scale is not None or spec.normalization == "none"):
         # the scale is known before the matrix exists, so it is built prepared
         return _load_sparse(lines, spec, scale, spec.add_bias)

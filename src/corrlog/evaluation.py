@@ -191,10 +191,9 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 def _fit(trainer: str, train_set: MultilabelDataset, config: TrainConfig) -> ModelParams:
     if trainer == "corrlog":
-        params, _ = train_corrlog(train_set, config)
-        return params
+        return train_corrlog(train_set, config)[0]
     if trainer == "ilrs":
-        return train_ilrs(train_set, config)
+        return train_ilrs(train_set, config)[0]
     raise DataError(f"unknown trainer {trainer!r}; expected one of {TRAINERS}")
 
 

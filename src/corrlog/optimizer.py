@@ -26,7 +26,6 @@ Training is deterministic: identical inputs produce bit-identical models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -85,9 +84,6 @@ class TrainTrace:
         return len(self.records)
 
 
-ProgressSink = Callable[[TraceRecord], None]
-
-
 def soft_threshold(u: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     """Shrink toward zero by t, a scalar or one threshold per element; exact zero inside [-t, t]."""
     if (np.asarray(t) < 0).any():
@@ -127,8 +123,8 @@ def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
     return float(viol.max())
 
 
-def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
-           progress: ProgressSink | None) -> tuple[ModelParams, TrainTrace]:
+def _train(dataset: MultilabelDataset, config: TrainConfig,
+           fit_alpha: bool) -> tuple[ModelParams, TrainTrace]:
     check_finite_dataset(dataset)
     reg = config.reg
     if reg.lambda1 <= 0:
@@ -200,8 +196,6 @@ def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
         record = TraceRecord(iteration=k, objective=f_new, step_size=eta,
                              nnz_alpha=int(np.count_nonzero(theta)) - nnz_beta, nnz_beta=nnz_beta)
         trace.records.append(record)
-        if progress is not None:
-            progress(record)
 
         if abs(f_cur - f_new) < config.rel_tol * max(1.0, abs(f_cur)):
             trace.converged = True
@@ -211,14 +205,11 @@ def _train(dataset: MultilabelDataset, config: TrainConfig, fit_alpha: bool,
     return params_from_dense(theta, problem), trace
 
 
-def train_corrlog(dataset: MultilabelDataset, config: TrainConfig,
-                  progress: ProgressSink | None = None) -> tuple[ModelParams, TrainTrace]:
+def train_corrlog(dataset: MultilabelDataset, config: TrainConfig) -> tuple[ModelParams, TrainTrace]:
     """Fit the full pairwise model from the all-zeros initialization."""
-    return _train(dataset, config, fit_alpha=True, progress=progress)
+    return _train(dataset, config, fit_alpha=True)
 
 
-def train_ilrs(dataset: MultilabelDataset, config: TrainConfig,
-               progress: ProgressSink | None = None) -> ModelParams:
+def train_ilrs(dataset: MultilabelDataset, config: TrainConfig) -> tuple[ModelParams, TrainTrace]:
     """Fit independent logistic regressions: the pairwise weights stay frozen at zero."""
-    params, _ = _train(dataset, config, fit_alpha=False, progress=progress)
-    return params
+    return _train(dataset, config, fit_alpha=False)

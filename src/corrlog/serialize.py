@@ -74,6 +74,8 @@ def load_model(document: str) -> ModelDocument:
         reg_doc = doc["regularization"]
     except KeyError as exc:
         raise ModelFormatError(f"model document is missing or corrupts a field: {exc}") from exc
+    if not isinstance(beta_rows, list) or not all(isinstance(row, list) for row in beta_rows):
+        raise ModelFormatError("beta must be a list of lists, one row of hex floats per label")
     if len(beta_rows) != m or any(len(row) != d for row in beta_rows):
         raise ModelFormatError(
             f"beta has inconsistent shape for num_labels={m}, num_features={d}"
@@ -140,10 +142,10 @@ class LabelGraph:
     def to_dot(self) -> str:
         lines = ["graph label_correlations {"]
         for name in self.nodes:
-            lines.append(f'  "{name}";')
+            lines.append(f'  {_dot_id(name)};')
         for e in self.edges:
             lines.append(
-                f'  "{e["source"]}" -- "{e["target"]}" '
+                f'  {_dot_id(e["source"])} -- {_dot_id(e["target"])} '
                 f'[weight={e["weight"]:.6g}, sign="{e["sign"]}", label="{e["signed_weight"]:+.4g}"];'
             )
         lines.append("}")
@@ -153,6 +155,11 @@ class LabelGraph:
         return json.dumps(
             {"nodes": list(self.nodes), "edges": self.edges}, indent=2, sort_keys=True
         ) + "\n"
+
+
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT identifier, with its backslashes and double quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_label_graph(params: ModelParams, label_names,

@@ -53,11 +53,9 @@ def toy_sweep():
         train, test = add_bias_column(train), add_bias_column(test)
 
         corr, trace = train_corrlog(train, TOY_CONFIG)
-        ilrs_objectives = []
-        ilrs = train_ilrs(train, TOY_CONFIG,
-                          progress=lambda rec: ilrs_objectives.append(rec.objective))
+        ilrs, ilrs_trace = train_ilrs(train, TOY_CONFIG)
         results["objective_traces"].append(trace.objectives())
-        results["objective_traces"].append(np.array(ilrs_objectives))
+        results["objective_traces"].append(ilrs_trace.objectives())
 
         y_true = test.label_matrix.astype(int)
         corr_pred, _ = predict_dataset(corr, test)

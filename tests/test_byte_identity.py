@@ -94,14 +94,9 @@ def _train(case: str, trainer: str, accelerate: bool):
     ds = random_dataset(np.random.default_rng(seed), n, m, d)
     reg = RegularizationConfig(lam1, lam2, 1.0)
     config = TrainConfig(reg=reg, max_iters=max_iters, rel_tol=1e-9, accelerate=accelerate)
-    records = []
-    if trainer == "corrlog":
-        params, trace = train_corrlog(ds, config, progress=records.append)
-        assert trace.records == records
-        converged = trace.converged
-    else:
-        params, converged = train_ilrs(ds, config, progress=records.append), None
-    return params, reg, records, converged
+    params, trace = (train_corrlog if trainer == "corrlog" else train_ilrs)(ds, config)
+    converged = trace.converged if trainer == "corrlog" else None
+    return params, reg, trace.records, converged
 
 
 @pytest.mark.parametrize("case,trainer,accelerate", sorted(DIGESTS))

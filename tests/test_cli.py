@@ -145,7 +145,7 @@ class TestTrain:
 
         train, _ = toy_files
 
-        def boom(dataset, config, progress=None):
+        def boom(dataset, config):
             raise NumericError("instance 0 has non-finite feature values")
 
         monkeypatch.setattr(cli, "train_corrlog", boom)
@@ -159,6 +159,13 @@ class TestTrain:
             assert exc.value.code == 0
             out = capsys.readouterr().out
             assert "default" in out
+            if command in ("synth", "graph"):
+                continue
+            # scoring takes a sparse file's omitted counts from the model
+            counts_from = "taken from the model" if command in ("predict", "eval") else "inferred"
+            text = " ".join(out.split())
+            for what in ("label", "feature"):
+                assert f"{what} count for sparse files (else {counts_from})" in text
 
     def test_parser_defaults_and_choices_are_the_library_ones(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -397,6 +404,19 @@ class TestPredictAndEval:
         out = tmp_path / "g.json"
         assert main(["graph", str(model), "--json-out", str(out)]) == 3
         assert capsys.readouterr().err == "error: alpha lists a pair more than once\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", [5, [5, 5], "ab"])
+    def test_beta_that_is_not_a_list_of_lists_exits_3(self, trained_model, toy_files, tmp_path,
+                                                      capsys, beta):
+        doc = json.loads(trained_model.read_text())
+        doc["beta"] = beta
+        model = tmp_path / "bad.model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "p.txt"
+        assert main(["predict", str(model), str(toy_files[1]), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: beta must be a list of lists, one row of hex floats per label\n")
         assert not out.exists()
 
     def test_dimension_mismatch_exits_3(self, trained_model, tmp_path):

@@ -456,6 +456,14 @@ class TestFeaturePreparation:
 
     @pytest.mark.parametrize("text,fmt", [("f1,f2|l1\n3,4,1\n", "dense-csv"),
                                           ("1 1:3 2:4\n", SPARSE)])
+    def test_scale_without_normalization_is_refused(self, tmp_path, text, fmt):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match="feature scale 2.0 given with normalization 'none'"):
+            load_dataset(path, DatasetSpec(format=fmt), feature_scale=2.0)
+
+    @pytest.mark.parametrize("text,fmt", [("f1,f2|l1\n3,4,1\n", "dense-csv"),
+                                          ("1 1:3 2:4\n", SPARSE)])
     def test_reused_scale_of_zero_leaves_features_unscaled(self, tmp_path, text, fmt):
         # a zero scale comes from all-zero training features
         path = tmp_path / "d.txt"

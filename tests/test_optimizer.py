@@ -319,24 +319,23 @@ class TestTrainIlrs:
     def test_alpha_stays_empty(self):
         rng = np.random.default_rng(15)
         ds = random_dataset(rng, 20, 3, 3)
-        params = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.01, 0.01, 1.0)))
+        params, _ = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.01, 0.01, 1.0)))
         assert np.array_equal(params.alpha, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("accelerate", [True, False])
     def test_has_no_pair_coordinates(self, accelerate):
         ds = random_dataset(np.random.default_rng(18), 40, 4, 5)
-        records = []
         config = TrainConfig(reg=RegularizationConfig(0.01, 0.01, 1.0), accelerate=accelerate)
-        params = train_ilrs(ds, config, progress=records.append)
-        assert len(records) > 5 and all(r.nnz_alpha == 0 for r in records)
+        params, trace = train_ilrs(ds, config)
+        assert len(trace.records) > 5 and all(r.nnz_alpha == 0 for r in trace.records)
         assert params.alpha.tobytes() == np.zeros((4, 4)).tobytes()  # every entry +0.0
 
     def test_lambda2_zero_still_trains_and_plays_no_role(self):
         ds = random_dataset(np.random.default_rng(19), 40, 3, 4)
-        params = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.05, 0.0, 1.0)))
+        params, _ = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.05, 0.0, 1.0)))
         assert params.nnz_beta() > 0
         # lambda2 below lambda1 leaves even the start step unchanged
-        same = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.05, 0.01, 1.0)))
+        same, _ = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.05, 0.01, 1.0)))
         assert params.beta.tobytes() == same.beta.tobytes()
 
     def test_separable_single_label_high_accuracy(self):
@@ -348,7 +347,7 @@ class TestTrainIlrs:
             features.append(x)
             labels.append([1 if x[0] + 0.5 * x[1] >= 0 else -1])
         ds = MultilabelDataset(np.array(features), np.array(labels), ("a",))
-        params = train_ilrs(
+        params, _ = train_ilrs(
             ds, TrainConfig(reg=RegularizationConfig(1e-4, 1e-4, 0.0), max_iters=5000)
         )
         preds = np.sign(ds.feature_matrix @ params.beta[0])
@@ -363,7 +362,7 @@ class TestTrainIlrs:
         ds = MultilabelDataset(np.array([x for x, _ in rows]), np.array([y for _, y in rows]),
                                ("a",))
         config = TrainConfig(reg=RegularizationConfig(0.05, 0.05, 1.0))
-        ilrs = train_ilrs(ds, config)
+        ilrs, _ = train_ilrs(ds, config)
         corr, _ = train_corrlog(ds, config)
         assert np.array_equal(ilrs.beta, corr.beta)
 

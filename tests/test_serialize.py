@@ -92,6 +92,20 @@ class TestModelDocument:
         with pytest.raises(ModelFormatError, match="must be a JSON integer"):
             load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("shape,beta", [
+        ((1, 1), 5),
+        ((2, 1), [5, 5]),
+        ((2, 1), "ab"),  # a string of 2 one-character rows, each a hex digit
+        ((1, 1), ["a"]),
+        ((1, 1), {"0": ["0x1p0"]}),
+        ((2, 1), [["0x1p0"], "b"]),
+    ])
+    def test_beta_that_is_not_a_list_of_lists_is_a_format_error(self, shape, beta):
+        doc = json.loads(save_model(ModelParams.zeros(*shape), RegularizationConfig()))
+        doc["beta"] = beta
+        with pytest.raises(ModelFormatError, match="beta must be a list of lists"):
+            load_model(json.dumps(doc))
+
     @pytest.mark.parametrize("metadata", [
         [],
         "notes",
@@ -184,6 +198,20 @@ class TestLabelGraph:
         assert '"x" -- "y"' in graph.to_dot()
         parsed = json.loads(graph.to_json())
         assert parsed["edges"][0]["sign"] == "positive"
+
+    @pytest.mark.parametrize("names,ids", [
+        (("x", "y"), ('"x"', '"y"')),
+        (('a"b', "c\\d"), ('"a\\"b"', '"c\\\\d"')),
+    ])
+    def test_dot_quotes_and_escapes_names(self, names, ids):
+        params = ModelParams(np.zeros((2, 1)), {(0, 1): -0.5}, 2, 1)
+        graph = export_label_graph(params, names)
+        assert graph.to_dot() == (
+            "graph label_correlations {\n"
+            f"  {ids[0]};\n  {ids[1]};\n"
+            f'  {ids[0]} -- {ids[1]} [weight=0.5, sign="negative", label="-0.5"];\n'
+            "}\n")
+        assert json.loads(graph.to_json())["nodes"] == list(names)
 
     def test_threshold_filters_small_weights(self):
         params = ModelParams(
