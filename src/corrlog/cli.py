@@ -158,9 +158,8 @@ def cmd_train(args: argparse.Namespace) -> None:
 def _load_model_and_data(args: argparse.Namespace):
     doc = _read_model(args.model)
     meta, add_bias = doc.metadata, bool(doc.metadata.get("add_bias"))
-    # the training preparation is known before the data is read, so a sparse
-    # file is written into one prepared array, as wide as the model before its
-    # bias column (a model of the bias column alone leaves the width to the file)
+    # the data is prepared as for training, and a sparse file is as wide as the model
+    # before its bias column (a model of the bias column alone leaves the width to the file)
     dataset = _load_data(args, args.data, meta.get("feature_scale"), add_bias,
                          doc.params.num_labels, doc.params.num_features - add_bias or None)
     if dataset.num_features != doc.params.num_features:

@@ -10,19 +10,22 @@ Two on-disk formats are supported:
   indices (omitted entirely when no label is positive) and feature indices
   are 1-based.  Every index is a run of ASCII decimal digits.
 
-A sparse file is parsed a whole file at a time: each line is split once, and
-the feature tokens of all lines are split at their colon, converted and
-checked together as arrays.  At the first irregularity the file is parsed
-again line by line, which raises the error with its line number; tests use
-that per-line parser as the reference.
+A sparse file is parsed a fixed block of lines at a time: each line is split
+once, and the feature tokens of the block are split at their colon, converted
+and checked together as arrays, so the per-token strings held at once stay
+bounded.  A block with any irregularity is parsed again line by line, which
+raises the first error in reading order with its whole-file line number; tests
+use that per-line parser as the reference.  The features of a sparse file are
+kept as CSR rows (``CsrRows``): training densifies them once, through
+``feature_matrix``, and scoring fills one block of rows at a time.
 
 Feature preparation follows the model's instance-space convention ||x|| <= 1:
 ``global-max-norm`` divides every vector by the largest training-set l2 norm,
 and the optional bias column appends a constant after normalization, then
 rescales the augmented vector by 1/sqrt(2) so the norm bound still holds.
-When a sparse file is loaded with a known scale (or none), the prepared
-values of its entries are written straight into one zeroed array, rounded in
-the same two steps, so no unprepared copy of the dense matrix is made.
+Both steps act on the stored values only, a sparse file's entries or a dense
+array, with the same two roundings, and the scale is the largest row norm of
+the dense rows, computed a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DataError, ParseError
-from .inference import ENUMERATION_LIMIT, _configs, _guard_enumeration
-from .model import ModelParams, MultilabelDataset
+from .inference import DECODE_CHUNK_FLOATS, ENUMERATION_LIMIT, _configs, _guard_enumeration
+from .model import CsrRows, ModelParams, MultilabelDataset, _allocate
 
 FORMATS = ("dense-csv", "sparse-multilabel")
 NORMALIZATIONS = ("none", "global-max-norm")
 _LABEL_SYMBOLS = {"0": -1, "1": 1, "-1": -1, "+1": 1}
 _ROOT_HALF = 1.0 / math.sqrt(2.0)
+_BLOCK_LINES = 256  # lines of a sparse file parsed together
+_MAX_INDEX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -140,75 +145,53 @@ def _load_dense(lines: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
     return np.array(features), np.array(labels, dtype=np.int8), tuple(label_names)
 
 
-def _parse_index(token: str, line_no: int, what: str) -> int:
+def _parse_index(token: str, line_no: int, what: str, count: int | None) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ParseError(f"bad {what} index {token!r}", line_no)
     idx = int(token)
     if idx < 1:
         raise ParseError(f"{what} indices are 1-based, got {idx}", line_no)
+    if count is not None and idx > count:
+        raise ParseError(f"{what} index {idx} exceeds {what} count {count}", line_no)
+    if idx > _MAX_INDEX:
+        raise ParseError(f"{what} index {idx} is too large", line_no)
     return idx
 
 
-def _allocate(rows: int, count: int, what: str, fill: int = 0) -> np.ndarray:
-    """Float zeros, or int8 labels set to ``fill``; too large an array is a DataError."""
-    try:
-        return np.full((rows, count), fill, np.int8) if fill else np.zeros((rows, count))
-    except (MemoryError, ValueError):
-        raise DataError(f"{rows} rows x {count} {what} are too many to hold in memory") from None
+def _load_sparse_lines(lines: list[str], spec: DatasetSpec, first_line: int = 1):
+    """Parse sparse lines one by one, raising the first error with its line number.
 
-
-def _load_sparse_lines(lines: list[str], spec: DatasetSpec
-                       ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Parse a sparse file line by line, raising the first error with its line number."""
-    rows: list[tuple[int, list[int], dict[int, float]]] = []
-    max_label = 0
-    max_feature = 0
-    for line_no, line in enumerate(lines, start=1):
+    Returns the same entries as ``_sparse_entries``; ``first_line`` is the
+    line number of ``lines[0]`` in the file.
+    """
+    sizes, cols, values, label_sizes, label_idx = [], [], [], [], []
+    for line_no, line in enumerate(lines, start=first_line):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         tokens = line.split()
-        positives: list[int] = []
-        feature_tokens = tokens
-        if tokens and ":" not in tokens[0]:
-            feature_tokens = tokens[1:]
-            for part in tokens[0].split(","):
+        positives = 0
+        if ":" not in tokens[0]:
+            for part in tokens.pop(0).split(","):
                 if not part.strip():
                     raise ParseError("empty entry in label list", line_no)
-                positives.append(_parse_index(part, line_no, "label"))
-        values: dict[int, float] = {}
-        for token in feature_tokens:
+                label_idx.append(_parse_index(part, line_no, "label", spec.num_labels) - 1)
+                positives += 1
+        seen: set[int] = set()
+        for token in tokens:
             if token.count(":") != 1:
                 raise ParseError(f"bad feature token {token!r}", line_no)
             idx_part, val_part = token.split(":")
-            idx = _parse_index(idx_part, line_no, "feature")
-            if idx in values:
+            idx = _parse_index(idx_part, line_no, "feature", spec.num_features)
+            if idx in seen:
                 raise ParseError(f"duplicate feature index {idx}", line_no)
-            values[idx] = _parse_float(val_part, line_no)
-        max_label = max(max_label, max(positives, default=0))
-        max_feature = max(max_feature, max(values, default=0))
-        rows.append((line_no, positives, values))
-
-    if not rows:
-        raise ParseError("file contains no data rows")
-    m = spec.num_labels if spec.num_labels is not None else max_label
-    d = spec.num_features if spec.num_features is not None else max_feature
-    if m < 1:
-        raise ParseError("cannot infer the label count: no positive labels and no num_labels given")
-    if d < 1:
-        raise ParseError("cannot infer the feature count: no features and no num_features given")
-
-    labels = _allocate(len(rows), m, "labels", -1)
-    features = _allocate(len(rows), d, "features")
-    for r, (line_no, positives, values) in enumerate(rows):
-        for idx in positives:
-            if idx > m:
-                raise ParseError(f"label index {idx} exceeds label count {m}", line_no)
-            labels[r, idx - 1] = 1
-        for idx, val in values.items():
-            if idx > d:
-                raise ParseError(f"feature index {idx} exceeds feature count {d}", line_no)
-            features[r, idx - 1] = val
-    return features, labels, tuple(f"label{i + 1}" for i in range(m))
+            seen.add(idx)
+            cols.append(idx - 1)
+            values.append(_parse_float(val_part, line_no))
+        sizes.append(len(tokens))
+        label_sizes.append(positives)
+    return (np.array(sizes, dtype=np.intp), np.array(cols, dtype=np.int64),
+            np.array(values, dtype=float), np.array(label_sizes, dtype=np.intp),
+            np.array(label_idx, dtype=np.int64))
 
 
 def _index_array(texts: list[str]) -> np.ndarray | None:
@@ -226,12 +209,13 @@ def _index_array(texts: list[str]) -> np.ndarray | None:
 
 
 def _sparse_entries(lines: list[str], spec: DatasetSpec):
-    """Parse a whole sparse file at once, or return None if anything is irregular.
+    """Parse a block of sparse lines at once, or return None if anything is irregular.
 
-    Returns the row, 0-based column and value of every feature entry, the
-    label matrix and the feature count.  Each line is split once; all feature
-    tokens are then split at their colon and converted together, and the
-    checks of the per-line parser run on whole arrays.
+    Returns, per data row, its feature entry count, then the 0-based column
+    and the value of every entry, then per data row its positive label count,
+    and the 0-based index of every positive label.  Each line is split once;
+    all feature tokens are then split at their colon and converted together,
+    and the checks of the per-line parser run on whole arrays.
     """
     label_tokens: list[str] = []
     label_rows: list[int] = []
@@ -248,7 +232,7 @@ def _sparse_entries(lines: list[str], spec: DatasetSpec):
         row_sizes.append(len(tokens))
     n, k = len(row_sizes), len(feature_tokens)
     colons = np.fromiter(map(str.count, feature_tokens, repeat(":")), dtype=np.intp, count=k)
-    if n == 0 or np.any(colons != 1):
+    if np.any(colons != 1):
         return None
     # with exactly one colon per token, index and value texts alternate
     parts = ":".join(feature_tokens).split(":") if k else []
@@ -262,45 +246,46 @@ def _sparse_entries(lines: list[str], spec: DatasetSpec):
     label_idx = _index_array(",".join(label_tokens).split(",") if label_tokens else [])
     if cols is None or label_idx is None or not np.all(np.isfinite(values)):
         return None
-    max_label, max_feature = int(label_idx.max(initial=0)), int(cols.max(initial=0))
-    m = spec.num_labels if spec.num_labels is not None else max_label
-    d = spec.num_features if spec.num_features is not None else max_feature
-    if m < 1 or d < 1 or max_label > m or max_feature > d or n * d >= 2**63:
+    width = int(cols.max(initial=0))
+    beyond = (label_idx.max(initial=0) > (spec.num_labels or _MAX_INDEX)
+              or width > (spec.num_features or _MAX_INDEX))
+    if beyond or n * width >= 2**63:
         return None
-    rows = np.repeat(np.arange(n), row_sizes)
     cols -= 1
-    if np.any(np.diff(np.sort(rows * d + cols)) == 0):
+    if np.any(np.diff(np.sort(np.repeat(np.arange(n), row_sizes) * width + cols)) == 0):
         return None  # a feature index repeats within a row
-
-    labels = _allocate(n, m, "labels", -1)
-    label_counts = [token.count(",") + 1 for token in label_tokens]
-    labels[np.repeat(np.array(label_rows, dtype=np.intp), label_counts), label_idx - 1] = 1
-    return rows, cols, values, labels, d
+    label_sizes = np.zeros(n, dtype=np.intp)
+    label_sizes[label_rows] = [token.count(",") + 1 for token in label_tokens]
+    return np.array(row_sizes, dtype=np.intp), cols, values, label_sizes, label_idx - 1
 
 
-def _load_sparse(lines: list[str], spec: DatasetSpec, scale: float | None = None,
-                 add_bias: bool = False) -> MultilabelDataset:
-    """Parse a sparse file into features divided by ``scale`` and biased if asked.
+def _load_sparse(lines: list[str], spec: DatasetSpec) -> MultilabelDataset:
+    """Parse a sparse file, ``_BLOCK_LINES`` lines at a time, into CSR rows and labels.
 
-    The prepared values of the entries are written into one zeroed array, so
-    no unprepared copy of the matrix is ever made.  Each entry is rounded in
-    the same two steps as by ``scale_features`` and ``add_bias_column``.
+    A block that ``_sparse_entries`` finds irregular goes to the per-line
+    parser, which raises the positioned error.
     """
-    entries = _sparse_entries(lines, spec)
-    if entries is None:
-        # an irregular file: the per-line parser raises the positioned error
-        return _prepare(MultilabelDataset(*_load_sparse_lines(lines, spec)), scale, add_bias)
-    rows, cols, values, labels, d = entries
-    if scale is not None and scale != 0:
-        _divide(values, scale, out=values)
-    if add_bias:
-        values *= _ROOT_HALF
-    features = _allocate(len(labels), d + add_bias, "features")
-    features[rows, cols] = values
-    if add_bias:
-        features[:, d] = _ROOT_HALF
-    names = tuple(f"label{i + 1}" for i in range(labels.shape[1]))
-    return MultilabelDataset(features, labels, names)
+    blocks = []
+    for start in range(0, max(len(lines), 1), _BLOCK_LINES):  # an empty file is one block
+        block = lines[start:start + _BLOCK_LINES]
+        entries = _sparse_entries(block, spec)
+        blocks.append(_load_sparse_lines(block, spec, start + 1) if entries is None else entries)
+    sizes, cols, values, label_sizes, label_idx = map(np.concatenate, zip(*blocks))
+    n = len(sizes)
+    if n == 0:
+        raise ParseError("file contains no data rows")
+    m = spec.num_labels if spec.num_labels is not None else int(label_idx.max(initial=-1)) + 1
+    d = spec.num_features if spec.num_features is not None else int(cols.max(initial=-1)) + 1
+    if m < 1:
+        raise ParseError("cannot infer the label count: no positive labels and no num_labels given")
+    if d < 1:
+        raise ParseError("cannot infer the feature count: no features and no num_features given")
+    labels = _allocate(n, m, "labels", -1)
+    labels[np.repeat(np.arange(n), label_sizes), label_idx] = 1
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    return MultilabelDataset(CsrRows(indptr, cols, values, (n, d)), labels,
+                             tuple(f"label{i + 1}" for i in range(m)))
 
 
 def compute_feature_scale(dataset: MultilabelDataset) -> float:
@@ -309,7 +294,8 @@ def compute_feature_scale(dataset: MultilabelDataset) -> float:
     A norm too large for a float is inf, which ``scale_features`` refuses.
     """
     with np.errstate(over="ignore"):
-        return float(np.max(np.linalg.norm(dataset.feature_matrix, axis=1)))
+        norms = [np.linalg.norm(rows, axis=1) for rows in dataset.row_blocks(DECODE_CHUNK_FLOATS)]
+    return float(np.max(np.concatenate(norms)))
 
 
 def _divide(values: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -325,16 +311,13 @@ def _divide(values: np.ndarray, scale: float, out: np.ndarray | None = None) -> 
 
 def scale_features(dataset: MultilabelDataset, scale: float) -> MultilabelDataset:
     """Divide every feature vector by one shared positive finite constant."""
-    return MultilabelDataset(_divide(dataset.features, scale), dataset.labels, dataset.label_names)
+    return dataset.map_features(lambda values, out: _divide(values, scale, out))
 
 
 def add_bias_column(dataset: MultilabelDataset) -> MultilabelDataset:
     """Append a constant feature, rescaling by 1/sqrt(2) to keep ||x|| <= 1."""
-    n, d = dataset.features.shape
-    features = np.empty((n, d + 1))
-    np.multiply(dataset.features, _ROOT_HALF, out=features[:, :d])
-    features[:, d] = _ROOT_HALF
-    return MultilabelDataset(features, dataset.labels, dataset.label_names)
+    return dataset.map_features(lambda values, out: np.multiply(values, _ROOT_HALF, out=out),
+                                _ROOT_HALF)
 
 
 def load_dataset(path, spec: DatasetSpec, *, feature_scale: float | None = None) -> MultilabelDataset:
@@ -347,14 +330,11 @@ def load_dataset(path, spec: DatasetSpec, *, feature_scale: float | None = None)
     if feature_scale is not None and spec.normalization == "none":
         raise DataError(f"feature scale {feature_scale!r} given with normalization 'none'")
     lines = _read_text(path)
-    scale = feature_scale
-    if spec.format == "sparse-multilabel" and (scale is not None or spec.normalization == "none"):
-        # the scale is known before the matrix exists, so it is built prepared
-        return _load_sparse(lines, spec, scale, spec.add_bias)
     if spec.format == "dense-csv":
         dataset = MultilabelDataset(*_load_dense(lines))
     else:
         dataset = _load_sparse(lines, spec)
+    scale = feature_scale
     if spec.normalization == "global-max-norm" and scale is None:
         scale = compute_feature_scale(dataset)
     return _prepare(dataset, scale, spec.add_bias)
@@ -375,7 +355,7 @@ def write_dense_csv(dataset: MultilabelDataset, path) -> None:
     """Write a dataset in the dense-csv format with full-precision features."""
     feature_names = ",".join(f"f{i + 1}" for i in range(dataset.num_features))
     lines = [f"{feature_names}|{','.join(dataset.label_names)}"]
-    for x, y in zip(dataset.features.tolist(), dataset.labels.tolist()):
+    for x, y in zip(dataset.feature_matrix.tolist(), dataset.labels.tolist()):
         feats = ",".join(repr(v) for v in x)
         labels = ",".join(str(v) for v in y)
         lines.append(f"{feats},{labels}")

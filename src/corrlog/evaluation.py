@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError
 # predict_map_bp is not called here; it stays importable from this module
 # because the benchmark tracer (benchmarks/spans.py) wraps it by this name.
-from .inference import MAX_ITERS, decode_rows, predict_map_bp  # noqa: F401
+from .inference import DECODE_CHUNK_FLOATS, MAX_ITERS, decode_rows, predict_map_bp  # noqa: F401
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, MetricsReport, compute_metrics
 from .model import ModelParams, MultilabelDataset
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
@@ -175,7 +175,7 @@ class CvResult:
 
 
 def _subset(dataset: MultilabelDataset, indices) -> MultilabelDataset:
-    return MultilabelDataset(dataset.features[indices], dataset.labels[indices],
+    return MultilabelDataset(dataset.feature_matrix[indices], dataset.labels[indices],
                              dataset.label_names)
 
 
@@ -201,10 +201,12 @@ def predict_dataset(params: ModelParams, dataset: MultilabelDataset,
                     max_iters: int = MAX_ITERS) -> tuple[np.ndarray, list[int]]:
     """Decode every instance; returns (n x m predictions, non-converged indices).
 
-    ``decode_rows`` takes the rows in chunks of bounded memory itself.
+    ``decode_rows`` gets the rows in dense blocks of at most
+    ``DECODE_CHUNK_FLOATS`` floats, so a sparse dataset is never made dense whole.
     """
-    preds, converged = decode_rows(params, dataset.feature_matrix, max_iters)
-    return preds, np.flatnonzero(~converged).tolist()
+    blocks = dataset.row_blocks(DECODE_CHUNK_FLOATS)
+    preds, converged = zip(*(decode_rows(params, rows, max_iters) for rows in blocks))
+    return np.concatenate(preds), np.flatnonzero(~np.concatenate(converged)).tolist()
 
 
 def cross_validate(dataset: MultilabelDataset, k: int, trainer: str,
@@ -325,8 +327,8 @@ def stability_experiment(dataset: MultilabelDataset, config: TrainConfig,
     for _ in range(trials):
         swap_at = int(rng.integers(0, n))
         fresh = int(rng.integers(0, len(pool)))
-        features, labels = dataset.features.copy(), dataset.labels.copy()
-        features[swap_at] = pool.features[fresh]
+        features, labels = dataset.feature_matrix.copy(), dataset.labels.copy()
+        features[swap_at] = pool.feature_matrix[fresh]
         labels[swap_at] = pool.labels[fresh]
         modified = MultilabelDataset(features, labels, dataset.label_names)
         new_params, _ = train_corrlog(modified, config)

@@ -38,7 +38,8 @@ _BLOCK = 1 << 16  # label vectors they score at a time
 MAX_ITERS = 50  # message-passing rounds before a row is reported non-converged
 _TOLERANCE = 1e-9  # a row converges when no message moves by this much in a round
 # Floats per working array when decoding rows (8 MiB); the rows per chunk follow from
-# the model's largest elimination table or edge count and its label count (the unaries).
+# the model's largest elimination table or edge count, its label count (the unaries)
+# and its feature count (the chunk of X).
 DECODE_CHUNK_FLOATS = 1 << 20
 
 # index 0 holds the value for state +1, index 1 for state -1
@@ -222,8 +223,9 @@ def decode_rows(params: ModelParams, X: np.ndarray,
     counts as converged: ``map_bruteforce(params, X[r])``, unless two optima differ
     only by rounding.  Otherwise it gets the labels and flag that
     ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded in chunks
-    whose working arrays each stay within ``DECODE_CHUNK_FLOATS`` floats, so memory
-    stays bounded at any n; a chunk of X is a view, not a copy.
+    whose working arrays and slice of X each stay within ``DECODE_CHUNK_FLOATS``
+    floats (at least one row), so memory stays bounded at any n; ``predict_dataset``
+    hands over a sparse dataset in dense blocks of that size.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.num_features:
@@ -247,7 +249,7 @@ def decode_rows(params: ModelParams, X: np.ndarray,
         def decode(unary):
             _, beliefs, done, _ = _max_product(unary, layout, max_iters)
             return _labels(beliefs), done
-    rows = max(1, DECODE_CHUNK_FLOATS // max(floats, params.num_labels))
+    rows = max(1, DECODE_CHUNK_FLOATS // max(floats, params.num_labels, params.num_features))
     labels = np.empty((X.shape[0], params.num_labels), dtype=np.int8)
     converged = np.empty(X.shape[0], dtype=bool)
     for start in range(0, X.shape[0], rows):

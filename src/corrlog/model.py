@@ -9,14 +9,14 @@ interaction weights (an Ising model conditioned on x).  With all alpha_ij = 0
 the model factorizes into independent logistic regressions (ILRs).
 
 Indices are 0-based throughout.  alpha is stored as a dense symmetric m x m
-array with a zero diagonal, and a dataset as one feature array and one label
-array with a row per example.
+array with a zero diagonal, and a dataset as one label array and one feature
+store with a row per example: a dense array, or the CSR rows of a sparse file.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -109,18 +109,72 @@ def _alpha_from_pairs(pairs: Mapping[tuple[int, int], float], m: int) -> np.ndar
     return alpha
 
 
+def _allocate(rows: int, count: int, what: str, fill: int = 0) -> np.ndarray:
+    """Float zeros, or int8 labels set to ``fill``; too large an array is a DataError."""
+    try:
+        return np.full((rows, count), fill, np.int8) if fill else np.zeros((rows, count))
+    except (MemoryError, ValueError):
+        raise DataError(f"{rows} rows x {count} {what} are too many to hold in memory") from None
+
+
+@dataclass(frozen=True, eq=False)
+class CsrRows:
+    """An n x D float matrix as compressed sparse rows.
+
+    Row r holds ``data[indptr[r]:indptr[r + 1]]`` at the 0-based columns in the
+    same slice of ``indices``, each column at most once; every other entry is 0.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def dense(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start..stop-1 as a dense float array: zeros with the entries written in."""
+        stop = self.shape[0] if stop is None else min(stop, self.shape[0])
+        return self.write(_allocate(stop - start, self.shape[1], "features"), start)
+
+    def write(self, out: np.ndarray, start: int, value: float | None = None) -> np.ndarray:
+        """Write the entries of the rows from ``start`` on into the rows of ``out``,
+        or ``value`` in their places; returns the rows of ``out`` written."""
+        stop = min(start + len(out), self.shape[0])
+        rows = np.repeat(np.arange(stop - start), np.diff(self.indptr[start:stop + 1]))
+        span = slice(self.indptr[start], self.indptr[stop])
+        out[rows, self.indices[span]] = self.data[span] if value is None else value
+        return out[:stop - start]
+
+    def __getitem__(self, key):
+        """Row r, or entry (r, c), as the dense matrix holds it."""
+        r, *c = key if isinstance(key, tuple) else (key,)
+        r = range(self.shape[0])[r]
+        return self.dense(r, r + 1)[(0, *c)]
+
+    def with_column(self, value: float) -> CsrRows:
+        """The rows with a constant last column appended."""
+        n, d = self.shape
+        ends = self.indptr[1:]
+        return CsrRows(self.indptr + np.arange(n + 1), np.insert(self.indices, ends, d),
+                       np.insert(self.data, ends, value), (n, d + 1))
+
+
 @dataclass(eq=False)
 class MultilabelDataset:
-    """n examples as an n x D feature array and an n x m array of -1/+1 labels."""
+    """n examples as n x D features and an n x m array of -1/+1 labels.
 
-    features: np.ndarray
+    The features are a float array or ``CsrRows``; only this class and
+    ``CsrRows`` tell the two apart.
+    """
+
+    features: np.ndarray | CsrRows
     labels: np.ndarray
     label_names: tuple[str, ...]
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
+        if not isinstance(self.features, CsrRows):
+            self.features = np.asarray(self.features, dtype=float)
         labels = np.asarray(self.labels)
-        if self.features.ndim != 2 or labels.ndim != 2:
+        if len(self.features.shape) != 2 or labels.ndim != 2:
             raise DataError("features and labels must be 2-D arrays (one row per example)")
         if self.features.shape[0] < 1:
             raise DataError("dataset must contain at least one instance")
@@ -148,13 +202,52 @@ class MultilabelDataset:
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
-        """The n x D feature array."""
-        return self.features
+        """The n x D feature array; sparse rows are made dense once, then cached."""
+        sparse = isinstance(self.features, CsrRows)
+        return self.features.dense() if sparse else self.features
 
     @cached_property
     def label_matrix(self) -> np.ndarray:
         """n x m label matrix of +-1 floats (computed once, then cached)."""
         return self.labels.astype(float)
+
+    def row_blocks(self, floats: int):
+        """The feature rows in order, as dense arrays of at most ``floats`` floats
+        (at least one row) each.
+
+        A dense dataset yields views.  Sparse rows are written into one zeroed
+        array, and zeroed again after use, so the whole n x D array is never
+        made; a block is to be read, and only until the next is drawn.
+        """
+        rows = max(1, floats // self.num_features)
+        if not isinstance(self.features, CsrRows):
+            yield from (self.features[start:start + rows] for start in range(0, len(self), rows))
+            return
+        block = _allocate(min(rows, len(self)), self.num_features, "features")
+        for start in range(0, len(self), rows):
+            yield self.features.write(block, start)
+            self.features.write(block, start, 0.0)
+
+    def map_features(self, fn, column: float | None = None) -> MultilabelDataset:
+        """The dataset with ``fn`` applied to its stored feature values, then a constant
+        last ``column`` appended if one is given.
+
+        ``fn(values, out)`` maps 0 to 0 and writes into ``out``, or into a new
+        array when ``out`` is None.
+        """
+        features = self.features
+        if isinstance(features, CsrRows):
+            features = replace(features, data=fn(features.data, None))
+            features = features if column is None else features.with_column(column)
+        elif column is None:
+            features = fn(features, None)
+        else:
+            n, d = features.shape
+            out = np.empty((n, d + 1))
+            fn(features, out[:, :d])
+            out[:, d] = column
+            features = out
+        return MultilabelDataset(features, self.labels, self.label_names)
 
 
 def _check_dims(params: ModelParams, x: np.ndarray, y: np.ndarray | None = None) -> None:

@@ -42,8 +42,8 @@ class RegularizationConfig:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.epsilon < 0:
-            raise DataError("regularization weights must be nonnegative")
+        if not all(0.0 <= w < np.inf for w in (self.lambda1, self.lambda2, self.epsilon)):
+            raise DataError("regularization weights must be finite and nonnegative")
 
 
 class Problem:

@@ -80,16 +80,16 @@ def load_model(document: str) -> ModelDocument:
         raise ModelFormatError(
             f"beta has inconsistent shape for num_labels={m}, num_features={d}"
         )
+    if not isinstance(alpha_triples, list) or not all(
+            isinstance(t, list) and len(t) == 3 for t in alpha_triples):
+        raise ModelFormatError("alpha must be a list of [i, j, hex] triples")
     try:
         beta = np.array([[float.fromhex(v) for v in row] for row in beta_rows])
         alpha = {(_integer(i, "a pair index"), _integer(j, "a pair index")): float.fromhex(v)
                  for i, j, v in alpha_triples}
-        reg = RegularizationConfig(
-            lambda1=float(reg_doc["lambda1"]),
-            lambda2=float(reg_doc["lambda2"]),
-            epsilon=float(reg_doc["epsilon"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        reg = RegularizationConfig(*(_number(reg_doc[k], k)
+                                     for k in ("lambda1", "lambda2", "epsilon")))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model document holds malformed values: {exc}") from exc
     if len(alpha) != len(alpha_triples):
         raise ModelFormatError("alpha lists a pair more than once")
@@ -109,6 +109,13 @@ def _integer(value, what: str) -> int:
     if type(value) is not int:
         raise ModelFormatError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _check_metadata(metadata, num_labels: int) -> dict:

@@ -7,8 +7,16 @@ import pytest
 
 from corrlog import inference
 from corrlog.cli import build_parser, main
-from corrlog.data import FORMATS, NORMALIZATIONS, DatasetSpec, ToySpec, load_dataset
+from corrlog.data import (
+    FORMATS,
+    NORMALIZATIONS,
+    DatasetSpec,
+    ToySpec,
+    load_dataset,
+    write_dense_csv,
+)
 from corrlog.evaluation import TRAINERS
+from corrlog.model import MultilabelDataset
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig
 from corrlog.serialize import export_label_graph, load_model
@@ -81,6 +89,16 @@ class TestTrain:
         assert doc.reg.epsilon == 0.0
         assert doc.params.nnz_beta() == doc.params.beta.size
 
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2", "--epsilon"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_weight_that_is_not_finite_and_nonnegative_exits_3(self, toy_files, tmp_path, capsys,
+                                                              flag, value):
+        train, _ = toy_files
+        code = main(["train", str(train), flag, value, "--model-out", str(tmp_path / "m")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: regularization weights must be finite and nonnegative\n")
+
     @pytest.mark.parametrize("flag,value", [("--num-labels", "0"), ("--num-labels", "-2"),
                                             ("--num-features", "0")])
     def test_count_below_one_exits_3(self, tmp_path, capsys, flag, value):
@@ -94,20 +112,19 @@ class TestTrain:
 
     # 10**15 float64 columns (7 PiB) exceed any 64-bit address space, so the
     # allocation fails whatever the overcommit setting; 10**19 does not fit in
-    # int64 and takes the per-line parser.
-    @pytest.mark.parametrize("line,count,what", [
-        ("1 1000000000000000:1", 10**15, "features"),
-        ("1 10000000000000000000:1", 10**19, "features"),
-        ("1000000000000000 1:1", 10**15, "labels"),
+    # int64, so no CSR row can hold it and the parser refuses it where it stands.
+    @pytest.mark.parametrize("line,message", [
+        ("1 1000000000000000:1", "1 rows x 1000000000000000 features are too many to hold in memory"),
+        ("1 10000000000000000000:1", "line 1: feature index 10000000000000000000 is too large"),
+        ("1000000000000000 1:1", "1 rows x 1000000000000000 labels are too many to hold in memory"),
     ])
-    def test_huge_sparse_index_exits_3(self, tmp_path, capsys, line, count, what):
+    def test_huge_sparse_index_exits_3(self, tmp_path, capsys, line, message):
         data = tmp_path / "huge.txt"
         data.write_text(line + "\n")
         code = main(["train", str(data), "--format", "sparse-multilabel",
                      "--model-out", str(tmp_path / "m")])
         assert code == 3
-        assert capsys.readouterr().err == (
-            f"error: 1 rows x {count} {what} are too many to hold in memory\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["train", "cv"])
     def test_overflowing_row_norm_exits_3(self, tmp_path, capsys, command):
@@ -371,6 +388,32 @@ class TestPredictAndEval:
             assert main([command, str(model), str(data), *fmt, flag, str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("prepare", [[], ["--add-bias"],
+                                         ["--normalize", "global-max-norm", "--add-bias"]])
+    @pytest.mark.parametrize("trainer", [[], ["--ilrs"]])
+    def test_training_on_a_sparse_file_writes_its_dense_twins_model(self, tmp_path, prepare,
+                                                                    trainer):
+        rng = np.random.default_rng(48)
+        x = np.where(rng.random((40, 6)) < 0.5, 0.0, rng.normal(size=(40, 6)))
+        x[0] = rng.normal(size=6)  # the last feature and label appear, so the counts agree
+        x[:, 0] = rng.normal(size=40)  # no row is a blank line
+        y = np.where(rng.random((40, 3)) < 0.4, 1, -1)
+        y[0] = 1
+        dense, sparse = tmp_path / "train.csv", tmp_path / "train.txt"
+        write_dense_csv(MultilabelDataset(x, y, ("label1", "label2", "label3")), dense)
+        sparse.write_text("".join(
+            ",".join(str(j + 1) for j in np.flatnonzero(labels > 0)) + " "
+            + " ".join(f"{i + 1}:{v!r}" for i, v in enumerate(row.tolist()) if v != 0.0) + "\n"
+            for row, labels in zip(x, y)))
+        models = []
+        for data, fmt in ((dense, []), (sparse, ["--format", "sparse-multilabel"])):
+            model = tmp_path / f"{data.suffix[1:]}.json"
+            assert main(["train", str(data), *fmt, *prepare, *trainer, "--max-iters", "300",
+                         "--model-out", str(model)]) == 0
+            models.append(model.read_bytes())
+        assert models[0].count(b'"source_format": "dense-csv"') == 1
+        assert models[0].replace(b'"dense-csv"', b'"sparse-multilabel"') == models[1]
 
     @pytest.mark.parametrize("prepare", [[], ["--add-bias"], ["--normalize", "global-max-norm"]])
     @pytest.mark.parametrize("command", ["predict", "eval"])

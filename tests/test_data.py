@@ -19,7 +19,7 @@ from corrlog.data import (
     write_dense_csv,
 )
 from corrlog.errors import DataError, ParseError
-from corrlog.model import ModelParams, MultilabelDataset
+from corrlog.model import CsrRows, ModelParams, MultilabelDataset
 
 DENSE_SAMPLE = """f1,f2|l1,l2
 0.5,0.5,1,0
@@ -263,8 +263,22 @@ def arrays_identical(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def must_not_fall_back(lines, spec):
-    raise AssertionError("the whole-file parser fell back on a well-formed file")
+def must_not_fall_back(lines, spec, first_line=1):
+    raise AssertionError("the block parser fell back on a well-formed block")
+
+
+def reference_arrays(lines, spec):
+    """Dense features and labels filled row by row from the per-line parser's entries."""
+    sizes, cols, values, label_sizes, label_idx = data._load_sparse_lines(lines, spec)
+    m = spec.num_labels or int(label_idx.max()) + 1
+    d = spec.num_features or int(cols.max()) + 1
+    features, labels = np.zeros((len(sizes), d)), np.full((len(sizes), m), -1, np.int8)
+    k = j = 0
+    for r, (size, count) in enumerate(zip(sizes.tolist(), label_sizes.tolist())):
+        features[r, cols[k:k + size]] = values[k:k + size]
+        labels[r, label_idx[j:j + count]] = 1
+        k, j = k + size, j + count
+    return features, labels
 
 
 BAD_FEATURE_TOKENS = ["1:2:3", "5", ":5", "5:", "+3:1", "0_2:1", "\u0661:1", "\uff13:1", "0:1",
@@ -274,8 +288,35 @@ BAD_LABEL_TOKENS = ["1,,2", ",", "+1", "0", "x", "\u0661", "-1", "9", "1,00",
                     "99999999999999999999"]
 
 
-class TestWholeFileParser:
-    """The whole-file parser against the per-line parser it falls back to."""
+def corrupt(draw, rows):
+    """The rows with one bad label token, repeated feature index or bad feature token."""
+    rows = [list(r) for r in rows]
+    r = draw(st.integers(0, len(rows) - 1))
+    has_labels = bool(rows[r]) and ":" not in rows[r][0]
+    if has_labels and draw(st.booleans()):
+        rows[r][0] = draw(st.sampled_from(BAD_LABEL_TOKENS))
+    elif draw(st.booleans()) and len(rows[r]) > has_labels:
+        # repeat an index of this row under another value
+        pos = draw(st.integers(has_labels, len(rows[r]) - 1))
+        rows[r].append(rows[r][pos].split(":")[0] + ":0.25")
+    else:
+        pos = draw(st.integers(has_labels, len(rows[r])))
+        rows[r].insert(pos, draw(st.sampled_from(BAD_FEATURE_TOKENS)))
+    return rows
+
+
+def parse_outcome(lines, spec):
+    """The CSR arrays, shape and labels ``_load_sparse`` gives, or its ParseError text and line."""
+    try:
+        ds = data._load_sparse(lines, spec)
+    except ParseError as exc:
+        return str(exc), exc.line
+    f = ds.features
+    return f.indptr.tobytes(), f.indices.tobytes(), f.data.tobytes(), f.shape, ds.labels.tobytes()
+
+
+class TestBlockParser:
+    """The vectorised block parser against the per-line parser it falls back to."""
 
     @settings(max_examples=120, deadline=None)
     @given(sparse_files(), st.data())
@@ -284,73 +325,80 @@ class TestWholeFileParser:
         lines = render_sparse(draw.draw, rows, newline)
         spec = DatasetSpec(format=SPARSE, num_labels=num_labels, num_features=num_features)
         expected = data._load_sparse_lines(lines, spec)
+        got = data._sparse_entries(lines, spec)
+        assert all(arrays_identical(a, b) for a, b in zip(got, expected, strict=True))
         with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
-            got = data._load_sparse(lines, spec)
-        assert arrays_identical(got.features, expected[0])
-        assert arrays_identical(got.labels, expected[1])
-        assert got.label_names == expected[2]
+            ds = data._load_sparse(lines, spec)
+        features, labels = reference_arrays(lines, spec)
+        assert isinstance(ds.features, CsrRows)
+        assert arrays_identical(ds.feature_matrix, features)
+        assert arrays_identical(ds.labels, labels)
+        assert ds.label_names == tuple(f"label{i + 1}" for i in range(labels.shape[1]))
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_files(), st.data())
     def test_one_corrupt_token_gives_the_same_error(self, file, draw):
         rows, num_labels, num_features, newline = file
-        rows = [list(r) for r in rows]
-        r = draw.draw(st.integers(0, len(rows) - 1))
-        has_labels = bool(rows[r]) and ":" not in rows[r][0]
-        if has_labels and draw.draw(st.booleans()):
-            rows[r][0] = draw.draw(st.sampled_from(BAD_LABEL_TOKENS))
-        elif draw.draw(st.booleans()) and len(rows[r]) > has_labels:
-            # repeat an index of this row under another value
-            pos = draw.draw(st.integers(has_labels, len(rows[r]) - 1))
-            rows[r].append(rows[r][pos].split(":")[0] + ":0.25")
-        else:
-            pos = draw.draw(st.integers(has_labels, len(rows[r])))
-            rows[r].insert(pos, draw.draw(st.sampled_from(BAD_FEATURE_TOKENS)))
-        lines = render_sparse(draw.draw, rows, newline)
+        lines = render_sparse(draw.draw, corrupt(draw.draw, rows), newline)
         spec = DatasetSpec(format=SPARSE, num_labels=num_labels, num_features=num_features)
         try:
-            expected = data._load_sparse_lines(lines, spec)
+            expected = reference_arrays(lines, spec)
         except ParseError as exc:
             assert data._sparse_entries(lines, spec) is None
             with pytest.raises(ParseError) as got:
                 data._load_sparse(lines, spec)
             assert str(got.value) == str(exc) and got.value.line == exc.line
             return
-        except (ValueError, MemoryError):
-            # an index too large to allocate the matrix for
-            assert data._sparse_entries(lines, spec) is None
-            return
         got = data._load_sparse(lines, spec)
-        assert arrays_identical(got.features, expected[0])
+        assert arrays_identical(got.feature_matrix, expected[0])
         assert arrays_identical(got.labels, expected[1])
+
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_files(), st.data(), st.integers(1, 3))
+    def test_blocks_of_a_few_lines_parse_like_one_block(self, file, draw, block_lines):
+        rows, num_labels, num_features, newline = file
+        if draw.draw(st.booleans()):
+            rows = corrupt(draw.draw, rows)
+        lines = render_sparse(draw.draw, rows, newline)
+        spec = DatasetSpec(format=SPARSE, num_labels=num_labels, num_features=num_features)
+        whole = parse_outcome(lines, spec)
+        with mock.patch.object(data, "_BLOCK_LINES", block_lines):
+            assert parse_outcome(lines, spec) == whole
+
+    def test_an_error_in_a_later_block_keeps_its_file_line_number(self, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_LINES", 2)
+        lines = ["1 1:0.5", "# note", "2 2:1", "", "1 3:x"]
+        with pytest.raises(ParseError) as exc:
+            data._load_sparse(lines, DatasetSpec(format=SPARSE))
+        assert str(exc.value) == "line 5: non-numeric feature 'x'"
 
     @settings(max_examples=80, deadline=None)
     @given(sparse_files(), st.data(),
            st.one_of(st.none(), st.floats(min_value=1e-300, max_value=1e300)),
            st.booleans())
-    def test_prepared_array_equals_two_step_preparation(self, file, draw, scale, add_bias):
+    def test_prepared_rows_equal_the_prepared_dense_array(self, file, draw, scale, add_bias):
         rows, num_labels, num_features, newline = file
         lines = render_sparse(draw.draw, rows, newline)
         spec = DatasetSpec(format=SPARSE, num_labels=num_labels, num_features=num_features)
-        raw = MultilabelDataset(*data._load_sparse_lines(lines, spec))
+        sparse = data._load_sparse(lines, spec)
+        dense = MultilabelDataset(sparse.feature_matrix.copy(), sparse.labels, sparse.label_names)
+        assert compute_feature_scale(sparse) == compute_feature_scale(dense)
         try:
-            expected = scale_features(raw, scale) if scale is not None else raw
+            expected = data._prepare(dense, scale, add_bias)
         except DataError as exc:
-            # a scale so small that a quotient overflows: both paths refuse it
-            with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
-                with pytest.raises(DataError) as got:
-                    data._load_sparse(lines, spec, scale, add_bias)
+            # a scale so small that a quotient overflows: both are refused alike
+            with pytest.raises(DataError) as got:
+                data._prepare(sparse, scale, add_bias)
             assert str(got.value) == str(exc)
             return
-        expected = add_bias_column(expected) if add_bias else expected
-        with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
-            got = data._load_sparse(lines, spec, scale, add_bias)
-        assert arrays_identical(got.features, expected.features)
+        got = data._prepare(sparse, scale, add_bias)
+        assert isinstance(got.features, CsrRows)
+        assert arrays_identical(got.feature_matrix, expected.features)
         assert arrays_identical(got.labels, expected.labels)
 
-    def test_prepared_load_makes_one_feature_array(self, tmp_path):
+    def test_prepared_load_makes_no_dense_array(self, tmp_path):
         rng = np.random.default_rng(5)
-        n, d = 1000, 2000
+        n, d = 1000, 8000
         lines = []
         for _ in range(n):
             cols = np.sort(rng.choice(d, size=20, replace=False)) + 1
@@ -358,15 +406,43 @@ class TestWholeFileParser:
                                            zip(cols.tolist(), rng.normal(size=20).tolist())))
         path = tmp_path / "wide.txt"
         path.write_text("\n".join(lines) + "\n")
-        spec = DatasetSpec(format=SPARSE, normalization="global-max-norm", add_bias=True)
-        tracemalloc.start()
-        try:
-            ds = load_dataset(path, spec, feature_scale=7.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ds.features.shape == (n, d + 1)
-        assert peak <= 1.5 * ds.features.nbytes
+        dense_bytes = n * (d + 1) * 8  # 64 MB
+        # a scale is found from dense blocks of DECODE_CHUNK_FLOATS (8 MiB) and their squares
+        for scale, bound in ((None, 0.4 * dense_bytes), (7.5, 0.15 * dense_bytes)):
+            spec = DatasetSpec(format=SPARSE, normalization="global-max-norm", add_bias=True)
+            tracemalloc.start()
+            try:
+                ds = load_dataset(path, spec, feature_scale=scale)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ds.features.shape == (n, d + 1)
+            assert peak <= bound, (scale, peak)
+
+    def test_rows_read_like_the_dense_matrix(self):
+        rows = CsrRows(np.array([0, 2, 2, 3]), np.array([3, 0, 1]), np.array([1.5, -0.0, 2.0]),
+                       (3, 4))
+        dense = rows.dense()
+        assert dense.tolist() == [[-0.0, 0.0, 0.0, 1.5], [0.0] * 4, [0.0, 2.0, 0.0, 0.0]]
+        assert np.signbit(dense[0, 0]) and not np.signbit(dense[1, 0])
+        assert arrays_identical(rows.dense(1, 9), dense[1:])
+        assert arrays_identical(rows[-1], dense[2]) and rows[0, 3] == 1.5
+        assert [r.tolist() for r in rows] == dense.tolist()
+        with pytest.raises(IndexError):
+            rows[3]
+        biased = rows.with_column(0.5)
+        assert arrays_identical(biased.dense(), np.column_stack([dense, np.full(3, 0.5)]))
+
+    @pytest.mark.parametrize("floats", [1, 8, 12, 100])
+    def test_row_blocks_give_the_dense_rows_in_order(self, floats):
+        rows = CsrRows(np.array([0, 2, 2, 3]), np.array([3, 0, 1]), np.array([1.5, -0.0, 2.0]),
+                       (3, 4))
+        labels = np.ones((3, 1))
+        for features in (rows, rows.dense()):
+            ds = MultilabelDataset(features, labels, ("l1",))
+            blocks = [block.copy() for block in ds.row_blocks(floats)]
+            assert all(len(block) == max(1, floats // 4) for block in blocks[:-1])
+            assert arrays_identical(np.vstack(blocks), rows.dense())
 
 
 class TestFeaturePreparation:
@@ -469,7 +545,7 @@ class TestFeaturePreparation:
         path = tmp_path / "d.txt"
         path.write_text(text)
         spec = DatasetSpec(format=fmt, normalization="global-max-norm")
-        assert load_dataset(path, spec, feature_scale=0.0).features.tolist() == [[3.0, 4.0]]
+        assert load_dataset(path, spec, feature_scale=0.0).feature_matrix.tolist() == [[3.0, 4.0]]
 
 
 class TestGenerateToy:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.special
 import scipy.stats
 
 from corrlog import inference
-from corrlog.data import ToySpec, add_bias_column, generate_toy
+from corrlog.data import DatasetSpec, ToySpec, add_bias_column, generate_toy, load_dataset
 from corrlog.errors import DataError
 from corrlog.evaluation import (
     CvResult,
@@ -21,7 +22,7 @@ from corrlog.evaluation import (
     stability_experiment,
 )
 from corrlog.metrics import METRIC_NAMES
-from corrlog.model import ModelParams
+from corrlog.model import ModelParams, MultilabelDataset
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog
 
@@ -205,6 +206,32 @@ class TestPredictDataset:
         assert np.array_equal(preds, np.where(unary >= 0, 1, -1))
         assert np.all(preds[:, 2] == 1)
         assert flagged == []
+
+    def test_sparse_rows_are_scored_without_the_dense_matrix(self, tmp_path):
+        rng = np.random.default_rng(47)
+        n, d, m = 5000, 5000, 4
+        cols = np.sort(rng.choice(d, size=(n, 5)), axis=1) + 1
+        lines = []
+        for r, (row, vals) in enumerate(zip(cols.tolist(), rng.normal(size=(n, 5)).tolist())):
+            entries = dict(zip(row, vals))  # a column drawn twice is kept once
+            lines.append(f"{r % m + 1} " + " ".join(f"{c}:{v!r}" for c, v in entries.items()))
+        path = tmp_path / "wide.txt"
+        path.write_text("\n".join(lines) + "\n")
+        params = random_params(rng, m, d, alpha_scale=0.5, density=0.7)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path, DatasetSpec(format="sparse-multilabel", num_labels=m,
+                                                num_features=d))
+            preds, flagged = predict_dataset(params, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * d * 8  # the dense matrix would take 200 MB
+        assert preds.shape == (n, m) and flagged == []
+        rows = rng.choice(n, size=40, replace=False)
+        twin = MultilabelDataset(np.array([ds.features[r] for r in rows]), ds.labels[rows],
+                                 ds.label_names)
+        assert predict_dataset(params, twin)[0].tobytes() == preds[rows].tobytes()
 
 
 class TestStability:

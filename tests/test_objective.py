@@ -124,6 +124,12 @@ class TestElasticNetPenalty:
         with pytest.raises(DataError):
             RegularizationConfig(-0.1, 0.1, 1.0)
 
+    @pytest.mark.parametrize("weights", [(float("nan"), 0.1, 1.0), (0.1, float("inf"), 1.0),
+                                         (0.1, 0.1, float("nan"))])
+    def test_rejects_weights_that_are_not_finite(self, weights):
+        with pytest.raises(DataError, match="^regularization weights must be finite and nonnegative$"):
+            RegularizationConfig(*weights)
+
 
 class TestSmoothObjective:
     def test_epsilon_is_ignored(self):

@@ -132,6 +132,39 @@ class TestModelDocument:
         with pytest.raises(ModelFormatError, match="metadata"):
             load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("alpha", [{}, {"0": [0, 1, "0x1p0"]}, "", None, 5,
+                                       [[0, 1]], [[0, 1, "0x1p0", 1]], [{"i": 0}], ["ab"]])
+    def test_alpha_that_is_not_a_list_of_triples_is_a_format_error(self, alpha):
+        doc = json.loads(save_model(ModelParams.zeros(3, 1), RegularizationConfig()))
+        doc["alpha"] = alpha
+        with pytest.raises(ModelFormatError, match=r"^alpha must be a list of \[i, j, hex\] triples$"):
+            load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "epsilon"])
+    @pytest.mark.parametrize("value,message", [
+        ("0.5", "must be a JSON number"),
+        ("inf", "must be a JSON number"),
+        (True, "must be a JSON number"),
+        (None, "must be a JSON number"),
+        ([0.5], "must be a JSON number"),
+        (10**400, "too large to convert to float"),
+        (float("nan"), "must be finite and nonnegative"),
+        (float("inf"), "must be finite and nonnegative"),
+        (-0.5, "must be finite and nonnegative"),
+    ])
+    def test_regularization_weight_that_is_not_a_usable_number_is_a_format_error(
+            self, field, value, message):
+        doc = json.loads(save_model(ModelParams.zeros(2, 1), RegularizationConfig()))
+        doc["regularization"][field] = value
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [0, 2, 0.25])
+    def test_integer_or_float_regularization_weights_load(self, value):
+        doc = json.loads(save_model(ModelParams.zeros(2, 1), RegularizationConfig()))
+        doc["regularization"]["lambda2"] = value
+        assert load_model(json.dumps(doc)).reg.lambda2 == value
+
     @pytest.mark.parametrize("metadata", [
         {},
         {"feature_scale": None, "add_bias": False},
