@@ -241,7 +241,9 @@ def cmd_graph(args: argparse.Namespace) -> None:
 
 def cmd_stability(args: argparse.Namespace) -> None:
     dataset = _load_data(args, args.data, add_bias=args.add_bias)
-    pool = _load_data(args, args.pool, add_bias=args.add_bias)
+    # a sparse pool is as wide as the training set before its bias column
+    pool = _load_data(args, args.pool, add_bias=args.add_bias, num_labels=dataset.num_labels,
+                      num_features=dataset.num_features - args.add_bias)
     config = _train_config(args)
     report = stability_experiment(dataset, config, trials=args.trials,
                                   seed=args.seed, pool=pool)

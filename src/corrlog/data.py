@@ -17,7 +17,7 @@ bounded.  A block with any irregularity is parsed again line by line, which
 raises the first error in reading order with its whole-file line number; tests
 use that per-line parser as the reference.  The features of a sparse file are
 kept as CSR rows (``CsrRows``): training densifies them once, through
-``feature_matrix``, and scoring fills one block of rows at a time.
+``feature_matrix``, and scoring reads one dense slice of rows at a time.
 
 Feature preparation follows the model's instance-space convention ||x|| <= 1:
 ``global-max-norm`` divides every vector by the largest training-set l2 norm,
@@ -293,9 +293,10 @@ def compute_feature_scale(dataset: MultilabelDataset) -> float:
 
     A norm too large for a float is inf, which ``scale_features`` refuses.
     """
+    rows = max(1, DECODE_CHUNK_FLOATS // max(dataset.num_features, 1))
     with np.errstate(over="ignore"):
-        norms = [np.linalg.norm(rows, axis=1) for rows in dataset.row_blocks(DECODE_CHUNK_FLOATS)]
-    return float(np.max(np.concatenate(norms)))
+        return max(float(np.linalg.norm(dataset.features[start:start + rows], axis=1).max())
+                   for start in range(0, len(dataset), rows))
 
 
 def _divide(values: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:

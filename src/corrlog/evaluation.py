@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError
 # predict_map_bp is not called here; it stays importable from this module
 # because the benchmark tracer (benchmarks/spans.py) wraps it by this name.
-from .inference import DECODE_CHUNK_FLOATS, MAX_ITERS, decode_rows, predict_map_bp  # noqa: F401
+from .inference import MAX_ITERS, decode_rows, predict_map_bp  # noqa: F401
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, MetricsReport, compute_metrics
 from .model import ModelParams, MultilabelDataset
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
@@ -199,14 +199,10 @@ def _fit(trainer: str, train_set: MultilabelDataset, config: TrainConfig) -> Mod
 
 def predict_dataset(params: ModelParams, dataset: MultilabelDataset,
                     max_iters: int = MAX_ITERS) -> tuple[np.ndarray, list[int]]:
-    """Decode every instance; returns (n x m predictions, non-converged indices).
-
-    ``decode_rows`` gets the rows in dense blocks of at most
-    ``DECODE_CHUNK_FLOATS`` floats, so a sparse dataset is never made dense whole.
-    """
-    blocks = dataset.row_blocks(DECODE_CHUNK_FLOATS)
-    preds, converged = zip(*(decode_rows(params, rows, max_iters) for rows in blocks))
-    return np.concatenate(preds), np.flatnonzero(~np.concatenate(converged)).tolist()
+    """(n x m predictions, non-converged indices) of every instance; ``decode_rows``
+    slices a chunk of rows at a time, so sparse rows are never made dense whole."""
+    preds, converged = decode_rows(params, dataset.features, max_iters)
+    return preds, np.flatnonzero(~converged).tolist()
 
 
 def cross_validate(dataset: MultilabelDataset, k: int, trainer: str,
@@ -328,7 +324,7 @@ def stability_experiment(dataset: MultilabelDataset, config: TrainConfig,
         swap_at = int(rng.integers(0, n))
         fresh = int(rng.integers(0, len(pool)))
         features, labels = dataset.feature_matrix.copy(), dataset.labels.copy()
-        features[swap_at] = pool.feature_matrix[fresh]
+        features[swap_at] = pool.features[fresh:fresh + 1]
         labels[swap_at] = pool.labels[fresh]
         modified = MultilabelDataset(features, labels, dataset.label_names)
         new_params, _ = train_corrlog(modified, config)

@@ -2,8 +2,9 @@
 
 The prediction problem  argmax_y  sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j
 is a MAP query on a pairwise graphical model whose nodes are labels and whose
-edges are the nonzero pairwise weights.  ``decode_rows`` takes a chunk of rows'
-unaries <beta_i, x> in one stacked product that rounds each row as ``beta @ x``.
+edges are the nonzero pairwise weights.  ``decode_rows`` slices a chunk of rows at
+a time and takes their unaries <beta_i, x> in one stacked product that rounds each
+row as ``beta @ x``.
 When ``decodes_exactly`` (``elimination_width`` below ``ENUMERATION_LIMIT``), it
 runs max-sum variable elimination on the chunk: labels are eliminated from last
 to first into tables of at most 2^16 entries a row, then read back from first to
@@ -39,7 +40,7 @@ MAX_ITERS = 50  # message-passing rounds before a row is reported non-converged
 _TOLERANCE = 1e-9  # a row converges when no message moves by this much in a round
 # Floats per working array when decoding rows (8 MiB); the rows per chunk follow from
 # the model's largest elimination table or edge count, its label count (the unaries)
-# and its feature count (the chunk of X).
+# and its feature count (the dense slice of X).
 DECODE_CHUNK_FLOATS = 1 << 20
 
 # index 0 holds the value for state +1, index 1 for state -1
@@ -215,23 +216,21 @@ def _eliminate(unary: np.ndarray, alpha: np.ndarray, scopes: list[np.ndarray]) -
     return (1 - 2 * minus.view(np.int8)).T
 
 
-def decode_rows(params: ModelParams, X: np.ndarray,
+def decode_rows(params: ModelParams, X,
                 max_iters: int = MAX_ITERS) -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
 
     When ``decodes_exactly(params)``, row r gets its lexicographically first MAP and
     counts as converged: ``map_bruteforce(params, X[r])``, unless two optima differ
     only by rounding.  Otherwise it gets the labels and flag that
-    ``predict_map_bp(params, X[r], max_iters)`` reports.  Rows are decoded in chunks
-    whose working arrays and slice of X each stay within ``DECODE_CHUNK_FLOATS``
-    floats (at least one row), so memory stays bounded at any n; ``predict_dataset``
-    hands over a sparse dataset in dense blocks of that size.
+    ``predict_map_bp(params, X[r], max_iters)`` reports.  X, an array, a list of rows
+    or ``CsrRows``, is read only through ``np.shape`` and row slices: one chunk at a
+    time, whose working arrays and dense slice each stay within ``DECODE_CHUNK_FLOATS``
+    floats (at least one row), so memory stays bounded at any n.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != params.num_features:
-        raise DataError(
-            f"feature matrix has shape {X.shape}, expected (n, {params.num_features})"
-        )
+    shape = np.shape(X)
+    if len(shape) != 2 or shape[1] != params.num_features:
+        raise DataError(f"feature matrix has shape {shape}, expected (n, {params.num_features})")
     if max_iters < 1:
         raise DataError("max_iters must be positive")
     if decodes_exactly(params):
@@ -250,13 +249,12 @@ def decode_rows(params: ModelParams, X: np.ndarray,
             _, beliefs, done, _ = _max_product(unary, layout, max_iters)
             return _labels(beliefs), done
     rows = max(1, DECODE_CHUNK_FLOATS // max(floats, params.num_labels, params.num_features))
-    labels = np.empty((X.shape[0], params.num_labels), dtype=np.int8)
-    converged = np.empty(X.shape[0], dtype=bool)
-    for start in range(0, X.shape[0], rows):
-        chunk = X[start:start + rows]
-        # (1 x D) @ (D x m) per row, the product beta @ x makes, so each row rounds alike
-        unary = np.matmul(chunk[:, None, :], params.beta.T)[:, 0]
-        labels[start:start + len(chunk)], converged[start:start + len(chunk)] = decode(unary)
+    labels = np.empty((shape[0], params.num_labels), dtype=np.int8)
+    converged = np.empty(shape[0], dtype=bool)
+    for start in range(0, shape[0], rows):
+        # (1 x D) @ (D x m) per row, as beta @ x, so each row rounds alike; the slice is freed
+        unary = np.matmul(np.asarray(X[start:start + rows], float)[:, None, :], params.beta.T)
+        labels[start:start + rows], converged[start:start + rows] = decode(unary[:, 0])
     return labels, converged
 
 

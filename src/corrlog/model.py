@@ -11,6 +11,7 @@ the model factorizes into independent logistic regressions (ILRs).
 Indices are 0-based throughout.  alpha is stored as a dense symmetric m x m
 array with a zero diagonal, and a dataset as one label array and one feature
 store with a row per example: a dense array, or the CSR rows of a sparse file.
+Either store gives a run of its rows as a dense array when sliced.
 """
 
 from __future__ import annotations
@@ -130,25 +131,18 @@ class CsrRows:
     data: np.ndarray
     shape: tuple[int, int]
 
-    def dense(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start..stop-1 as a dense float array: zeros with the entries written in."""
-        stop = self.shape[0] if stop is None else min(stop, self.shape[0])
-        return self.write(_allocate(stop - start, self.shape[1], "features"), start)
-
-    def write(self, out: np.ndarray, start: int, value: float | None = None) -> np.ndarray:
-        """Write the entries of the rows from ``start`` on into the rows of ``out``,
-        or ``value`` in their places; returns the rows of ``out`` written."""
-        stop = min(start + len(out), self.shape[0])
-        rows = np.repeat(np.arange(stop - start), np.diff(self.indptr[start:stop + 1]))
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """The rows of a step-1 slice as a fresh dense float array: zeros with the
+        entries written in, ``-0.0`` kept."""
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError(f"CSR rows are read by a step-1 row slice, not {rows!r}")
+        start, stop, _ = rows.indices(self.shape[0])
+        stop = max(start, stop)
+        out = _allocate(stop - start, self.shape[1], "features")
+        local = np.repeat(np.arange(stop - start), np.diff(self.indptr[start:stop + 1]))
         span = slice(self.indptr[start], self.indptr[stop])
-        out[rows, self.indices[span]] = self.data[span] if value is None else value
-        return out[:stop - start]
-
-    def __getitem__(self, key):
-        """Row r, or entry (r, c), as the dense matrix holds it."""
-        r, *c = key if isinstance(key, tuple) else (key,)
-        r = range(self.shape[0])[r]
-        return self.dense(r, r + 1)[(0, *c)]
+        out[local, self.indices[span]] = self.data[span]
+        return out
 
     def with_column(self, value: float) -> CsrRows:
         """The rows with a constant last column appended."""
@@ -162,8 +156,8 @@ class CsrRows:
 class MultilabelDataset:
     """n examples as n x D features and an n x m array of -1/+1 labels.
 
-    The features are a float array or ``CsrRows``; only this class and
-    ``CsrRows`` tell the two apart.
+    The features are a float array or ``CsrRows``, and a row slice of either is
+    a dense array; only this class and ``CsrRows`` tell the two apart.
     """
 
     features: np.ndarray | CsrRows
@@ -203,30 +197,12 @@ class MultilabelDataset:
     @cached_property
     def feature_matrix(self) -> np.ndarray:
         """The n x D feature array; sparse rows are made dense once, then cached."""
-        sparse = isinstance(self.features, CsrRows)
-        return self.features.dense() if sparse else self.features
+        return self.features[:] if isinstance(self.features, CsrRows) else self.features
 
     @cached_property
     def label_matrix(self) -> np.ndarray:
         """n x m label matrix of +-1 floats (computed once, then cached)."""
         return self.labels.astype(float)
-
-    def row_blocks(self, floats: int):
-        """The feature rows in order, as dense arrays of at most ``floats`` floats
-        (at least one row) each.
-
-        A dense dataset yields views.  Sparse rows are written into one zeroed
-        array, and zeroed again after use, so the whole n x D array is never
-        made; a block is to be read, and only until the next is drawn.
-        """
-        rows = max(1, floats // self.num_features)
-        if not isinstance(self.features, CsrRows):
-            yield from (self.features[start:start + rows] for start in range(0, len(self), rows))
-            return
-        block = _allocate(min(rows, len(self)), self.num_features, "features")
-        for start in range(0, len(self), rows):
-            yield self.features.write(block, start)
-            self.features.write(block, start, 0.0)
 
     def map_features(self, fn, column: float | None = None) -> MultilabelDataset:
         """The dataset with ``fn`` applied to its stored feature values, then a constant

@@ -56,8 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise DataError("max_iters must be positive")
-        if self.rel_tol <= 0:
-            raise DataError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < np.inf:
+            raise DataError("rel_tol must be positive and finite")
 
 
 @dataclass

@@ -177,8 +177,8 @@ def export_label_graph(params: ModelParams, label_names,
         raise DataError(
             f"{len(label_names)} label names given for {params.num_labels} labels"
         )
-    if threshold < 0:
-        raise DataError("threshold must be nonnegative")
+    if not 0.0 <= threshold < np.inf:
+        raise DataError("threshold must be finite and nonnegative")
     edges = []
     for i, j, v in params.pairs():
         if abs(v) > threshold:

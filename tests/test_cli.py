@@ -89,15 +89,20 @@ class TestTrain:
         assert doc.reg.epsilon == 0.0
         assert doc.params.nnz_beta() == doc.params.beta.size
 
-    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2", "--epsilon"])
+    @pytest.mark.parametrize("flag,message", [
+        ("--lambda1", "regularization weights must be finite and nonnegative"),
+        ("--lambda2", "regularization weights must be finite and nonnegative"),
+        ("--epsilon", "regularization weights must be finite and nonnegative"),
+        ("--tol", "rel_tol must be positive and finite"),
+    ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-    def test_weight_that_is_not_finite_and_nonnegative_exits_3(self, toy_files, tmp_path, capsys,
-                                                              flag, value):
+    def test_knob_that_is_not_finite_and_in_range_exits_3(self, toy_files, tmp_path, capsys,
+                                                           flag, message, value):
         train, _ = toy_files
         code = main(["train", str(train), flag, value, "--model-out", str(tmp_path / "m")])
         assert code == 3
-        assert capsys.readouterr().err == (
-            "error: regularization weights must be finite and nonnegative\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("flag,value", [("--num-labels", "0"), ("--num-labels", "-2"),
                                             ("--num-features", "0")])
@@ -583,6 +588,15 @@ class TestGraph:
         assert doc["edges"][0]["sign"] == "positive"
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_threshold_that_is_not_finite_and_nonnegative_exits_3(self, trained_model, capsys,
+                                                                  value):
+        assert main(["graph", str(trained_model), "--threshold", value]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: threshold must be finite and nonnegative\n"
+        assert "edges above" not in captured.out
+
+
 class TestStability:
     def test_small_run_reports_bound(self, toy_files, tmp_path, capsys):
         train, test = toy_files
@@ -598,3 +612,16 @@ class TestStability:
         doc = json.loads(json_out.read_text())
         assert doc["trials"] == 2
         assert doc["all_within_bound"] is True
+
+    @pytest.mark.parametrize("counts", [[], ["--num-labels", "3", "--num-features", "5"]])
+    def test_sparse_pool_takes_its_counts_from_the_training_set(self, tmp_path, capsys, counts):
+        # the pool names neither label 3 nor features 4 and 5
+        train, pool = tmp_path / "train.txt", tmp_path / "pool.txt"
+        train.write_text("1,3 1:0.5 5:0.25\n2 2:0.5 4:-0.5\n3 3:0.5\n1 1:-0.5 2:0.5\n")
+        pool.write_text("1 1:0.5 3:0.25\n2 2:-0.5\n")
+        code = main(["stability", str(train), "--pool", str(pool), "--format",
+                     "sparse-multilabel", "--add-bias", "--trials", "2", "--tol", "1e-6",
+                     "--lambda1", "0.1", "--lambda2", "0.1", *counts])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "all within bound: True" in captured.out

@@ -8,7 +8,14 @@ import scipy.special
 import scipy.stats
 
 from corrlog import inference
-from corrlog.data import DatasetSpec, ToySpec, add_bias_column, generate_toy, load_dataset
+from corrlog.data import (
+    DatasetSpec,
+    ToySpec,
+    add_bias_column,
+    compute_feature_scale,
+    generate_toy,
+    load_dataset,
+)
 from corrlog.errors import DataError
 from corrlog.evaluation import (
     CvResult,
@@ -22,7 +29,8 @@ from corrlog.evaluation import (
     stability_experiment,
 )
 from corrlog.metrics import METRIC_NAMES
-from corrlog.model import ModelParams, MultilabelDataset
+from corrlog.inference import map_bruteforce
+from corrlog.model import CsrRows, ModelParams, MultilabelDataset
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog
 
@@ -229,9 +237,60 @@ class TestPredictDataset:
         assert peak < 0.1 * n * d * 8  # the dense matrix would take 200 MB
         assert preds.shape == (n, m) and flagged == []
         rows = rng.choice(n, size=40, replace=False)
-        twin = MultilabelDataset(np.array([ds.features[r] for r in rows]), ds.labels[rows],
-                                 ds.label_names)
+        twin = MultilabelDataset(np.vstack([ds.features[r:r + 1] for r in rows]),
+                                 ds.labels[rows], ds.label_names)
         assert predict_dataset(params, twin)[0].tobytes() == preds[rows].tobytes()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
+    def test_sparse_rows_decode_like_their_dense_twin(self, monkeypatch, exact, rows_per_chunk):
+        rng = np.random.default_rng(48)
+        n, m, d = 10, 4, 50
+        mask = rng.uniform(size=(n, d)) < 0.1
+        mask[3] = False  # a row with no entries
+        values = np.where(mask, rng.normal(size=(n, d)), 0.0)
+        values[0, 0], mask[0, 0] = -0.0, True  # a stored negative zero
+        r, c = np.nonzero(mask)
+        indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+        labels = rng.choice([-1, 1], size=(n, m))
+        names = tuple(f"label{i + 1}" for i in range(m))
+        sparse = MultilabelDataset(CsrRows(indptr, c, values[r, c], (n, d)), labels, names)
+        dense = MultilabelDataset(values, labels, names)
+        params = random_params(rng, m, d, alpha_scale=2.0, density=0.8)
+        if not exact:
+            monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
+        whole = predict_dataset(params, dense)
+        # the features set the chunk: 50 floats a row exceed a row's tables and messages
+        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", rows_per_chunk * d)
+        sizes, chunks = [], [rows_per_chunk] * (n // rows_per_chunk) + [n % rows_per_chunk] * (
+            n % rows_per_chunk > 0)
+        for name in ("_eliminate", "_max_product"):
+            def spy(unary, *rest, original=getattr(inference, name)):
+                sizes.append(len(unary))
+                return original(unary, *rest)
+            monkeypatch.setattr(inference, name, spy)
+        for ds in (sparse, dense):
+            sizes.clear()
+            preds, flagged = predict_dataset(params, ds)
+            assert sizes == chunks
+            assert preds.tobytes() == whole[0].tobytes() and flagged == whole[1]
+        # a list of rows is sliced alike
+        labels, converged = inference.decode_rows(params, values.tolist())
+        assert labels.tobytes() == whole[0].tobytes()
+        assert np.flatnonzero(~converged).tolist() == whole[1]
+
+    def test_zero_feature_columns_decode_and_scale(self):
+        # labels equal in pairs, so the fitted pairwise weights carry the decision
+        rng = np.random.default_rng(49)
+        first = rng.choice([-1, 1], size=(30, 2))
+        ds = MultilabelDataset(np.zeros((30, 0)), np.hstack([first, first]),
+                               ("l1", "l2", "l3", "l4"))
+        params, _ = train_corrlog(ds, toy_config(max_iters=2000))
+        assert params.nnz_alpha() > 0
+        preds, flagged = predict_dataset(params, ds)
+        want = map_bruteforce(params, np.zeros(0))
+        assert preds.tobytes() == np.tile(want, (30, 1)).tobytes() and flagged == []
+        assert compute_feature_scale(ds) == 0.0
 
 
 class TestStability:
