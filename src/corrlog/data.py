@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .inference import DECODE_CHUNK_FLOATS, ENUMERATION_LIMIT, _configs, _guard_enumeration
-from .model import CsrRows, ModelParams, MultilabelDataset, _allocate
+from .model import CsrRows, ModelParams, MultilabelDataset, _allocate, check_seed
 
 FORMATS = ("dense-csv", "sparse-multilabel")
 NORMALIZATIONS = ("none", "global-max-norm")
@@ -82,6 +82,7 @@ class ToySpec:
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 1:
             raise DataError("toy splits must contain at least one example")
+        check_seed(self.seed)
 
 
 def _read_text(path) -> list[str]:
@@ -398,7 +399,7 @@ def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDatas
     m, d = params.num_labels, params.num_features
     _guard_enumeration(m, ENUMERATION_LIMIT)
     configs = np.ascontiguousarray(_configs(m).T)  # one label vector per row
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
 
     pair_scores = 0.5 * np.einsum("ci,ij,cj->c", configs, params.alpha, configs)
 

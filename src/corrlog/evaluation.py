@@ -28,7 +28,7 @@ from .errors import DataError
 # because the benchmark tracer (benchmarks/spans.py) wraps it by this name.
 from .inference import MAX_ITERS, decode_rows, predict_map_bp  # noqa: F401
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, MetricsReport, compute_metrics
-from .model import ModelParams, MultilabelDataset
+from .model import ModelParams, MultilabelDataset, check_seed
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
 
 TRAINERS = ("corrlog", "ilrs")
@@ -185,7 +185,7 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
         raise DataError("need at least 2 folds")
     if n < k:
         raise DataError(f"cannot split {n} instances into {k} folds")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(check_seed(seed)).permutation(n)
     return list(np.array_split(perm, k))
 
 
@@ -312,11 +312,11 @@ def stability_experiment(dataset: MultilabelDataset, config: TrainConfig,
     reg = config.reg
     if reg.lambda1 <= 0 or reg.lambda2 <= 0:
         raise DataError("stability bound requires lambda1, lambda2 > 0")
+    rng = np.random.default_rng(check_seed(seed))
 
     base_params, _ = train_corrlog(dataset, config)
     n = len(dataset)
     min_lambda = min(reg.lambda1, reg.lambda2)
-    rng = np.random.default_rng(seed)
 
     diffs = []
     replaced = []

@@ -118,6 +118,13 @@ def _allocate(rows: int, count: int, what: str, fill: int = 0) -> np.ndarray:
         raise DataError(f"{rows} rows x {count} {what} are too many to hold in memory") from None
 
 
+def check_seed(seed: int) -> int:
+    """The seed itself; a negative one, which numpy's generators refuse, is a DataError."""
+    if seed < 0:
+        raise DataError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True, eq=False)
 class CsrRows:
     """An n x D float matrix as compressed sparse rows.

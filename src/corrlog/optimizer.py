@@ -2,23 +2,25 @@
 
 Minimizes  nll_pl + elastic_net  from the all-zeros start by iterating
 
-    theta_{k+1} = soft_threshold(theta_k - eta * grad_smooth(theta_k), eta * lam * eps)
+    theta_{k+1} = soft_threshold(theta_k - eta * grad_smooth(theta_k) / h, eta * lam * eps / h)
 
 on one flat coordinate vector theta (beta, then alpha's upper-triangle array
 when pairs are fitted; see :mod:`corrlog.objective`) with a per-coordinate
-lam: lambda1 on beta coordinates and lambda2 on pairwise ones.  So one
-soft-threshold, one momentum update and one difference serve both blocks, and
-ILRs carry no pair block at all.  Each step is the exact minimizer of the
-quadratic-plus-l1 surrogate built around theta_k.  The step size starts from
-1/lipschitz_bound; each step tries twice the last step, then halves until that
-surrogate majorizes the smooth part at the candidate (Scheinberg, Goldfarb &
-Bai 2014), so every accepted step decreases the full objective and the step
-can grow where the bound is loose.  A step makes one fused value+gradient pass
-at its anchor point and one value pass per candidate, and the accepted
-candidate's value becomes the next objective.  Optional two-point momentum
-gives the accelerated O(1/k^2) rate; whenever an extrapolated step would
-increase the objective the momentum is restarted and the step retaken
-plainly, which keeps the trace monotone.
+lam: lambda1 on beta coordinates and lambda2 on pairwise ones, so one
+soft-threshold, one momentum update and one difference serve both blocks.
+The fixed diagonal metric h is the smooth part's Hessian diagonal at theta = 0
+(``Problem.jacobi_metric``), so each coordinate moves by its own curvature:
+variable-metric forward-backward splitting (Combettes & Vu 2014), or the plain
+method in the coordinates sqrt(h) * theta.  Each step exactly minimizes the
+surrogate  smooth + <grad, d> + sum(h * d^2) / (2 eta) + l1  built around
+theta_k.  The dimensionless eta first tries 1, the plain Jacobi step; each
+step tries twice the last eta, then halves until that surrogate majorizes the
+smooth part at the candidate (Scheinberg, Goldfarb & Bai 2014), so every
+accepted step decreases the full objective.  A step makes one fused
+value+gradient pass at its anchor point and one value pass per candidate.
+Optional two-point momentum gives the accelerated O(1/k^2) rate; whenever an
+extrapolated step would increase the objective the momentum is restarted and
+the step retaken plainly, which keeps the trace monotone.
 
 Training is deterministic: identical inputs produce bit-identical models.
 """
@@ -44,6 +46,7 @@ from .objective import (
 )
 
 MAX_BACKTRACKS = 100
+INITIAL_STEP = 0.5  # eta before the first attempt, which tries twice it: the plain Jacobi step
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class TrainConfig:
 class TraceRecord:
     iteration: int
     objective: float
-    step_size: float
+    step_size: float  # eta, the dimensionless step in the metric h
     nnz_alpha: int
     nnz_beta: int
 
@@ -102,10 +105,6 @@ def lipschitz_bound(dataset: MultilabelDataset, reg: RegularizationConfig) -> fl
     return 2.0 * max_sq_norm + 4.0 * (m - 1) + 2.0 * max(reg.lambda1, reg.lambda2)
 
 
-def default_initial_step(dataset: MultilabelDataset, reg: RegularizationConfig) -> float:
-    return 1.0 / lipschitz_bound(dataset, reg)
-
-
 def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
                          reg: RegularizationConfig) -> float:
     """Max violation of the zero-subgradient optimality conditions.
@@ -134,27 +133,28 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
 
     problem = Problem(reg, dataset.num_labels, dataset.num_features, dataset, fit_alpha)
     lam, blocks = problem.lam, problem.blocks
-    eta = default_initial_step(dataset, reg)
 
     theta = theta_prev = np.zeros_like(lam)
     f_cur = full_value_dense(theta, problem)
     if not np.isfinite(f_cur):
         raise NumericError("objective is not finite at the zero start")
+    h, lam_eps, eta = problem.jacobi_metric(), lam * reg.epsilon, INITIAL_STEP
     t_momentum = 1.0
 
     trace = TrainTrace()
 
     def attempt_step(z, eta):
-        """Prox step from z: try 2*eta, then halve until the surrogate majorizes.
+        """Prox step from z in the metric h: try 2*eta, then halve until the surrogate majorizes.
 
-        Returns the candidate, its step size and its full objective.
+        Returns the candidate, its eta and its full objective.
         """
         smooth_z, grad = smooth_grad_dense(z, problem)
         eta /= 0.5
         for _ in range(MAX_BACKTRACKS):
-            cand = soft_threshold(z - eta * grad, (eta * lam) * reg.epsilon)
+            step = eta / h
+            cand = soft_threshold(z - step * grad, step * lam_eps)
             diff = cand - z
-            lin, sq = grad * diff, diff * diff
+            lin, sq = grad * diff, h * diff * diff
             quad, sq_sum = smooth_z, 0.0
             for block, _ in blocks:  # each block summed alone, added in block order
                 quad, sq_sum = quad + float(lin[block].sum()), sq_sum + float(sq[block].sum())

@@ -29,59 +29,59 @@ CASES = {
     "wide": (101, 40, 5, 6, 0.01, 0.01, 300),
     "single_label": (102, 25, 1, 4, 0.02, 0.02, 300),
     "alpha_killed": (103, 30, 4, 3, 0.01, 50.0, 300),
-    "capped": (104, 60, 6, 8, 0.001, 0.003, 40),
+    "capped": (104, 60, 6, 8, 0.001, 0.003, 15),
 }
 
 # (case, trainer, accelerate) -> (model sha256, trace sha256)
 DIGESTS = {
     ("wide", "corrlog", True): (
-        "8428e52dea08c100cd2b4aa908de940b413ba0dddac6e734a0164e5d7b9d5e2f",
-        "39f28d53907bd5d6104f4aca45a340d8e92858cf67b3e0fa2f0069786290b389"),
+        "4251961eaab84cc620f248535e4e86cd8190700f16b747eb1d5fa87a6888d3cd",
+        "fa968744281ea49fc69e6a8e12c5badf1337d1ebf91867977fbeae2042eeaab7"),
     ("wide", "corrlog", False): (
-        "4da47a7c79ef5f305fc7f2b1e68e6515cb6b123fcbc6b16b81b5fe7c8af21303",
-        "136b7773ff95c5dc5d11c53b9f7d69df46fd8fde9a78f091cfd046f3ab04b199"),
+        "bc327578988bb6fb75936e635546c7e64435d88245ae10624593a0194c3eef3a",
+        "a7a348c8cf87503a48357417d0f9d18aa4d1bc6c166b53583374881394acab33"),
     ("wide", "ilrs", True): (
-        "fe7242b875c8d4a72bd976dd3b8fca005321e030510a6be0e0d35a8d19acb205",
-        "a5e54e75d2635027c14b5b94057c1b6da4d5f28c0a6a48f8a8a2eb19437d6d40"),
+        "93ba95bde5bb5e59332c337cc6c60531976fc948fa8f973576c7125ac5914aaf",
+        "8f38cd6466f29ea28f07b0c78a41217faaf6d2357718f56dfd5687a1fa00c5e5"),
     ("wide", "ilrs", False): (
-        "ac9beb2092dd2c5cb97a419b6b613687d84694bac372ace4b90bab2c9a5c339d",
-        "eb78e461ca729fc702854947f7100c5d3f3b5fd643f711dfd1448d718aea5e8c"),
+        "a2760d1a69ad2e779294c0c0e1e35cb2267a0e94c4c1a2bc8138f3df94387738",
+        "d051f30c95d8af709e1bb6a033ceab3056f528f11e030af061b14174e8aa6bea"),
     ("single_label", "corrlog", True): (
-        "56aa6711c2a6ee29e30231e733f4e62ced2522c7a15911b5420094582716f401",
-        "954250c62f7d13fa483290113dcc2f8b35a0680d0766931fdfa6165d55befa3e"),
+        "cf5a99c4eab78ff76ac88f9e5ac130735e79245e7e5d041ff15d0f9251c5921a",
+        "4cc78eb8334a318521033a7e26e284f65854757e5fd94dec318ccda7dbef3c7c"),
     ("single_label", "corrlog", False): (
-        "ccf01445ce21b238696976c5847b72a52175e6a23785bbde62d4ebbdd2c7817a",
-        "7847d4c3b1e9e58307c914736bcf92a6ab66208770db47051cfe6b75cb126159"),
+        "2a3ce8f7c8d47bfc3abd85795fdc5f7ed453a630afcb4642b3bc25c6562cdedc",
+        "02069e08d3387987766123876e72d7cbc26be6ac40305769ed6dd3c98f844ebd"),
     ("single_label", "ilrs", True): (
-        "56aa6711c2a6ee29e30231e733f4e62ced2522c7a15911b5420094582716f401",
-        "f5f873358cc51afa5e5cafd71c615020049be947c23a7d24ca9ad9f2ed650c93"),
+        "cf5a99c4eab78ff76ac88f9e5ac130735e79245e7e5d041ff15d0f9251c5921a",
+        "c864d2f29eb280a28cb7e634c46cc42d103c3f5662a211f93bdc16ccbf5b1930"),
     ("single_label", "ilrs", False): (
-        "ccf01445ce21b238696976c5847b72a52175e6a23785bbde62d4ebbdd2c7817a",
-        "a807bd7986093b7c7f3bd2e9fa7b994031a55b433e633f774d0d1ba480d2d306"),
+        "2a3ce8f7c8d47bfc3abd85795fdc5f7ed453a630afcb4642b3bc25c6562cdedc",
+        "c8358189a6c6f7f4f55faf52123e9fd522aa06f5d18f534e48188b318582c4a8"),
     ("alpha_killed", "corrlog", True): (
-        "605d046dd9f57b3137f5bec3d910d978be2cb61cedd79e630ffa7f0acb098d4f",
-        "3aecc3c4eb028ada1c21bb7ca50739b20a9a0b04b5d1b80db6e499235cbb9cc6"),
+        "c93c1da84a77716a1a4eb47d88b1b651417d36e44d8a1462e59b1dd626ad990f",
+        "f8939c25cc5380b58b99ae429a8a29b31df31d698a67ff94cb114f6dfdb93fdc"),
     ("alpha_killed", "corrlog", False): (
-        "af856d15d7178e2de79152d458b9556b2ed2b310356789f141ec9e7bcb924c7e",
-        "f902748d1949ac13517b017f6745cbaa504abd2389a1773b7313db137397cf8e"),
+        "7dd0cdfeae4f379546353d82a2f706ed2b817367d32bb7ccc9eedc5923a94be7",
+        "2ebbc1b770f769b5d602326d0fdf70db83159703b68ff8d9fd1bd41e2c7959ee"),
     ("alpha_killed", "ilrs", True): (
-        "605d046dd9f57b3137f5bec3d910d978be2cb61cedd79e630ffa7f0acb098d4f",
-        "50f2145f9a923e5e661c8da2bbbaf93dd535427cd5593fb7e7a09e4f64d30351"),
+        "c93c1da84a77716a1a4eb47d88b1b651417d36e44d8a1462e59b1dd626ad990f",
+        "278258b258f84f9090b023c5780535ff996b25107cc718ecefc4f4e3bee43d76"),
     ("alpha_killed", "ilrs", False): (
-        "af856d15d7178e2de79152d458b9556b2ed2b310356789f141ec9e7bcb924c7e",
-        "e611a6b18c5d5d0402c823b552a30db1a2c6fe62db6d52de796b016d666abb4c"),
+        "7dd0cdfeae4f379546353d82a2f706ed2b817367d32bb7ccc9eedc5923a94be7",
+        "fe82b38dbfa757e7b64ea3a9c4fed48d0d9a10eae727e05d55d4538bd4c66560"),
     ("capped", "corrlog", True): (
-        "dda2e7b53565adb867cfd2c1c124eb13e5ca817ad3546fecf87469a6861ab14a",
-        "a459af6073f5be4c83273e8af43fe700212b8336ca73e9e002edb22c44e1a3aa"),
+        "c513d5536a38e9583e498c3cf59317f8f18b4726501685aef7c88398791d7d79",
+        "f2ac51f1dad5e34e6c0d6fb670c6974865e684dc2ffe77e8df954b770895ae65"),
     ("capped", "corrlog", False): (
-        "0e7ad33f57498e8556645e6369b03b9e97257c373a09d2e19b1b2189d749537e",
-        "9a4b1ed73438871ccaacc55bd2ee4633eeb0681bf8ac424a17ec1b38c4f87d26"),
+        "eeffcf12278a8f445b720c0b9b75956a0bfc54917487b7436d8e7dafdfde6799",
+        "7c877592df56a664f2949af843a546146332c0a17551ac3cb7e606a57d274946"),
     ("capped", "ilrs", True): (
-        "3a2076f5b3a6a33d5a923159a436357da76c4775aded5e0b02523d3ca95ce670",
-        "39beebdb35d143449cbba2cf088b5f770fbf2b64e7948cab5fb386a1a8fe071c"),
+        "f0c832b2b740063e1b63ee92020e1aa014c37df075c5abfd91e40aea56dd75c4",
+        "bc329aef8cb723b417b3b4fea874d320d474ec0cabe984de32bfe1123f081173"),
     ("capped", "ilrs", False): (
-        "c19e5bd1d26c1f0fc2997f52399578cf7a339303ff4d641b7bf677464a6dda92",
-        "929e53172ac7272348498c6f83254c6c6982400f34b7917629eaa1409a8b0be6"),
+        "660935d6b79b00abd12bc5f7cfe6180ff866f11fa7c06b347e5a22507db5d753",
+        "7ab2ce4f7dc603e7a6651a40db2a8d10227da5d79afdf29833b310ef0e04832a"),
 }
 
 
@@ -104,6 +104,8 @@ def test_model_and_trace_digests_are_pinned(case, trainer, accelerate):
     params, reg, records, converged = _train(case, trainer, accelerate)
     if case == "alpha_killed":
         assert records and all(r.nnz_alpha == 0 for r in records)
+    if case == "capped" and trainer == "corrlog":
+        assert len(records) == CASES[case][-1] and converged is False
     trace_doc = json.dumps({
         "converged": converged,
         "records": [[r.iteration, r.objective.hex(), r.step_size.hex(), r.nnz_alpha, r.nnz_beta]

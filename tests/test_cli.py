@@ -148,6 +148,18 @@ class TestTrain:
         code = main(["train", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["cv", "synth", "stability"])
+    def test_negative_seed_exits_3(self, toy_files, tmp_path, capsys, command):
+        train, test = toy_files
+        args = {"cv": [str(train), "--folds", "2", "--json-out", str(tmp_path / "cv.json")],
+                "synth": ["--train-out", str(tmp_path / "a.csv"),
+                          "--test-out", str(tmp_path / "b.csv")],
+                "stability": [str(train), "--pool", str(test), "--trials", "1",
+                              "--json-out", str(tmp_path / "s.json")]}[command]
+        assert main([command, *args, "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not any(tmp_path.iterdir())
+
     def test_nan_data_exits_4(self, tmp_path):
         bad = tmp_path / "bad.csv"
         # bypass the loader's finite check by constructing a near-degenerate file

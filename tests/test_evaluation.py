@@ -15,6 +15,7 @@ from corrlog.data import (
     compute_feature_scale,
     generate_toy,
     load_dataset,
+    sample_from_model,
 )
 from corrlog.errors import DataError
 from corrlog.evaluation import (
@@ -118,6 +119,16 @@ class TestFoldAssignment:
             fold_indices(3, 5, seed=0)
         with pytest.raises(DataError):
             fold_indices(10, 1, seed=0)
+
+
+def test_every_seeded_generator_refuses_a_negative_seed():
+    ds = random_dataset(np.random.default_rng(0), 6, 2, 2)
+    calls = [lambda: fold_indices(10, 2, seed=-1), lambda: ToySpec(seed=-1),
+             lambda: sample_from_model(ModelParams.zeros(2, 2), 5, seed=-1),
+             lambda: stability_experiment(ds, toy_config(), trials=1, seed=-1, pool=ds)]
+    for call in calls:
+        with pytest.raises(DataError, match="seed must be nonnegative, got -1"):
+            call()
 
 
 @pytest.fixture(scope="module")

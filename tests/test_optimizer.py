@@ -9,13 +9,16 @@ import corrlog.optimizer
 from corrlog.errors import DataError, NumericError
 from corrlog.model import ModelParams, MultilabelDataset
 from corrlog.objective import (
+    Problem,
     RegularizationConfig,
     full_objective,
+    smooth_grad_dense,
     smooth_gradient,
 )
 from corrlog.optimizer import (
+    INITIAL_STEP,
     TrainConfig,
-    default_initial_step,
+    lipschitz_bound,
     soft_threshold,
     subgradient_residual,
     train_corrlog,
@@ -166,7 +169,7 @@ class TestTrainingDescent:
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, 15, 3, 3)
         reg = RegularizationConfig(0.1, 0.1, 1.0)
-        eta = default_initial_step(ds, reg)
+        eta = 1.0 / lipschitz_bound(ds, reg)
         params = ModelParams.zeros(3, 3)
         for _ in range(25):
             grad = GradientBuffer(*smooth_gradient(params, ds, reg))
@@ -189,11 +192,51 @@ class TestTrainingDescent:
         assert trace_fast.objectives()[-1] <= trace_slow.objectives()[-1] + 1e-8
 
 
+class TestJacobiMetric:
+    def test_metric_is_the_curvature_at_zero(self):
+        # a bias column and an all-zero feature column, whose metric is 2 * lambda1 alone
+        rng = np.random.default_rng(41)
+        x = np.column_stack([rng.normal(size=(30, 3)) * [1.0, 0.1, 0.01],
+                             np.zeros(30), np.ones(30)])
+        ds = MultilabelDataset(x, rng.choice([-1, 1], size=(30, 4)), ("a", "b", "c", "d"))
+        reg = RegularizationConfig(0.01, 0.02, 1.0)
+        problem = Problem(reg, 4, 5, ds)
+        h = problem.jacobi_metric()
+        live = np.concatenate([np.ones(20, bool), problem.upper.ravel()])
+        delta, central = 1e-4, []
+        for k in np.flatnonzero(live):
+            e = np.zeros_like(h)
+            e[k] = delta
+            plus, minus = smooth_grad_dense(e, problem)[1], smooth_grad_dense(-e, problem)[1]
+            central.append((plus[k] - minus[k]) / (2 * delta))
+        assert np.allclose(h[live], central, rtol=1e-6, atol=0.0)
+        assert np.all(h[3:20:5] == 2 * reg.lambda1)  # the zero column
+        assert np.all(h[20:] == 2 + 2 * reg.lambda2)  # every slot of the pair block
+        params, _ = train_corrlog(ds, TrainConfig(reg=reg))
+        assert params.beta[:, 3].tobytes() == np.zeros(4).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_fit_stops_near_the_optimum(self, seed):
+        # feature columns spanning 100x in scale, normalized to unit max row norm, plus a bias
+        rng = np.random.default_rng(seed)
+        scales = np.logspace(0.0, -2.0, 20)
+        x = rng.normal(size=(150, 20)) * scales
+        score = x @ (rng.normal(size=(6, 20)) / scales).T + rng.normal(size=(150, 6))
+        y = np.where(score >= 0, 1, -1)
+        x = np.column_stack([x / np.sqrt((x * x).sum(axis=1)).max(), np.ones(150)])
+        ds = MultilabelDataset(x, y, tuple(f"label{i + 1}" for i in range(6)))
+        reg = RegularizationConfig(1e-3, 1e-3, 1.0)
+        _, trace = train_corrlog(ds, TrainConfig(reg=reg))
+        _, tight = train_corrlog(ds, TrainConfig(reg=reg, max_iters=100000, rel_tol=1e-15))
+        f, f_star = trace.objectives()[-1], tight.objectives()[-1]
+        assert f - f_star <= 1e-5 * max(1.0, f)
+
+
 class TestPassCount:
     """Each attempted step makes one fused value+gradient pass at its anchor
     and one value pass per candidate; only the zero start asks for the full
-    objective.  An attempt first tries twice the last step and then halves, so
-    over a run the candidate passes are 2 * attempts - log2(final / start step)."""
+    objective.  An attempt first tries twice the last eta and then halves, so
+    over a run the candidate passes are 2 * attempts - log2(final eta / INITIAL_STEP)."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -216,24 +259,24 @@ class TestPassCount:
         rng = np.random.default_rng(21)
         ds = random_dataset(rng, 30, 4, 5)
         reg = RegularizationConfig(0.01, 0.01, 1.0)
-        _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=40, accelerate=False))
-        assert trace.iterations == 40 and not trace.converged
-        start = default_initial_step(ds, reg)
-        doublings = self.step_doublings(trace, start)
-        assert doublings > 0  # the loose 1/L start grew
-        assert passes["fused"] == 40 and passes["full"] == 1
-        assert passes["candidate"] == 2 * 40 - doublings
-        assert passes["candidate"] > 40  # some attempts backtracked
+        _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=20, rel_tol=1e-12,
+                                                 accelerate=False))
+        assert trace.iterations == 20 and not trace.converged
+        doublings = self.step_doublings(trace, INITIAL_STEP)
+        assert doublings > 0  # eta grew past its start
+        assert passes["fused"] == 20 and passes["full"] == 1
+        assert passes["candidate"] == 2 * 20 - doublings
+        assert passes["candidate"] > 20  # some attempts backtracked
 
     def test_momentum_pass_count_follows_step_growth(self, passes):
         rng = np.random.default_rng(22)
         ds = random_dataset(rng, 30, 4, 5)
         reg = RegularizationConfig(0.01, 0.01, 1.0)
-        _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=25, rel_tol=1e-12))
-        assert trace.iterations == 25
+        _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=25, rel_tol=1e-15))
+        assert trace.iterations == 25 and not trace.converged
         attempts = passes["fused"]
         assert trace.iterations < attempts <= 2 * trace.iterations  # restarts happened
-        doublings = self.step_doublings(trace, default_initial_step(ds, reg))
+        doublings = self.step_doublings(trace, INITIAL_STEP)
         assert passes["full"] == 1
         assert passes["candidate"] == 2 * attempts - doublings
         assert passes["candidate"] > attempts  # some attempts backtracked
@@ -264,14 +307,15 @@ class TestTrainCorrlog:
                 ds, TrainConfig(reg=reg, max_iters=300, accelerate=accelerate))
             assert trace.records[-1].objective == full_objective(params, ds, reg)
 
-    def test_step_grows_past_the_loose_lipschitz_start(self):
-        # with 8 labels the 4(m - 1) term dominates the bound, so 1/L is loose
+    def test_step_grows_past_its_start(self):
+        # the metric is the curvature at zero only, so eta may grow past the
+        # plain Jacobi step 2 * INITIAL_STEP where the loss flattens
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, 40, 8, 3)
         reg = RegularizationConfig(0.01, 0.01, 1.0)
         _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=200))
         steps = [r.step_size for r in trace.records]
-        assert max(steps) >= 8 * default_initial_step(ds, reg)
+        assert max(steps) > 2 * INITIAL_STEP
         assert np.all(np.diff(trace.objectives()) <= 0.0)
 
     def test_deterministic_bit_identical(self):
@@ -334,7 +378,7 @@ class TestTrainIlrs:
         ds = random_dataset(np.random.default_rng(19), 40, 3, 4)
         params, _ = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.05, 0.0, 1.0)))
         assert params.nnz_beta() > 0
-        # lambda2 below lambda1 leaves even the start step unchanged
+        # without a pair block lambda2 enters neither the objective nor the metric
         same, _ = train_ilrs(ds, TrainConfig(reg=RegularizationConfig(0.05, 0.01, 1.0)))
         assert params.beta.tobytes() == same.beta.tobytes()
 
