@@ -10,14 +10,19 @@ Two on-disk formats are supported:
   indices (omitted entirely when no label is positive) and feature indices
   are 1-based.  Every index is a run of ASCII decimal digits.
 
+A file is decoded from UTF-8, after a byte-order mark if it starts with one.
 A sparse file is parsed a fixed block of lines at a time: each line is split
 once, and the feature tokens of the block are split at their colon, converted
 and checked together as arrays, so the per-token strings held at once stay
-bounded.  A block with any irregularity is parsed again line by line, which
-raises the first error in reading order with its whole-file line number; tests
-use that per-line parser as the reference.  The features of a sparse file are
-kept as CSR rows (``CsrRows``): training densifies them once, through
-``feature_matrix``, and scoring reads one dense slice of rows at a time.
+bounded.  The tokens are joined by spaces once; each has exactly one colon
+when the colon and space bytes of that text alternate, starting with a colon.
+numpy converts the indices once each is known to be ASCII digits; it
+saturates at 2**63 - 1, so a block holding that value is converted again
+exactly by ``int``.  A block with any irregularity is parsed again line by
+line, which raises the first error in reading order with its whole-file line
+number; tests use that per-line parser as the reference.  The features of a
+sparse file are kept as CSR rows (``CsrRows``): training densifies them once,
+through ``feature_matrix``, and scoring reads one dense slice of rows at a time.
 
 Feature preparation follows the model's instance-space convention ||x|| <= 1:
 ``global-max-norm`` divides every vector by the largest training-set l2 norm,
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -86,12 +90,17 @@ class ToySpec:
 
 
 def _read_text(path) -> list[str]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        return raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"file is not valid UTF-8 text: {exc}") from exc
+    """The file's lines, decoded from UTF-8 after an optional byte-order mark.
+
+    The raw bytes are dropped before the text is split, so the file is held
+    at most twice over.
+    """
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not valid UTF-8 text: {exc}") from exc
+    return text.splitlines()
 
 
 def _parse_label(token: str, line_no: int) -> int:
@@ -149,7 +158,11 @@ def _load_dense(lines: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
 def _parse_index(token: str, line_no: int, what: str, count: int | None) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ParseError(f"bad {what} index {token!r}", line_no)
-    idx = int(token)
+    digits = token.lstrip("0") or "0"
+    try:
+        idx = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} index of {len(digits)} digits is too large", line_no) from None
     if idx < 1:
         raise ParseError(f"{what} indices are 1-based, got {idx}", line_no)
     if count is not None and idx > count:
@@ -202,10 +215,12 @@ def _index_array(texts: list[str]) -> np.ndarray | None:
     digits = "".join(texts)
     if "" in texts or not (digits.isascii() and digits.isdigit()):
         return None
-    try:
-        indices = np.fromiter(map(int, texts), dtype=np.int64, count=len(texts))
-    except OverflowError:
-        return None
+    indices = np.fromstring(" ".join(texts), dtype=np.int64, sep=" ")
+    if indices.max() == _MAX_INDEX:  # numpy saturates there: convert again exactly
+        try:
+            indices = np.fromiter(map(int, texts), dtype=np.int64, count=len(texts))
+        except (OverflowError, ValueError):
+            return None
     return indices if indices.min() >= 1 else None
 
 
@@ -232,12 +247,14 @@ def _sparse_entries(lines: list[str], spec: DatasetSpec):
         feature_tokens += tokens
         row_sizes.append(len(tokens))
     n, k = len(row_sizes), len(feature_tokens)
-    colons = np.fromiter(map(str.count, feature_tokens, repeat(":")), dtype=np.intp, count=k)
-    if np.any(colons != 1):
-        return None
-    # with exactly one colon per token, index and value texts alternate
-    parts = ":".join(feature_tokens).split(":") if k else []
+    text = " ".join(feature_tokens)
     del feature_tokens
+    # tokens hold no whitespace, so each has one colon iff colons and spaces alternate
+    marks = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if marks[(marks == ord(":")) | (marks == ord(" "))].tobytes() != (b": " * k)[:-1]:
+        return None
+    parts = text.replace(" ", ":").split(":") if k else []  # index and value texts alternate
+    del text
     cols = _index_array(parts[0::2])
     try:
         values = np.fromiter(map(float, parts[1::2]), dtype=float, count=k)

@@ -368,6 +368,48 @@ class TestBlockParser:
         with mock.patch.object(data, "_BLOCK_LINES", block_lines):
             assert parse_outcome(lines, spec) == whole
 
+    @pytest.mark.parametrize("line", ["1 2:0.5 3:4:5 6", "1 2:0.5 6 3:4:5", "1 2:0.5 \ud800:1"])
+    def test_misplaced_colons_give_the_per_line_error(self, line):
+        # the first two hold one colon per token in total, but not one in every token
+        lines = ["1 1:0.5", line]
+        spec = DatasetSpec(format=SPARSE)
+        with pytest.raises(ParseError) as expected:
+            data._load_sparse_lines(lines, spec)
+        assert data._sparse_entries(lines, spec) is None
+        with pytest.raises(ParseError) as got:
+            data._load_sparse(lines, spec)
+        assert str(got.value) == str(expected.value) and got.value.line == expected.value.line == 2
+
+    @pytest.mark.parametrize("line,message", [
+        ("1 0000000000000000000012:0.5", None),
+        ("1 9223372036854775807:0.5", None),
+        ("2,00000000000000000003 3:1 9223372036854775807:0.5 0000000000000000000012:2", None),
+        ("1 3:1 9223372036854775808:0.5", "feature index 9223372036854775808 is too large"),
+        ("1 18446744073709551617:0.5", "feature index 18446744073709551617 is too large"),
+        ("2,9223372036854775808 1:0.5", "label index 9223372036854775808 is too large"),
+        ("99999999999999999999 1:0.5", "label index 99999999999999999999 is too large"),
+        pytest.param("1 " + "0" * 4999 + "7:0.5", None, id="feature-5000-digits-worth-7"),
+        pytest.param("1 " + "7" * 5000 + ":0.5", "feature index of 5000 digits is too large",
+                     id="feature-5000-digits"),
+        pytest.param("2," + "9" * 5001 + " 1:0.5", "label index of 5001 digits is too large",
+                     id="label-5001-digits"),
+    ])
+    def test_index_conversion_edges(self, line, message):
+        spec = DatasetSpec(format=SPARSE)
+        if message is None:
+            expected = data._load_sparse_lines([line], spec)
+            got = data._sparse_entries([line], spec)
+            assert all(arrays_identical(a, b) for a, b in zip(got, expected, strict=True))
+            with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
+                data._load_sparse([line], spec)
+            return
+        # one data row, so the guard on the row keys' overflow cannot fall back first
+        lines = ["# note", line]
+        assert data._sparse_entries(lines, spec) is None
+        with pytest.raises(ParseError) as exc:
+            data._load_sparse(lines, spec)
+        assert str(exc.value) == f"line 2: {message}" and exc.value.line == 2
+
     def test_an_error_in_a_later_block_keeps_its_file_line_number(self, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK_LINES", 2)
         lines = ["1 1:0.5", "# note", "2 2:1", "", "1 3:x"]
@@ -440,6 +482,36 @@ class TestBlockParser:
                 rows[key]
         biased = rows.with_column(0.5)
         assert arrays_identical(biased[:], np.column_stack([dense, np.full(3, 0.5)]))
+
+
+class TestReadText:
+    @pytest.mark.parametrize("fmt,text", [
+        (SPARSE, "1 1:0.5\n# note\n2,3 2:1\n"),
+        ("dense-csv", "\n" + DENSE_SAMPLE),
+    ])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, fmt, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(("\ufeff" + text).encode())
+        spec = DatasetSpec(format=fmt)
+        expected, got = load_dataset(plain, spec), load_dataset(marked, spec)
+        assert arrays_identical(got.feature_matrix, expected.feature_matrix)
+        assert arrays_identical(got.labels, expected.labels)
+        assert got.label_names == expected.label_names
+
+    def test_the_file_is_held_at_most_two_and_a_half_times(self, tmp_path):
+        line = "1,3 " + " ".join(f"{i}:0.{i:04d}" for i in range(1, 50))
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join([line] * (2**20 // len(line) + 1)) + "\n")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            lines = data._read_text(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size >= 2**20 and lines[0] == line
+        assert peak <= 2.5 * size, peak / size
 
 
 class TestFeaturePreparation:
