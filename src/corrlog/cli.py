@@ -3,7 +3,8 @@
 ``main`` echoes a subcommand's resolved configuration, runs it, and maps failures
 to distinct exit codes: 0 success, 2 usage error (argparse), 3 data/parse error,
 4 numeric failure.  Tables have JSON twins where applicable, and flag defaults
-and choices are read from the library objects the flags configure.
+and choices are read from the library objects the flags configure.  Every data
+command reads its files with ``_load_data`` and prepares them with ``_prepare``.
 """
 
 from __future__ import annotations
@@ -109,31 +110,30 @@ def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
         "message-passing round cap, used only by models too wide to decode exactly"))
 
 
-def _load_data(args: argparse.Namespace, path: str, feature_scale: float | None = None,
-               add_bias: bool = False, num_labels: int | None = None,
+def _load_data(args: argparse.Namespace, path: str, num_labels: int | None = None,
                num_features: int | None = None):
-    """Read ``path`` as ``args`` describe; a given ``feature_scale`` and ``add_bias`` prepare it,
-    and ``num_labels`` and ``num_features`` are a sparse file's counts unless ``args`` give them."""
-    spec = DatasetSpec(
+    """Read ``path`` in ``args.format``; ``num_labels`` and ``num_features`` are a sparse
+    file's counts unless ``args`` give them (a dense file's header gives its own)."""
+    sparse = args.format == "sparse-multilabel"
+    return load_dataset(path, DatasetSpec(
         format=args.format,
-        num_labels=num_labels if args.num_labels is None else args.num_labels,
-        num_features=num_features if args.num_features is None else args.num_features,
-        normalization="none" if feature_scale is None else "global-max-norm",
-        add_bias=add_bias,
-    )
-    return load_dataset(path, spec, feature_scale=feature_scale)
+        num_labels=num_labels if args.num_labels is None and sparse else args.num_labels,
+        num_features=num_features if args.num_features is None and sparse else args.num_features,
+    ))
+
+
+def _prepare(dataset, scale: float | None, add_bias: bool):
+    """Divide by ``scale`` unless it is None or 0, then add the bias column if asked."""
+    if scale is not None and scale != 0:
+        dataset = scale_features(dataset, scale)
+    return add_bias_column(dataset) if add_bias else dataset
 
 
 def _prepare_like_training(args: argparse.Namespace):
     """``args.data`` normalized and biased as ``args`` ask, and the feature scale used."""
     dataset = _load_data(args, args.data)
-    normalize = args.normalize == "global-max-norm"
-    scale = compute_feature_scale(dataset) if normalize else None
-    if normalize and scale > 0:
-        dataset = scale_features(dataset, scale)
-    if args.add_bias:
-        dataset = add_bias_column(dataset)
-    return dataset, scale
+    scale = compute_feature_scale(dataset) if args.normalize == "global-max-norm" else None
+    return _prepare(dataset, scale, args.add_bias), scale
 
 
 def cmd_train(args: argparse.Namespace) -> None:
@@ -157,11 +157,12 @@ def cmd_train(args: argparse.Namespace) -> None:
 
 def _load_model_and_data(args: argparse.Namespace):
     doc = _read_model(args.model)
-    meta, add_bias = doc.metadata, bool(doc.metadata.get("add_bias"))
-    # the data is prepared as for training, and a sparse file is as wide as the model
-    # before its bias column (a model of the bias column alone leaves the width to the file)
-    dataset = _load_data(args, args.data, meta.get("feature_scale"), add_bias,
-                         doc.params.num_labels, doc.params.num_features - add_bias or None)
+    add_bias = bool(doc.metadata.get("add_bias"))
+    # a sparse file is as wide as the model before its bias column (a model of the
+    # bias column alone leaves the width to the file); the data is prepared as for training
+    dataset = _load_data(args, args.data, doc.params.num_labels,
+                         doc.params.num_features - add_bias or None)
+    dataset = _prepare(dataset, doc.metadata.get("feature_scale"), add_bias)
     if dataset.num_features != doc.params.num_features:
         raise DataError(
             f"model expects {doc.params.num_features} features, data has {dataset.num_features}"
@@ -240,10 +241,10 @@ def cmd_graph(args: argparse.Namespace) -> None:
 
 
 def cmd_stability(args: argparse.Namespace) -> None:
-    dataset = _load_data(args, args.data, add_bias=args.add_bias)
-    # a sparse pool is as wide as the training set before its bias column
-    pool = _load_data(args, args.pool, add_bias=args.add_bias, num_labels=dataset.num_labels,
-                      num_features=dataset.num_features - args.add_bias)
+    dataset = _load_data(args, args.data)
+    # a sparse pool is as wide as the training set
+    pool = _load_data(args, args.pool, dataset.num_labels, dataset.num_features)
+    dataset, pool = (_prepare(ds, None, args.add_bias) for ds in (dataset, pool))
     config = _train_config(args)
     report = stability_experiment(dataset, config, trials=args.trials,
                                   seed=args.seed, pool=pool)

@@ -10,7 +10,7 @@ Two on-disk formats are supported:
   indices (omitted entirely when no label is positive) and feature indices
   are 1-based.  Every index is a run of ASCII decimal digits.
 
-A file is decoded from UTF-8, after a byte-order mark if it starts with one.
+A file is decoded from UTF-8, then a leading byte-order mark is dropped.
 A sparse file is parsed a fixed block of lines at a time: each line is split
 once, and the feature tokens of the block are split at their colon, converted
 and checked together as arrays, so the per-token strings held at once stay
@@ -25,12 +25,13 @@ sparse file are kept as CSR rows (``CsrRows``): training densifies them once,
 through ``feature_matrix``, and scoring reads one dense slice of rows at a time.
 
 Feature preparation follows the model's instance-space convention ||x|| <= 1:
-``global-max-norm`` divides every vector by the largest training-set l2 norm,
-and the optional bias column appends a constant after normalization, then
-rescales the augmented vector by 1/sqrt(2) so the norm bound still holds.
-Both steps act on the stored values only, a sparse file's entries or a dense
-array, with the same two roundings, and the scale is the largest row norm of
-the dense rows, computed a block of rows at a time.
+``scale_features`` divides every vector by the training set's largest l2 norm
+(``compute_feature_scale``), and ``add_bias_column`` appends a constant, then
+rescales the augmented vector by 1/sqrt(2) so the norm bound still holds; a
+test set reuses its training set's scale.  Both steps act on the stored values
+only, a sparse file's entries or a dense array, with the same two roundings.
+``load_dataset`` prepares a file with its own scale, the largest row norm of
+its dense rows, computed a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ class DatasetSpec:
             raise DataError(f"unknown normalization {self.normalization!r}")
         for field in ("num_labels", "num_features"):
             value = getattr(self, field)
+            if value is not None and self.format != "sparse-multilabel":
+                raise DataError(f"{field} is for sparse-multilabel files only")
             if value is not None and value < 1:
                 raise DataError(f"{field} must be at least 1, got {value}")
 
@@ -90,17 +93,19 @@ class ToySpec:
 
 
 def _read_text(path) -> list[str]:
-    """The file's lines, decoded from UTF-8 after an optional byte-order mark.
+    """The file's lines, decoded from UTF-8, less a leading byte-order mark.
 
     The raw bytes are dropped before the text is split, so the file is held
-    at most twice over.
+    at most twice over.  A decoding error counts bytes from the file's start.
     """
     with open(path, "rb") as fh:
         try:
-            text = fh.read().decode("utf-8-sig")
+            lines = fh.read().decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
             raise ParseError(f"file is not valid UTF-8 text: {exc}") from exc
-    return text.splitlines()
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]
+    return lines
 
 
 def _parse_label(token: str, line_no: int) -> int:
@@ -339,23 +344,12 @@ def add_bias_column(dataset: MultilabelDataset) -> MultilabelDataset:
                                 _ROOT_HALF)
 
 
-def load_dataset(path, spec: DatasetSpec, *, feature_scale: float | None = None) -> MultilabelDataset:
-    """Read a dataset file and apply the spec's normalization and bias handling.
-
-    ``feature_scale`` overrides the normalization constant so a test set can
-    reuse the scale computed on its training set; with normalization "none"
-    it would be ignored, so it is refused.
-    """
-    if feature_scale is not None and spec.normalization == "none":
-        raise DataError(f"feature scale {feature_scale!r} given with normalization 'none'")
+def load_dataset(path, spec: DatasetSpec) -> MultilabelDataset:
+    """Read a dataset file and apply the spec's normalization and bias column."""
     lines = _read_text(path)
-    if spec.format == "dense-csv":
-        dataset = MultilabelDataset(*_load_dense(lines))
-    else:
-        dataset = _load_sparse(lines, spec)
-    scale = feature_scale
-    if spec.normalization == "global-max-norm" and scale is None:
-        scale = compute_feature_scale(dataset)
+    dataset = (MultilabelDataset(*_load_dense(lines)) if spec.format == "dense-csv"
+               else _load_sparse(lines, spec))
+    scale = compute_feature_scale(dataset) if spec.normalization == "global-max-norm" else None
     return _prepare(dataset, scale, spec.add_bias)
 
 

@@ -5,14 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from corrlog import inference
+from corrlog import cli, inference
 from corrlog.cli import build_parser, main
 from corrlog.data import (
     FORMATS,
     NORMALIZATIONS,
     DatasetSpec,
     ToySpec,
+    add_bias_column,
+    compute_feature_scale,
     load_dataset,
+    scale_features,
     write_dense_csv,
 )
 from corrlog.evaluation import TRAINERS
@@ -637,3 +640,81 @@ class TestStability:
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert "all within bound: True" in captured.out
+
+
+class TestDataPreparation:
+    """Every data command reads its files one way and prepares them one way."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The scale each call of the CLI's ``scale_features`` gets, or "bias" per bias column."""
+        calls = []
+
+        def scale(dataset, value):
+            calls.append(value)
+            return scale_features(dataset, value)
+
+        def bias(dataset):
+            calls.append("bias")
+            return add_bias_column(dataset)
+
+        monkeypatch.setattr(cli, "scale_features", scale)
+        monkeypatch.setattr(cli, "add_bias_column", bias)
+        return calls
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_training_commands_prepare_with_the_computed_scale(self, toy_files, tmp_path, calls,
+                                                               command):
+        train, _ = toy_files
+        out = tmp_path / "out"
+        flag = "--model-out" if command == "train" else "--json-out"
+        extra = ["--folds", "2"] if command == "cv" else []
+        assert main([command, str(train), "--normalize", "global-max-norm", "--add-bias",
+                     "--max-iters", "20", *extra, flag, str(out)]) == 0
+        scale = compute_feature_scale(load_dataset(train, DatasetSpec()))
+        assert calls == [scale, "bias"]
+        if command == "train":
+            assert load_model(out.read_text()).metadata["feature_scale"] == scale
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("prepare", [[], ["--add-bias"],
+                                         ["--normalize", "global-max-norm", "--add-bias"]])
+    def test_scoring_commands_prepare_with_the_models_scale(self, toy_files, tmp_path, calls,
+                                                            command, prepare):
+        train, test = toy_files
+        model, out = tmp_path / "m.json", tmp_path / "out"
+        assert main(["train", str(train), *prepare, "--max-iters", "20",
+                     "--model-out", str(model)]) == 0
+        meta = load_model(model.read_text()).metadata
+        calls.clear()
+        flag = "--out" if command == "predict" else "--json-out"
+        assert main([command, str(model), str(test), flag, str(out)]) == 0
+        expected = [meta["feature_scale"]] if meta["feature_scale"] is not None else []
+        assert calls == expected + ["bias"] * meta["add_bias"]
+
+    @pytest.mark.parametrize("add_bias", [[], ["--add-bias"]])
+    def test_stability_prepares_data_and_pool_with_the_bias_only(self, toy_files, calls,
+                                                                 add_bias):
+        train, test = toy_files
+        assert main(["stability", str(train), "--pool", str(test), *add_bias, "--trials", "1",
+                     "--tol", "1e-6"]) == 0
+        assert calls == (["bias", "bias"] if add_bias else [])
+
+    @pytest.mark.parametrize("flag", ["--num-labels", "--num-features"])
+    @pytest.mark.parametrize("command", ["train", "cv", "predict", "eval", "stability"])
+    def test_count_flag_with_a_dense_file_exits_3(self, trained_model, toy_files, tmp_path,
+                                                  capsys, command, flag):
+        train, test = toy_files
+        out = tmp_path / "out"
+        argv = {
+            "train": [str(train), "--model-out", str(out)],
+            "cv": [str(train), "--json-out", str(out)],
+            "predict": [str(trained_model), str(test), "--out", str(out)],
+            "eval": [str(trained_model), str(test), "--json-out", str(out)],
+            "stability": [str(train), "--pool", str(test), "--json-out", str(out)],
+        }[command]
+        # the toy files do have 2 features and 2 labels; a dense header alone gives them
+        assert main([command, *argv, flag, "2"]) == 3
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} is for sparse-multilabel files only\n"
+        assert not out.exists()

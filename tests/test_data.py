@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlog import data
+from corrlog.cli import main
 from corrlog.data import (
     DatasetSpec,
     ToySpec,
@@ -20,6 +21,8 @@ from corrlog.data import (
 )
 from corrlog.errors import DataError, ParseError
 from corrlog.model import CsrRows, ModelParams, MultilabelDataset
+from corrlog.objective import RegularizationConfig
+from corrlog.serialize import save_model
 
 DENSE_SAMPLE = """f1,f2|l1,l2
 0.5,0.5,1,0
@@ -454,10 +457,15 @@ class TestBlockParser:
         dense_bytes = n * (d + 1) * 8  # 64 MB
         # a scale is found from dense blocks of DECODE_CHUNK_FLOATS (8 MiB) and their squares
         for scale, bound in ((None, 0.4 * dense_bytes), (7.5, 0.15 * dense_bytes)):
-            spec = DatasetSpec(format=SPARSE, normalization="global-max-norm", add_bias=True)
             tracemalloc.start()
             try:
-                ds = load_dataset(path, spec, feature_scale=scale)
+                if scale is None:
+                    spec = DatasetSpec(format=SPARSE, normalization="global-max-norm",
+                                       add_bias=True)
+                    ds = load_dataset(path, spec)
+                else:
+                    raw = load_dataset(path, DatasetSpec(format=SPARSE))
+                    ds = add_bias_column(scale_features(raw, scale))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -499,6 +507,13 @@ class TestReadText:
         assert arrays_identical(got.labels, expected.labels)
         assert got.label_names == expected.label_names
 
+    @pytest.mark.parametrize("raw,position", [(b"ab\xff", 2), (b"\xef\xbb\xbfab\xff", 5)])
+    def test_a_decoding_error_gives_the_offset_in_the_file(self, tmp_path, raw, position):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=f"byte 0xff in position {position}:"):
+            data._read_text(path)
+
     def test_the_file_is_held_at_most_two_and_a_half_times(self, tmp_path):
         line = "1,3 " + " ".join(f"{i}:0.{i:04d}" for i in range(1, 50))
         path = tmp_path / "big.txt"
@@ -536,9 +551,7 @@ class TestFeaturePreparation:
         test_path.write_text("f1|l1\n8,1\n")
         train = load_dataset(train_path, DatasetSpec(normalization="global-max-norm"))
         scale = 4.0
-        test = load_dataset(
-            test_path, DatasetSpec(normalization="global-max-norm"), feature_scale=scale
-        )
+        test = scale_features(load_dataset(test_path, DatasetSpec()), scale)
         # test vector scaled by the training constant, exceeding 1 is allowed
         assert test.features[0, 0] == pytest.approx(2.0)
         assert train.features[0, 0] == pytest.approx(1.0)
@@ -581,11 +594,11 @@ class TestFeaturePreparation:
     def test_scale_whose_quotient_overflows_is_refused(self, tmp_path, text, fmt):
         path = tmp_path / "d.txt"
         path.write_text(text)
-        spec = DatasetSpec(format=fmt, normalization="global-max-norm", add_bias=True)
+        raw = load_dataset(path, DatasetSpec(format=fmt))
         with pytest.raises(DataError, match="overflows"):
-            load_dataset(path, spec, feature_scale=5e-324)
+            add_bias_column(scale_features(raw, 5e-324))
         # a quotient that stays finite is kept, however large
-        ds = load_dataset(path, spec, feature_scale=1e-300)
+        ds = add_bias_column(scale_features(raw, 1e-300))
         assert ds.feature_matrix[0, 0] == 0.5 / 1e-300 * (1.0 / np.sqrt(2.0))
 
 
@@ -595,17 +608,9 @@ class TestFeaturePreparation:
     def test_reused_scale_that_is_not_positive_is_refused(self, tmp_path, text, fmt, scale):
         path = tmp_path / "d.txt"
         path.write_text(text)
-        spec = DatasetSpec(format=fmt, normalization="global-max-norm")
+        raw = load_dataset(path, DatasetSpec(format=fmt))
         with pytest.raises(DataError, match=f"positive and finite, got {scale!r}"):
-            load_dataset(path, spec, feature_scale=scale)
-
-    @pytest.mark.parametrize("text,fmt", [("f1,f2|l1\n3,4,1\n", "dense-csv"),
-                                          ("1 1:3 2:4\n", SPARSE)])
-    def test_scale_without_normalization_is_refused(self, tmp_path, text, fmt):
-        path = tmp_path / "d.txt"
-        path.write_text(text)
-        with pytest.raises(DataError, match="feature scale 2.0 given with normalization 'none'"):
-            load_dataset(path, DatasetSpec(format=fmt), feature_scale=2.0)
+            scale_features(raw, scale)
 
     @pytest.mark.parametrize("text,fmt", [("f1,f2|l1\n3,4,1\n", "dense-csv"),
                                           ("1 1:3 2:4\n", SPARSE)])
@@ -613,8 +618,14 @@ class TestFeaturePreparation:
         # a zero scale comes from all-zero training features
         path = tmp_path / "d.txt"
         path.write_text(text)
-        spec = DatasetSpec(format=fmt, normalization="global-max-norm")
-        assert load_dataset(path, spec, feature_scale=0.0).feature_matrix.tolist() == [[3.0, 4.0]]
+        raw = load_dataset(path, DatasetSpec(format=fmt))
+        assert data._prepare(raw, 0.0, False).feature_matrix.tolist() == [[3.0, 4.0]]
+        # predict leaves the data of a model whose feature scale is 0 unscaled too
+        params = ModelParams(np.array([[1.0, -1.0]]), np.zeros((1, 1)), 1, 2)
+        model, out = tmp_path / "m.json", tmp_path / "p.txt"
+        model.write_text(save_model(params, RegularizationConfig(), {"feature_scale": 0.0}))
+        assert main(["predict", str(model), str(path), "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == "-1\n"  # sign(3 - 4); the refused scale 0 would exit 3
 
 
 class TestGenerateToy:
