@@ -11,6 +11,9 @@ Two on-disk formats are supported:
   are 1-based.  Every index is a run of ASCII decimal digits.
 
 A file is decoded from UTF-8, then a leading byte-order mark is dropped.
+A dense file's data rows are converted by one ``np.loadtxt`` call, which
+reads a cell as ``float()`` does; a file it finds irregular (``_dense_rows``)
+is parsed again line by line, which raises the first error with its line.
 A sparse file is parsed a fixed block of lines at a time: each line is split
 once, and the feature tokens of the block are split at their colon, converted
 and checked together as arrays, so the per-token strings held at once stay
@@ -143,6 +146,10 @@ def _load_dense(lines: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
         raise ParseError("header must name at least one feature and one label column", header_no)
     n_feat, n_lab = len(feature_names), len(label_names)
 
+    rows = [line for line in lines[header_no:] if line.strip()]
+    parsed = _dense_rows(rows, n_feat, n_lab) if rows else None  # loadtxt warns on no rows
+    if parsed is not None:
+        return *parsed, tuple(label_names)
     features, labels = [], []
     for line_no in range(header_no + 1, len(lines) + 1):
         line = lines[line_no - 1]
@@ -158,6 +165,27 @@ def _load_dense(lines: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
     if not features:
         raise ParseError("file contains no data rows")
     return np.array(features), np.array(labels, dtype=np.int8), tuple(label_names)
+
+
+def _dense_rows(rows: list[str], n_feat: int, n_lab: int):
+    """Features and labels of the data rows from one numpy call, or None if any is irregular.
+
+    Irregular is a cell numpy refuses, a wrong column count, a label text not in
+    ``_LABEL_SYMBOLS`` (numpy reads ``1.0``), a non-finite feature, or a ``"\\x1f"``,
+    which numpy skips as whitespace and ``float()`` refuses.
+    """
+    label_texts = set()
+    for row in rows:
+        label_texts.update(row.rsplit(",", n_lab)[1:])
+    if any(t.strip() not in _LABEL_SYMBOLS for t in label_texts) or any("\x1f" in r for r in rows):
+        return None
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(rows), n_feat + n_lab) or not np.isfinite(table[:, :n_feat]).all():
+        return None
+    return np.ascontiguousarray(table[:, :n_feat]), np.where(table[:, n_feat:] > 0, 1, -1).astype(np.int8)
 
 
 def _parse_index(token: str, line_no: int, what: str, count: int | None) -> int:

@@ -97,14 +97,6 @@ def soft_threshold(u: float | np.ndarray, t: float | np.ndarray) -> float | np.n
     return out if out.ndim else float(out)
 
 
-def lipschitz_bound(dataset: MultilabelDataset, reg: RegularizationConfig) -> float:
-    """Safe upper bound on the smooth gradient's Lipschitz constant."""
-    x_mat = dataset.feature_matrix
-    max_sq_norm = float(np.max(np.einsum("ij,ij->i", x_mat, x_mat)))
-    m = dataset.num_labels
-    return 2.0 * max_sq_norm + 4.0 * (m - 1) + 2.0 * max(reg.lambda1, reg.lambda2)
-
-
 def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
                          reg: RegularizationConfig) -> float:
     """Max violation of the zero-subgradient optimality conditions.

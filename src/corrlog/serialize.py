@@ -36,22 +36,32 @@ class ModelDocument:
 
 def save_model(params: ModelParams, reg: RegularizationConfig,
                metadata: dict | None = None) -> str:
-    """Serialize to the versioned JSON document; full precision, deterministic."""
-    doc = {
+    """Serialize to the versioned JSON document; full precision, deterministic.
+
+    The layout is ``json.dumps(doc, indent=2, sort_keys=True)``'s; its first two
+    keys, alpha and beta, are joined as strings, and ``json.dumps`` renders the rest.
+    """
+    rest = json.dumps({
         "magic": MAGIC,
         "version": FORMAT_VERSION,
         "num_labels": params.num_labels,
         "num_features": params.num_features,
-        "beta": [[float(v).hex() for v in row] for row in params.beta],
-        "alpha": [[i, j, v.hex()] for i, j, v in params.pairs()],
         "regularization": {
             "lambda1": reg.lambda1,
             "lambda2": reg.lambda2,
             "epsilon": reg.epsilon,
         },
         "metadata": metadata or {},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    }, indent=2, sort_keys=True)
+    alpha = [f'[\n      {i},\n      {j},\n      "{v.hex()}"\n    ]' for i, j, v in params.pairs()]
+    beta = ['[\n      "' + '",\n      "'.join(map(float.hex, row)) + '"\n    ]' if row else "[]"
+            for row in params.beta.tolist()]
+    return f'{{\n  "alpha": {_json_list(alpha)},\n  "beta": {_json_list(beta)},\n{rest[2:]}\n'
+
+
+def _json_list(items: list[str]) -> str:
+    """Items already laid out at depth 2 as one ``json.dumps(indent=2)`` list at depth 1."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def load_model(document: str) -> ModelDocument:
@@ -84,7 +94,7 @@ def load_model(document: str) -> ModelDocument:
             isinstance(t, list) and len(t) == 3 for t in alpha_triples):
         raise ModelFormatError("alpha must be a list of [i, j, hex] triples")
     try:
-        beta = np.array([[float.fromhex(v) for v in row] for row in beta_rows])
+        beta = np.array([list(map(float.fromhex, row)) for row in beta_rows])
         alpha = {(_integer(i, "a pair index"), _integer(j, "a pair index")): float.fromhex(v)
                  for i, j, v in alpha_triples}
         reg = RegularizationConfig(*(_number(reg_doc[k], k)

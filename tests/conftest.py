@@ -3,9 +3,9 @@
 The oracle code here deliberately avoids the package's vectorized paths:
 scores and probabilities are recomputed with plain Python loops so that
 agreement between the two is meaningful.  The proximal-step helpers at the
-end (``GradientBuffer``, ``prox_step``, ``surrogate_objective``) restate one
-optimizer step on ``ModelParams`` so tests can check its majorization
-conditions directly.
+end (``GradientBuffer``, ``prox_step``, ``surrogate_objective``,
+``lipschitz_bound``) restate one optimizer step on ``ModelParams`` so tests
+can check its majorization conditions directly.
 """
 
 from __future__ import annotations
@@ -209,3 +209,11 @@ def surrogate_objective(candidate: ModelParams, anchor: ModelParams,
     value += reg.lambda1 * reg.epsilon * float(np.sum(np.abs(candidate.beta)))
     value += reg.lambda2 * reg.epsilon * float(np.sum(np.abs(np.triu(candidate.alpha, 1))))
     return value
+
+
+def lipschitz_bound(dataset: MultilabelDataset, reg: RegularizationConfig) -> float:
+    """Safe upper bound on the smooth gradient's Lipschitz constant."""
+    x_mat = dataset.feature_matrix
+    max_sq_norm = float(np.max(np.einsum("ij,ij->i", x_mat, x_mat)))
+    m = dataset.num_labels
+    return 2.0 * max_sq_norm + 4.0 * (m - 1) + 2.0 * max(reg.lambda1, reg.lambda2)

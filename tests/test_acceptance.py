@@ -17,13 +17,12 @@ from corrlog.metrics import compute_metrics
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import (
     TrainConfig,
-    lipschitz_bound,
     subgradient_residual,
     train_corrlog,
     train_ilrs,
 )
 
-from conftest import GradientBuffer, alpha_pairs, random_dataset, random_params
+from conftest import GradientBuffer, alpha_pairs, lipschitz_bound, random_dataset, random_params
 from test_inference import tree_model
 from test_objective import fd_smooth_gradient
 

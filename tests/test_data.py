@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -490,6 +491,125 @@ class TestBlockParser:
                 rows[key]
         biased = rows.with_column(0.5)
         assert arrays_identical(biased[:], np.column_stack([dense, np.full(3, 0.5)]))
+
+
+DENSE_CELLS = ["0", "-0", "-0.0", "+1.5", ".5", "5.", "1e-3", "-2E+2", "-7", "4.9e-324",
+               "1.7976931348623157e308", " 2.5", "2.5\t", " -3 ", " 3", "3 "]
+LABEL_CELLS = ["0", "1", "-1", "+1", " 1", "0 ", "\t+1", "-1 "]
+# float() reads "1_0" and "\u0661" (as 10.0 and 1.0), numpy does not; numpy skips "\x1f"
+BAD_DENSE_CELLS = ["1_0", "\u0661", "\x1f1.5", "1.5\x1f", "nan", "-inf", "1e400", "x", "",
+                   "0x1p0", "1.5\x00", "\ufeff1", "1,5", "\u200b1", "1.0", "2", "+0", "-0",
+                   "1e0", "true"]
+
+
+@st.composite
+def dense_files(draw):
+    """A well-formed dense file as (header, rows of cells, newline)."""
+    n_feat, n_lab = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    header = (",".join(f"f{i + 1}" for i in range(n_feat)) + "|"
+              + ",".join(f"l{i + 1}" for i in range(n_lab)))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.sampled_from(DENSE_CELLS))
+    rows = [[draw(value) for _ in range(n_feat)]
+            + [draw(st.sampled_from(LABEL_CELLS)) for _ in range(n_lab)]
+            for _ in range(draw(st.integers(1, 6)))]
+    return header, rows, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def render_dense(draw, header, rows, newline) -> list[str]:
+    """The file's lines as ``_read_text`` gives them, with blank lines mixed in."""
+    text = [draw(st.sampled_from(["", " "])) if draw(st.booleans()) else None, header]
+    for cells in rows:
+        if draw(st.booleans()):
+            text.append(draw(st.sampled_from(["", "  \t", "\x1f"])))
+        text.append(",".join(cells))
+    return newline.join(t for t in text if t is not None).splitlines()
+
+
+def dense_outcome(lines):
+    """The arrays and names ``_load_dense`` gives, or its ParseError text and line."""
+    try:
+        features, labels, names = data._load_dense(lines)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return (features.tobytes(), features.shape, features.dtype, features.flags.c_contiguous,
+            labels.tobytes(), labels.shape, labels.dtype, names)
+
+
+def per_line_outcome(lines):
+    """``dense_outcome`` with the whole-file path switched off."""
+    with mock.patch.object(data, "_dense_rows", lambda rows, n_feat, n_lab: None):
+        return dense_outcome(lines)
+
+
+def whole_file_path_taken(lines) -> bool:
+    """Whether ``_load_dense`` got its arrays from the whole-file path."""
+    results, real = [], data._dense_rows
+    with mock.patch.object(data, "_dense_rows", lambda *a: results.append(real(*a))):
+        dense_outcome(lines)
+    return bool(results) and results[0] is not None
+
+
+class TestWholeFileDenseParser:
+    """The one-call dense parser against the per-line parser it falls back to."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_files(), st.data())
+    def test_matches_per_line_parser_without_falling_back(self, file, draw):
+        lines = render_dense(draw.draw, *file)
+        expected = per_line_outcome(lines)
+        assert len(expected) == 8
+        # every data row of a valid file sends its feature cells through _parse_float
+        with mock.patch.object(data, "_parse_float", must_not_fall_back):
+            assert dense_outcome(lines) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_files(), st.data())
+    def test_one_corrupt_cell_gives_the_same_error(self, file, draw):
+        header, rows, newline = file
+        rows = [list(r) for r in rows]
+        r = draw.draw(st.integers(0, len(rows) - 1))
+        c = draw.draw(st.integers(0, len(rows[r]) - 1))
+        if draw.draw(st.booleans()):
+            rows[r][c] = draw.draw(st.sampled_from(BAD_DENSE_CELLS))
+        else:
+            del rows[r][c]  # a ragged row
+        lines = render_dense(draw.draw, header, rows, newline)
+        expected = per_line_outcome(lines)
+        assert dense_outcome(lines) == expected
+        if len(expected) == 2:  # an error names its line
+            assert expected[1] is not None
+
+    @pytest.mark.parametrize("text,whole_file,error", [
+        pytest.param("f1,f2|l1\n1_0,2,1\n", False, None, id="underscore"),
+        pytest.param("f1,f2|l1\n\x1f1.5,2,1\n", False, "line 2: non-numeric feature '1.5'",
+                     id="unit-separator"),
+        pytest.param("f1,f2|l1\n 1.5 ,\t2\t,1\n", True, None, id="padded"),
+        pytest.param("f1|l1,l2\n1,+1,0\n2, -1 ,1\n", True, None, id="label-symbols"),
+        pytest.param("f1|l1\n1,1\n2,1.0\n", False, "line 3: unknown label symbol '1.0'",
+                     id="float-label"),
+        pytest.param("f1|l1\n1,1\nnan,0\n", False, "line 3: non-finite feature 'nan'", id="nan"),
+        pytest.param("f1,f2|l1\n1,2,1\n1,1\n", False, "line 3: expected 3 columns, found 2",
+                     id="ragged"),
+        pytest.param("f1|l1\r\n1,1\r\n2,0\r\n", True, None, id="crlf"),
+        pytest.param("\n  \nf1|l1\n\n1,1\n \t\n2,0\n\n", True, None, id="blank-lines"),
+        pytest.param("\ufefff1|l1\n1,1\n", True, None, id="byte-order-mark"),
+        pytest.param("f1,f2|l1\n0.5,-0.25,+1\n", True, None, id="single-row"),
+        pytest.param("f1|l1\n\n", False, "file contains no data rows", id="header-only"),
+    ])
+    def test_named_edge_cells(self, tmp_path, text, whole_file, error):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        lines = data._read_text(path)
+        expected = per_line_outcome(lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on input with no rows
+            assert dense_outcome(lines) == expected
+            assert whole_file_path_taken(lines) == whole_file
+        if error is None:
+            assert len(expected) == 8
+        else:
+            assert expected[0] == error
 
 
 class TestReadText:

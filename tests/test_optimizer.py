@@ -18,7 +18,6 @@ from corrlog.objective import (
 from corrlog.optimizer import (
     INITIAL_STEP,
     TrainConfig,
-    lipschitz_bound,
     soft_threshold,
     subgradient_residual,
     train_corrlog,
@@ -28,6 +27,7 @@ from corrlog.optimizer import (
 from conftest import (
     GradientBuffer,
     alpha_pairs,
+    lipschitz_bound,
     prox_step,
     random_dataset,
     surrogate_objective,
@@ -350,8 +350,6 @@ class TestTrainCorrlog:
         )
         residual = subgradient_residual(params, ds, reg)
         # residual scale from strong convexity: L * sqrt(f_final / (min_lambda * rel_tol))
-        from corrlog.optimizer import lipschitz_bound
-
         f_final = trace.objectives()[-1]
         scale = lipschitz_bound(ds, reg) * np.sqrt(
             max(1.0, f_final) / (min(reg.lambda1, reg.lambda2) * rel_tol)

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlog.data import ToySpec, add_bias_column, generate_toy, sample_from_model
 from corrlog.errors import DataError, ModelFormatError
@@ -9,9 +12,71 @@ from corrlog.inference import predict_map_bp
 from corrlog.model import ModelParams
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog
-from corrlog.serialize import export_label_graph, load_model, save_model
+from corrlog.serialize import FORMAT_VERSION, MAGIC, export_label_graph, load_model, save_model
 
 from conftest import random_params
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, sys.float_info.max,
+               -sys.float_info.max, sys.float_info.min, 1.0, -0.5]
+
+
+@st.composite
+def drawn_models(draw):
+    """A model with edge-case coefficients, weights and metadata, as (params, reg, metadata)."""
+    m, d = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    value = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    beta = np.array([[draw(value) for _ in range(d)] for _ in range(m)]).reshape(m, d)
+    alpha = {(i, j): draw(value) for i in range(m) for j in range(i + 1, m)
+             if draw(st.booleans())}
+    reg = RegularizationConfig(*(draw(st.sampled_from([0.0, 1e-3, 5e-324, 0.5, 2.0]))
+                                 for _ in range(3)))
+    metadata = draw(st.one_of(st.none(), st.fixed_dictionaries({
+        "label_names": st.lists(st.text(max_size=4), min_size=m, max_size=m),
+        "feature_scale": st.one_of(st.none(), st.floats(0.0, sys.float_info.max)),
+        "add_bias": st.booleans(),
+        "note": st.text(max_size=6),
+    })))
+    return ModelParams(beta, alpha, m, d), reg, metadata
+
+
+def reference_document(params, reg, metadata) -> dict:
+    """The model document as a plain dict, every coefficient as ``float.hex``."""
+    return {
+        "magic": MAGIC,
+        "version": FORMAT_VERSION,
+        "num_labels": params.num_labels,
+        "num_features": params.num_features,
+        "beta": [[float(v).hex() for v in row] for row in params.beta],
+        "alpha": [[i, j, float(params.alpha[i, j]).hex()]
+                  for i in range(params.num_labels) for j in range(i + 1, params.num_labels)
+                  if params.alpha[i, j] != 0.0],
+        "regularization": {"lambda1": reg.lambda1, "lambda2": reg.lambda2,
+                           "epsilon": reg.epsilon},
+        "metadata": metadata or {},
+    }
+
+
+class TestDocumentLayout:
+    """The joined alpha and beta text against ``json.dumps`` of the whole document."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_models())
+    def test_document_is_json_dumps_of_the_reference(self, model):
+        expected = json.dumps(reference_document(*model), indent=2, sort_keys=True) + "\n"
+        assert save_model(*model) == expected
+
+    @pytest.mark.parametrize("m,d", [(1, 3), (3, 0), (1, 0)])
+    def test_no_pairs_and_empty_rows(self, m, d):
+        params = ModelParams(np.full((m, d), -0.0), {}, m, d)
+        reg = RegularizationConfig()
+        metadata = {"label_names": ["été", "猫", "\U0001f600"][:m]}
+        doc = save_model(params, reg, metadata)
+        assert doc == json.dumps(reference_document(params, reg, metadata), indent=2,
+                                 sort_keys=True) + "\n"
+        assert doc.isascii() and json.loads(doc)["alpha"] == []
+        loaded = load_model(doc).params
+        assert np.signbit(loaded.beta).all() and loaded.beta.shape == (m, d)
 
 
 class TestModelDocument:
