@@ -36,39 +36,28 @@ TRAINERS = ("corrlog", "ilrs")
 
 # --- paired t-test -----------------------------------------------------------
 
-def _beta_cont_frac(a: float, b: float, x: float, max_iters: int = 300,
-                    eps: float = 3e-16) -> float:
+_CF_TERMS, _CF_EPS, _TINY = 300, 3e-16, 1e-300  # most terms; stopping change; least |value|
+
+
+def _off_zero(v: float) -> float:
+    """v, or ``_TINY`` where |v| is smaller, so that Lentz's method never divides by 0."""
+    return _TINY if abs(v) < _TINY else v
+
+
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta integral (modified Lentz)."""
-    tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iters + 1):
+    d = h = 1.0 / _off_zero(1.0 - qab * x / qap)
+    for m in range(1, _CF_TERMS + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        # one Lentz step for each of term m's two coefficients
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _off_zero(1.0 + aa * d)
+            c = _off_zero(1.0 + aa / c)
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
             break
     return h
 

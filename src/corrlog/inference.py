@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .model import ModelParams, _check_dims
+from .model import ModelParams, _row
 
 ENUMERATION_LIMIT = 16  # exact decoding needs a smaller width; sampling enumerates 2^16
 BRUTEFORCE_LIMIT = 20  # largest label count map_bruteforce and margin enumerate
@@ -233,9 +233,10 @@ def decode_rows(params: ModelParams, X,
         raise DataError(f"feature matrix has shape {shape}, expected (n, {params.num_features})")
     if max_iters < 1:
         raise DataError("max_iters must be positive")
-    if decodes_exactly(params):
-        scopes = _scopes(params)
-        floats = 2 << max(map(len, scopes), default=0)  # a row's largest bucket table
+    scopes = _scopes(params)
+    width = max(map(len, scopes), default=0)
+    if width < ENUMERATION_LIMIT:  # decodes_exactly's rule, on the scopes built once
+        floats = 2 << width  # a row's largest bucket table
 
         def decode(unary):
             return _eliminate(unary, params.alpha, scopes), True
@@ -266,8 +267,7 @@ def predict_map_bp(params: ModelParams, x: np.ndarray,
     decisions (ties to +1).  Non-convergence within the iteration budget is
     reported on the state, not raised.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    _check_dims(params, x)
+    x = _row(params, x)
     unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
     layout = _edge_layout(params)
     messages, beliefs, converged, iterations = _max_product(unary[None, :], layout, max_iters)
@@ -313,8 +313,7 @@ def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
     Ties go to the lexicographically first optimum with +1 ordered before -1,
     as in every row that ``decode_rows`` decodes exactly.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    _check_dims(params, x)
+    x = _row(params, x)
     best = int(_bruteforce_scores(params, x).argmax())
     return _configs(params.num_labels, best, best + 1)[:, 0].astype(np.int8)
 
@@ -327,11 +326,7 @@ def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     (m <= ``BRUTEFORCE_LIMIT``).
     """
     m = params.num_labels
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y).reshape(-1)
-    _check_dims(params, x, y)
-    if not np.all((y == 1) | (y == -1)):
-        raise DataError("labels must be exactly -1 or +1")
+    x, y = _row(params, x, y)
     scores = _bruteforce_scores(params, x)
     # y is the vector whose bits, most significant first, mark its -1 labels
     y_index = int(np.dot(y == -1, 1 << np.arange(m - 1, -1, -1)))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .model import check_signs
 
 DISPLAY_NAMES = {
     "hamming_loss": "Hamming loss",
@@ -48,9 +49,7 @@ def _to_label_matrix(vectors, what: str) -> np.ndarray:
         raise DataError(f"{what} must be a list of equal-length label vectors") from exc
     if mat.ndim != 2:
         raise DataError(f"{what} must be a list of equal-length label vectors")
-    if mat.size and not np.all(np.abs(mat) == 1):
-        raise DataError(f"{what} entries must be -1 or +1")
-    return mat.astype(int)
+    return check_signs(mat, f"{what} entries").astype(int)
 
 
 def compute_metrics(y_true, y_pred) -> MetricsReport:

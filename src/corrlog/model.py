@@ -183,9 +183,7 @@ class MultilabelDataset:
             raise DataError(
                 f"{self.features.shape[0]} feature rows but {labels.shape[0]} label rows"
             )
-        if not np.all((labels == 1) | (labels == -1)):
-            raise DataError("labels must be exactly -1 or +1")
-        self.labels = labels.astype(np.int8, copy=False)
+        self.labels = check_signs(labels, "labels").astype(np.int8, copy=False)
         self.label_names = tuple(self.label_names)
         if len(self.label_names) != self.num_labels:
             raise DataError("label_names length must equal num_labels")
@@ -233,22 +231,36 @@ class MultilabelDataset:
         return MultilabelDataset(features, self.labels, self.label_names)
 
 
-def _check_dims(params: ModelParams, x: np.ndarray, y: np.ndarray | None = None) -> None:
+def check_signs(values, what: str) -> np.ndarray:
+    """``values`` as an array if every entry is -1 or +1; any other entry is a DataError."""
+    values = np.asarray(values)
+    if not np.all((values == 1) | (values == -1)):
+        raise DataError(f"{what} must be exactly -1 or +1")
+    return values
+
+
+def _row(params: ModelParams, x, y=None, i: int | None = None):
+    """x, or (x, y), as flat float vectors of the model's feature and label counts.
+
+    A vector of the wrong length or a label other than -1/+1 is a DataError, and
+    a label index ``i`` outside [0, num_labels) an IndexError.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (params.num_features,):
-        raise DataError(
-            f"feature vector has shape {x.shape}, expected ({params.num_features},)"
-        )
-    if y is not None and y.shape != (params.num_labels,):
-        raise DataError(
-            f"label vector has shape {y.shape}, expected ({params.num_labels},)"
-        )
+        raise DataError(f"feature vector has shape {x.shape}, expected ({params.num_features},)")
+    if y is not None:
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape != (params.num_labels,):
+            raise DataError(f"label vector has shape {y.shape}, expected ({params.num_labels},)")
+        check_signs(y, "labels")
+    if i is not None and not 0 <= i < params.num_labels:
+        raise IndexError(f"label index {i} out of range [0, {params.num_labels})")
+    return x if y is None else (x, y)
 
 
 def joint_score(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Unnormalized log-probability sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    _check_dims(params, x, y)
+    x, y = _row(params, x, y)
     return float(y @ (params.beta @ x)) + float(y @ np.triu(params.alpha, 1) @ y)
 
 
@@ -259,11 +271,7 @@ def conditional_label_prob(
 
     Equals sigmoid(2 * y_i * (<beta_i, x> + sum_{j != i} alpha_{ij} y_j)).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    _check_dims(params, x, y)
-    if not 0 <= i < params.num_labels:
-        raise IndexError(f"label index {i} out of range [0, {params.num_labels})")
+    x, y = _row(params, x, y, i)
     # alpha's zero diagonal leaves y_i out of its own interaction field
     activation = float(params.beta[i] @ x) + float(params.alpha[i] @ y)
     return float(sigmoid(2.0 * y[i] * activation))
@@ -271,10 +279,6 @@ def conditional_label_prob(
 
 def ilrs_label_prob(params: ModelParams, x: np.ndarray, i: int, y_i: int) -> float:
     """Independent-logistic probability of label i, ignoring all pairwise weights."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    _check_dims(params, x)
-    if not 0 <= i < params.num_labels:
-        raise IndexError(f"label index {i} out of range [0, {params.num_labels})")
-    if y_i not in (-1, 1):
-        raise DataError("y_i must be -1 or +1")
+    x = _row(params, x, i=i)
+    check_signs(y_i, "y_i")
     return float(sigmoid(2.0 * y_i * float(params.beta[i] @ x)))

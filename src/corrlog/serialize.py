@@ -94,7 +94,8 @@ def load_model(document: str) -> ModelDocument:
             isinstance(t, list) and len(t) == 3 for t in alpha_triples):
         raise ModelFormatError("alpha must be a list of [i, j, hex] triples")
     try:
-        beta = np.array([list(map(float.fromhex, row)) for row in beta_rows])
+        # reshaped, since zero rows alone make shape (0,), not (0, d)
+        beta = np.array([list(map(float.fromhex, row)) for row in beta_rows], float).reshape(m, d)
         alpha = {(_integer(i, "a pair index"), _integer(j, "a pair index")): float.fromhex(v)
                  for i, j, v in alpha_triples}
         reg = RegularizationConfig(*(_number(reg_doc[k], k)

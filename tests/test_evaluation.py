@@ -56,7 +56,46 @@ class TestIncompleteBeta:
                     assert got == pytest.approx(want, abs=1e-12), (a, b, x)
 
 
+    # the bits the cv JSON records, where scipy agrees only to 1e-12: both branches of
+    # the symmetry switch, I_x(a, b) in rows of x = 0.1, 0.45, 0.8, 0.99
+    PINNED = {
+        (0.5, 0.5): ["0x1.a37f5c4c419e9p-3", "0x1.df59ba2933079p-2",
+                     "0x1.68dfd7131067ep-1", "0x1.df59ba2933082p-1"],
+        (0.5, 3.0): ["0x1.1bf27e094d342p-1", "0x1.dcdf6fe57a423p-1",
+                     "0x1.fe9c4ff0d0a7bp-1", "0x1.fffff57984aeap-1"],
+        (2.0, 0.5): ["0x1.fce45348cef02p-9", "0x1.76d926b911566p-4",
+                     "0x1.7edfe518ce638p-2", "0x1.b374bc6a7ef9dp-1"],
+        (2.0, 3.0): ["0x1.ac710cb295e9cp-5", "0x1.37d14e3bcd35cp-1",
+                     "0x1.f212d77318fc5p-1", "0x1.ffff7ac9f5acfp-1"],
+        (7.5, 0.5): ["0x1.cd20a9fa0db4bp-28", "0x1.57a47f82b03e5p-11",
+                     "0x1.266b388846d90p-4", "0x1.67b6311a15aa0p-1"],
+        (7.5, 3.0): ["0x1.1cf445d7267afp-20", "0x1.2f3c9055cc0bdp-5",
+                     "0x1.6a8b7f9dc9702p-1", "0x1.fff3669f9ff03p-1"],
+    }
+
+    @pytest.mark.parametrize("a, b", list(PINNED))
+    def test_pinned_bits(self, a, b):
+        got = [regularized_incomplete_beta(a, b, x).hex() for x in (0.1, 0.45, 0.8, 0.99)]
+        assert got == self.PINNED[a, b]
+
+
 class TestPairedTTest:
+    def test_pinned_bits(self):
+        # (k, p-value, t statistic) of seeded score pairs, bit for bit
+        pinned = [
+            (2, "0x1.5b340c97f3c86p-1", "-0x1.1b6f3a3264897p-1"),
+            (3, "0x1.ff5246c2d6ef7p-5", "-0x1.e809641db24abp+1"),
+            (5, "0x1.9391d819f36e3p-1", "0x1.26181d60e2f70p-2"),
+            (5, "0x1.961464114ee7fp-5", "-0x1.64772a74afde3p+1"),
+            (10, "0x1.1888e0c88445cp-1", "-0x1.3fa5ee06d158ep-1"),
+            (30, "0x1.23a21c7467644p-6", "-0x1.419c1cf390d89p+1"),
+        ]
+        rng = np.random.default_rng(2024)
+        for k, p_value, t_statistic in pinned:
+            a = rng.normal(size=k)
+            r = paired_t_test(a, a + rng.normal(0.1, 0.2, size=k))
+            assert (r.p_value.hex(), r.t_statistic.hex()) == (p_value, t_statistic), k
+
     def test_identical_vectors_degenerate_p_one(self):
         r = paired_t_test([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
         assert r.degenerate

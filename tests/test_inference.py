@@ -13,6 +13,7 @@ from corrlog.inference import (
     ENUMERATION_LIMIT,
     BeliefState,
     decode_rows,
+    decodes_exactly,
     elimination_width,
     map_bruteforce,
     margin,
@@ -399,6 +400,17 @@ class TestExactDecode:
         assert elimination_width(ModelParams(np.zeros((5, 1)), alpha, 5, 1)) == 4
         assert elimination_width(frustrated_complete(ENUMERATION_LIMIT)) == ENUMERATION_LIMIT - 1
         assert elimination_width(frustrated_complete(ENUMERATION_LIMIT + 1)) == ENUMERATION_LIMIT
+
+    @pytest.mark.parametrize("m", [5, ENUMERATION_LIMIT + 1, BRUTEFORCE_LIMIT])
+    def test_star_width_follows_its_centre(self, m):
+        # a forest decodes exactly when every parent precedes its children in label order
+        for centre, width in ((0, 1), (m - 1, m - 1)):
+            alpha = np.zeros((m, m))
+            alpha[centre] = alpha[:, centre] = 0.5
+            alpha[centre, centre] = 0.0
+            params = ModelParams(np.zeros((m, 1)), alpha, m, 1)
+            assert elimination_width(params) == width
+            assert decodes_exactly(params) == (width < ENUMERATION_LIMIT)
 
     def test_width_below_the_limit_is_exact_at_any_label_count(self):
         # labels 0..15 complete and label 16 hung on label 0: 17 labels, width 15

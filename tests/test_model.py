@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlog.errors import DataError
+from corrlog.inference import map_bruteforce, margin, predict_map_bp
 from corrlog.model import (
     ModelParams,
     MultilabelDataset,
@@ -235,6 +236,55 @@ class TestIlrsLabelProb:
             assert ilrs_label_prob(p, x, i, int(y[i])) == pytest.approx(
                 conditional_label_prob(stripped, x, y, i), abs=1e-15
             )
+
+
+# Each single-row function as f(params, x, y, i); ilrs_label_prob reads label 1 of y.
+ROW_FUNCTIONS = {
+    "joint_score": lambda p, x, y, i: joint_score(p, x, y),
+    "conditional_label_prob": conditional_label_prob,
+    "ilrs_label_prob": lambda p, x, y, i: ilrs_label_prob(p, x, i, y[1]),
+    "predict_map_bp": lambda p, x, y, i: predict_map_bp(p, x),
+    "map_bruteforce": lambda p, x, y, i: map_bruteforce(p, x),
+    "margin": lambda p, x, y, i: margin(p, x, y),
+}
+READ_LABELS = ["joint_score", "conditional_label_prob", "ilrs_label_prob", "margin"]
+READ_INDEX = ["conditional_label_prob", "ilrs_label_prob"]
+
+
+class TestSingleRowContract:
+    """The input rules every single-row function shares: 3 labels, 2 features."""
+
+    params = random_params(np.random.default_rng(8), 3, 2)
+    x, y = np.array([0.5, -1.0]), np.array([1.0, -1.0, 1.0])
+
+    def test_valid_row_is_accepted(self):
+        for fn in ROW_FUNCTIONS.values():
+            fn(self.params, self.x, self.y, 1)
+
+    @pytest.mark.parametrize("name", list(ROW_FUNCTIONS))
+    @pytest.mark.parametrize("x", [np.zeros(1), np.zeros(3), np.zeros((2, 2))])
+    def test_wrong_length_features_are_a_data_error(self, name, x):
+        with pytest.raises(DataError, match="feature vector"):
+            ROW_FUNCTIONS[name](self.params, x, self.y, 1)
+
+    @pytest.mark.parametrize("name", READ_LABELS)
+    @pytest.mark.parametrize("value", [0.0, 0.5])
+    def test_labels_other_than_pm1_are_a_data_error(self, name, value):
+        y = self.y.copy()
+        y[1] = value
+        with pytest.raises(DataError, match="-1 or \\+1"):
+            ROW_FUNCTIONS[name](self.params, self.x, y, 1)
+
+    @pytest.mark.parametrize("name", ["joint_score", "conditional_label_prob", "margin"])
+    def test_wrong_length_labels_are_a_data_error(self, name):
+        with pytest.raises(DataError, match="label vector"):
+            ROW_FUNCTIONS[name](self.params, self.x, np.ones(4), 1)
+
+    @pytest.mark.parametrize("name", READ_INDEX)
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_label_index_out_of_range_is_an_index_error(self, name, i):
+        with pytest.raises(IndexError):
+            ROW_FUNCTIONS[name](self.params, self.x, self.y, i)
 
 
 class TestSigmoid:

@@ -100,6 +100,14 @@ class TestModelDocument:
         second = save_model(loaded.params, loaded.reg, loaded.metadata)
         assert first == second
 
+    @pytest.mark.parametrize("m,d", [(0, 0), (0, 3), (2, 0)])
+    def test_empty_shapes_round_trip(self, m, d):
+        # no label rows at all must still load as an (m, d) beta
+        first = save_model(ModelParams.zeros(m, d), RegularizationConfig())
+        loaded = load_model(first)
+        assert loaded.params.beta.shape == (m, d) and loaded.params.alpha.shape == (m, m)
+        assert save_model(loaded.params, loaded.reg, loaded.metadata) == first
+
     def test_all_zero_model_has_empty_alpha_list(self):
         doc = save_model(ModelParams.zeros(3, 2), RegularizationConfig())
         assert json.loads(doc)["alpha"] == []
