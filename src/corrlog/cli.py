@@ -78,8 +78,6 @@ def _add_reg_flags(parser: argparse.ArgumentParser) -> None:
                         help="iteration cap for training")
     parser.add_argument("--tol", type=float, default=config.rel_tol,
                         help="relative objective-change stopping tolerance")
-    parser.add_argument("--no-accel", action="store_true",
-                        help="disable momentum acceleration")
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -87,7 +85,6 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         reg=RegularizationConfig(args.lambda1, args.lambda2, args.epsilon),
         max_iters=args.max_iters,
         rel_tol=args.tol,
-        accelerate=not args.no_accel,
     )
 
 

@@ -64,8 +64,10 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):  # NaN fails too
         raise DataError("shape parameters must be positive")
+    if math.isnan(x):
+        raise DataError("x must be a number")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -101,6 +103,8 @@ def paired_t_test(per_fold_a, per_fold_b) -> TTestResult:
     k = a.size
     if k < 2:
         raise DataError("paired t-test needs at least two pairs")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("paired t-test needs finite scores")
     diffs = a - b
     mean = float(diffs.mean())
     spread = float(np.max(np.abs(diffs - mean)))

@@ -338,7 +338,7 @@ def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
 def margin_loss(params: ModelParams, x: np.ndarray, y: np.ndarray,
                 gamma: float = 1.0) -> float:
     """Ramp loss of the margin: 1 below zero, 0 above gamma, linear between."""
-    if gamma <= 0:
+    if not gamma > 0:  # NaN fails too
         raise DataError("gamma must be positive")
     f = margin(params, x, y)
     if f < 0:

@@ -18,9 +18,9 @@ step tries twice the last eta, then halves until that surrogate majorizes the
 smooth part at the candidate (Scheinberg, Goldfarb & Bai 2014), so every
 accepted step decreases the full objective.  A step makes one fused
 value+gradient pass at its anchor point and one value pass per candidate.
-Optional two-point momentum gives the accelerated O(1/k^2) rate; whenever an
-extrapolated step would increase the objective the momentum is restarted and
-the step retaken plainly, which keeps the trace monotone.
+Two-point momentum with a monotone restart is the one step rule (the O(1/k^2)
+rate): an extrapolated step that would increase the objective restarts the
+momentum and is retaken from the current point, which keeps the trace monotone.
 
 Training is deterministic: identical inputs produce bit-identical models.
 """
@@ -54,7 +54,6 @@ class TrainConfig:
     reg: RegularizationConfig = field(default_factory=RegularizationConfig)
     max_iters: int = 5000
     rel_tol: float = 1e-7
-    accelerate: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -89,7 +88,7 @@ class TrainTrace:
 
 def soft_threshold(u: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     """Shrink toward zero by t, a scalar or one threshold per element; exact zero inside [-t, t]."""
-    if (np.asarray(t) < 0).any():
+    if not (np.asarray(t) >= 0).all():  # NaN fails too
         raise DataError("threshold must be nonnegative")
     u = np.asarray(u, dtype=float)
     out = np.maximum(np.abs(u) - t, 0.0)
@@ -158,13 +157,12 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
         return cand, eta, add_l1_penalty(smooth_new, cand, problem)
 
     for k in range(config.max_iters):
-        if config.accelerate and k > 0:
+        z = theta
+        if k > 0:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
             omega = (t_momentum - 1.0) / t_next
             z = theta + omega * (theta - theta_prev)
             t_momentum = t_next
-        else:
-            z = theta
 
         new_theta, eta, f_new = attempt_step(z, eta)
 
@@ -176,11 +174,10 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
         if not np.isfinite(f_new):
             raise NumericError(f"objective became non-finite at iteration {k}")
 
+        trace.converged = abs(f_new - f_cur) < config.rel_tol * max(1.0, abs(f_cur))
         if f_new > f_cur:
             # No descent available: float-level stagnation at the optimum, or
             # a line search out of halvings.  Stop without accepting the candidate.
-            if abs(f_new - f_cur) < config.rel_tol * max(1.0, abs(f_cur)):
-                trace.converged = True
             break
 
         theta_prev, theta = theta, new_theta
@@ -189,8 +186,7 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
                              nnz_alpha=int(np.count_nonzero(theta)) - nnz_beta, nnz_beta=nnz_beta)
         trace.records.append(record)
 
-        if abs(f_cur - f_new) < config.rel_tol * max(1.0, abs(f_cur)):
-            trace.converged = True
+        if trace.converged:
             break
         f_cur = f_new
 

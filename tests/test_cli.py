@@ -172,9 +172,23 @@ class TestTrain:
 
     def test_unknown_flag_exits_2(self, toy_files, tmp_path):
         train, _ = toy_files
+        for flag in ("--bogus-flag", "--no-accel"):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", str(train), flag, "--model-out", str(tmp_path / "m")])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["train", "cv", "stability"])
+    def test_no_accel_is_a_usage_error(self, toy_files, tmp_path, command):
+        # momentum is the one step rule; the flag that turned it off is gone
+        train, test = toy_files
+        args = {"train": ["--model-out", str(tmp_path / "m.json")],
+                "cv": ["--folds", "2", "--json-out", str(tmp_path / "cv.json")],
+                "stability": ["--pool", str(test), "--trials", "1",
+                              "--json-out", str(tmp_path / "s.json")]}[command]
         with pytest.raises(SystemExit) as exc:
-            main(["train", str(train), "--bogus-flag", "--model-out", str(tmp_path / "m")])
+            main([command, str(train), *args, "--no-accel"])
         assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_numeric_failure_exits_4(self, monkeypatch, toy_files, tmp_path):
         from corrlog import cli
@@ -220,6 +234,11 @@ class TestTrain:
             assert options[name]["normalize"].default == spec.normalization
             assert options[name]["max_iters"].default == config.max_iters
             assert options[name]["tol"].default == config.rel_tol
+        # the stability bound assumes near-exact minimizers
+        assert options["stability"]["tol"].default == 1e-9
+        assert options["stability"]["max_iters"].default == 100000
+        for name in ("train", "cv", "stability"):
+            assert "no_accel" not in options[name]
         assert options["cv"]["trainer"].choices == TRAINERS
         assert [options["synth"][k].default for k in ("n_train", "n_test", "seed")] == [
             toy.n_train, toy.n_test, toy.seed]

@@ -55,6 +55,11 @@ class TestIncompleteBeta:
                     want = float(scipy.special.betainc(a, b, x))
                     assert got == pytest.approx(want, abs=1e-12), (a, b, x)
 
+    @pytest.mark.parametrize("a, b, x", [(0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (math.nan, 1.0, 0.5),
+                                         (1.0, math.nan, 0.5), (1.0, 1.0, math.nan)])
+    def test_rejects_bad_shape_or_nan(self, a, b, x):
+        with pytest.raises(DataError):
+            regularized_incomplete_beta(a, b, x)
 
     # the bits the cv JSON records, where scipy agrees only to 1e-12: both branches of
     # the symmetry switch, I_x(a, b) in rows of x = 0.1, 0.45, 0.8, 0.99
@@ -134,6 +139,14 @@ class TestPairedTTest:
             paired_t_test([1.0], [2.0])
         with pytest.raises(DataError):
             paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="finite"):
+            paired_t_test([0.1, math.nan, 0.3], [0.3, 0.1, 0.4])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_score_that_is_not_finite(self, bad):
+        # at inf the differences are inf or NaN, and the statistic was NaN, not a refusal
+        with pytest.raises(DataError, match="finite"):
+            paired_t_test([0.1, 0.2, 0.3], [0.3, bad, 0.4])
 
 
 class TestFoldAssignment:

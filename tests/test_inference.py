@@ -635,5 +635,6 @@ class TestMarginLoss:
         assert bigger <= loss + 1e-12
 
     def test_gamma_must_be_positive(self, simple):
-        with pytest.raises(DataError):
-            margin_loss(simple, np.array([1.0]), np.array([1]), gamma=0.0)
+        for gamma in (0.0, np.nan):
+            with pytest.raises(DataError):
+                margin_loss(simple, np.array([1.0]), np.array([1]), gamma=gamma)
