@@ -35,8 +35,9 @@ from .evaluation import (
     predict_dataset,
     stability_experiment,
 )
-from .inference import MAX_ITERS, decodes_exactly
+from .inference import decodes_exactly
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, compute_metrics
+from .model import default_label_names
 from .objective import RegularizationConfig
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
 from .serialize import EDGE_THRESHOLD, export_label_graph, load_model, save_model
@@ -99,12 +100,10 @@ def _add_training_flags(parser: argparse.ArgumentParser, before: str) -> None:
 
 
 def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
-    """The model, data, format and round-cap arguments of predict and eval."""
+    """The model, data and format arguments of predict and eval; decoding takes no settings."""
     parser.add_argument("model")
     parser.add_argument("data")
     _add_format_flags(parser, "taken from the model")
-    parser.add_argument("--bp-iters", type=int, default=MAX_ITERS, help=(
-        "message-passing round cap, used only by models too wide to decode exactly"))
 
 
 def _load_data(args: argparse.Namespace, path: str, num_labels: int | None = None,
@@ -173,7 +172,7 @@ def _load_model_and_data(args: argparse.Namespace):
 
 def cmd_predict(args: argparse.Namespace) -> None:
     doc, dataset = _load_model_and_data(args)
-    preds, flagged = predict_dataset(doc.params, dataset, args.bp_iters)
+    preds, flagged = predict_dataset(doc.params, dataset)
     with open(args.out, "w", encoding="utf-8") as fh:
         np.savetxt(fh, preds, fmt="%d", delimiter=",")
     print(f"{len(preds)} predictions written to {args.out}")
@@ -190,7 +189,7 @@ def cmd_predict(args: argparse.Namespace) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> None:
     doc, dataset = _load_model_and_data(args)
-    preds, flagged = predict_dataset(doc.params, dataset, args.bp_iters)
+    preds, flagged = predict_dataset(doc.params, dataset)
     report = compute_metrics(dataset.labels, preds)
     for name in METRIC_NAMES:
         print(f"{DISPLAY_NAMES[name]:<13} {getattr(report, name):.4f}")
@@ -205,7 +204,7 @@ def cmd_cv(args: argparse.Namespace) -> None:
     dataset, _ = _prepare_like_training(args)
     config = _train_config(args)
     result = cross_validate(dataset, args.folds, args.trainer, config, args.seed)
-    if args.compare_ilrs and args.trainer != "ilrs":
+    if args.compare_ilrs:
         baseline = cross_validate(dataset, args.folds, "ilrs", config, args.seed)
         result = compare_cv(result, baseline)
         print(baseline.to_text())
@@ -224,9 +223,7 @@ def cmd_synth(args: argparse.Namespace) -> None:
 
 def cmd_graph(args: argparse.Namespace) -> None:
     doc = _read_model(args.model)
-    names = doc.metadata.get("label_names") or [
-        f"label{i + 1}" for i in range(doc.params.num_labels)
-    ]
+    names = doc.metadata.get("label_names") or default_label_names(doc.params.num_labels)
     graph = export_label_graph(doc.params, names, threshold=args.threshold)
     print(f"{len(graph.nodes)} nodes, {len(graph.edges)} edges above |weight| > {args.threshold:g}")
     if args.dot_out:
@@ -330,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand: echo its resolved configuration, then map its outcome to an exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "cv" and args.compare_ilrs and args.trainer == "ilrs":
+        parser.error("cv: --compare-ilrs compares against ilrs, so it needs --trainer corrlog")
     try:
         print("config " + json.dumps({k: v for k, v in sorted(vars(args).items()) if k != "func"},
                                      default=str))

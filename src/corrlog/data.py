@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .inference import DECODE_CHUNK_FLOATS, ENUMERATION_LIMIT, _configs, _guard_enumeration
-from .model import CsrRows, ModelParams, MultilabelDataset, _allocate, check_seed
+from .model import CsrRows, ModelParams, MultilabelDataset, _allocate, check_seed, default_label_names
 
 FORMATS = ("dense-csv", "sparse-multilabel")
 NORMALIZATIONS = ("none", "global-max-norm")
@@ -118,13 +118,13 @@ def _parse_label(token: str, line_no: int) -> int:
     return _LABEL_SYMBOLS[token]
 
 
-def _parse_float(token: str, line_no: int, what: str = "feature") -> float:
+def _parse_float(token: str, line_no: int) -> float:
     try:
         value = float(token)
     except ValueError as exc:
-        raise ParseError(f"non-numeric {what} {token.strip()!r}", line_no) from exc
+        raise ParseError(f"non-numeric feature {token.strip()!r}", line_no) from exc
     if not math.isfinite(value):
-        raise ParseError(f"non-finite {what} {token.strip()!r}", line_no)
+        raise ParseError(f"non-finite feature {token.strip()!r}", line_no)
     return value
 
 
@@ -335,8 +335,7 @@ def _load_sparse(lines: list[str], spec: DatasetSpec) -> MultilabelDataset:
     labels[np.repeat(np.arange(n), label_sizes), label_idx] = 1
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(sizes, out=indptr[1:])
-    return MultilabelDataset(CsrRows(indptr, cols, values, (n, d)), labels,
-                             tuple(f"label{i + 1}" for i in range(m)))
+    return MultilabelDataset(CsrRows(indptr, cols, values, (n, d)), labels, default_label_names(m))
 
 
 def compute_feature_scale(dataset: MultilabelDataset) -> float:
@@ -452,4 +451,4 @@ def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDatas
         probs /= probs.sum()
         features[r] = x
         labels[r] = configs[rng.choice(2 ** m, p=probs)]
-    return MultilabelDataset(features, labels, tuple(f"label{i + 1}" for i in range(m)))
+    return MultilabelDataset(features, labels, default_label_names(m))

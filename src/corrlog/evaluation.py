@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError
 # predict_map_bp is not called here; it stays importable from this module
 # because the benchmark tracer (benchmarks/spans.py) wraps it by this name.
-from .inference import MAX_ITERS, decode_rows, predict_map_bp  # noqa: F401
+from .inference import decode_rows, predict_map_bp  # noqa: F401
 from .metrics import DISPLAY_NAMES, METRIC_NAMES, MetricsReport, compute_metrics
 from .model import ModelParams, MultilabelDataset, check_seed
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
@@ -190,11 +190,10 @@ def _fit(trainer: str, train_set: MultilabelDataset, config: TrainConfig) -> Mod
     raise DataError(f"unknown trainer {trainer!r}; expected one of {TRAINERS}")
 
 
-def predict_dataset(params: ModelParams, dataset: MultilabelDataset,
-                    max_iters: int = MAX_ITERS) -> tuple[np.ndarray, list[int]]:
+def predict_dataset(params: ModelParams, dataset: MultilabelDataset) -> tuple[np.ndarray, list[int]]:
     """(n x m predictions, non-converged indices) of every instance; ``decode_rows``
     slices a chunk of rows at a time, so sparse rows are never made dense whole."""
-    preds, converged = decode_rows(params, dataset.features, max_iters)
+    preds, converged = decode_rows(params, dataset.features)
     return preds, np.flatnonzero(~converged).tolist()
 
 

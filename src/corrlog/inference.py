@@ -12,15 +12,15 @@ last with ties to +1, so each row gets the lexicographically first optimum, as
 ``map_bruteforce`` does; it and ``margin`` score all 2^m label vectors of one
 row, 2^16 at a time, up to ``BRUTEFORCE_LIMIT`` labels.
 
-Wider models decode by max-product, a heuristic on them.  Messages live in the
-log domain, are updated synchronously (flooding), and are renormalized every
-round by subtracting their maximum.  One kernel decodes a batch: each round
-updates the 2-vector messages of every row and directed edge with a few numpy
-operations, and a row is frozen at the round where its own largest message
-change drops below 1e-9; ``max_iters`` (the CLI's ``--bp-iters``) caps the
-rounds.  Sums on both paths are taken in a fixed order, so a row's labels,
-beliefs and convergence flag do not depend on its batch.  ``predict_map_bp``
-runs max-product on one vector and also returns its messages and beliefs.
+Wider models decode by max-product, a heuristic on them; it takes no settings.
+Messages live in the log domain, are updated synchronously (flooding), and are
+renormalized every round by subtracting their maximum.  One kernel decodes a
+batch: each round updates the 2-vector messages of every row and directed edge
+with a few numpy operations; a row is frozen at the round where its largest
+message change drops below 1e-9, and is reported non-converged if still moving
+after ``MAX_ITERS`` rounds.  Sums on both paths are taken in a fixed order, so a
+row's labels, beliefs and convergence flag do not depend on its batch.
+``predict_map_bp`` decodes one vector by max-product, with messages and beliefs.
 """
 
 from __future__ import annotations
@@ -128,15 +128,13 @@ def _message_round(messages: np.ndarray, node_terms: np.ndarray,
     return msg - msg.max(axis=-1, keepdims=True)
 
 
-def _max_product(unary: np.ndarray, layout: _EdgeLayout, max_iters: int):
+def _max_product(unary: np.ndarray, layout: _EdgeLayout):
     """Loopy max-product on rows of unaries (n x m), each row on its own.
 
     Returns (messages n x 2E x 2, beliefs n x m x 2, converged n, iterations n).
     A row is frozen at the round whose largest message change drops below the
-    tolerance; rows still moving stop at ``max_iters``.
+    tolerance; rows still moving stop at ``MAX_ITERS``.
     """
-    if max_iters < 1:
-        raise DataError("max_iters must be positive")
     n = unary.shape[0]
     node_terms = unary[:, :, None] * _STATES
     messages = np.zeros((n, layout.src.size, 2))
@@ -145,7 +143,7 @@ def _max_product(unary: np.ndarray, layout: _EdgeLayout, max_iters: int):
     if layout.src.size:
         active = np.arange(n)
         current = messages
-        for rnd in range(1, max_iters + 1):
+        for rnd in range(1, MAX_ITERS + 1):
             if not active.size:
                 break
             updated = _message_round(current, node_terms[active], layout)
@@ -216,23 +214,20 @@ def _eliminate(unary: np.ndarray, alpha: np.ndarray, scopes: list[np.ndarray]) -
     return (1 - 2 * minus.view(np.int8)).T
 
 
-def decode_rows(params: ModelParams, X,
-                max_iters: int = MAX_ITERS) -> tuple[np.ndarray, np.ndarray]:
+def decode_rows(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
 
     When ``decodes_exactly(params)``, row r gets its lexicographically first MAP and
-    counts as converged: ``map_bruteforce(params, X[r])``, unless two optima differ
-    only by rounding.  Otherwise it gets the labels and flag that
-    ``predict_map_bp(params, X[r], max_iters)`` reports.  X, an array, a list of rows
-    or ``CsrRows``, is read only through ``np.shape`` and row slices: one chunk at a
-    time, whose working arrays and dense slice each stay within ``DECODE_CHUNK_FLOATS``
-    floats (at least one row), so memory stays bounded at any n.
+    counts as converged: ``map_bruteforce(params, X[r])``, unless two optima differ only
+    by rounding.  Otherwise it gets the labels and flag that ``predict_map_bp(params, X[r])``
+    reports, non-converged after ``MAX_ITERS`` rounds.  X, an array, a list of rows or
+    ``CsrRows``, is read only through ``np.shape`` and row slices: one chunk at a time,
+    whose working arrays and dense slice each stay within ``DECODE_CHUNK_FLOATS`` floats
+    (at least one row), so memory stays bounded at any n.
     """
     shape = np.shape(X)
     if len(shape) != 2 or shape[1] != params.num_features:
         raise DataError(f"feature matrix has shape {shape}, expected (n, {params.num_features})")
-    if max_iters < 1:
-        raise DataError("max_iters must be positive")
     scopes = _scopes(params)
     width = max(map(len, scopes), default=0)
     if width < ENUMERATION_LIMIT:  # decodes_exactly's rule, on the scopes built once
@@ -247,7 +242,7 @@ def decode_rows(params: ModelParams, X,
         floats = max(4 * layout.src.size, 2 * params.num_labels)
 
         def decode(unary):
-            _, beliefs, done, _ = _max_product(unary, layout, max_iters)
+            _, beliefs, done, _ = _max_product(unary, layout)
             return _labels(beliefs), done
     rows = max(1, DECODE_CHUNK_FLOATS // max(floats, params.num_labels, params.num_features))
     labels = np.empty((shape[0], params.num_labels), dtype=np.int8)
@@ -259,18 +254,17 @@ def decode_rows(params: ModelParams, X,
     return labels, converged
 
 
-def predict_map_bp(params: ModelParams, x: np.ndarray,
-                   max_iters: int = MAX_ITERS) -> tuple[np.ndarray, BeliefState]:
+def predict_map_bp(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, BeliefState]:
     """Decode the most probable label vector for x; returns (labels, state).
 
     With an empty interaction map this reduces exactly to per-label sign
-    decisions (ties to +1).  Non-convergence within the iteration budget is
+    decisions (ties to +1).  Non-convergence within ``MAX_ITERS`` rounds is
     reported on the state, not raised.
     """
     x = _row(params, x)
     unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
     layout = _edge_layout(params)
-    messages, beliefs, converged, iterations = _max_product(unary[None, :], layout, max_iters)
+    messages, beliefs, converged, iterations = _max_product(unary[None, :], layout)
     state = BeliefState(
         messages={(int(s), int(t)): messages[0, d]
                   for d, (s, t) in enumerate(zip(layout.src, layout.dst))},

@@ -159,6 +159,11 @@ class CsrRows:
                        np.insert(self.data, ends, value), (n, d + 1))
 
 
+def default_label_names(m: int) -> tuple[str, ...]:
+    """The names of m labels that a file does not name: label1 ... labelm."""
+    return tuple(f"label{i + 1}" for i in range(m))
+
+
 @dataclass(eq=False)
 class MultilabelDataset:
     """n examples as n x D features and an n x m array of -1/+1 labels.

@@ -31,7 +31,6 @@ class ModelDocument:
     params: ModelParams
     reg: RegularizationConfig
     metadata: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 def save_model(params: ModelParams, reg: RegularizationConfig,
@@ -111,7 +110,6 @@ def load_model(document: str) -> ModelDocument:
     return ModelDocument(
         params=params, reg=reg,
         metadata=_check_metadata(doc.get("metadata", {}), params.num_labels),
-        version=FORMAT_VERSION,
     )
 
 

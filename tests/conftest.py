@@ -99,13 +99,12 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, d: int) -> Multilab
 _STATES = np.array([1.0, -1.0])
 
 
-def reference_predict_map_bp(params: ModelParams, x,
-                             max_iters: int = 50) -> tuple[np.ndarray, BeliefState]:
+def reference_predict_map_bp(params: ModelParams, x) -> tuple[np.ndarray, BeliefState]:
     """Per-instance loopy max-product over a dict of directed-edge messages.
 
     This is the package's original decoder, kept as the reference that the
     batched kernel must match bit for bit: same neighbour order, same
-    convergence tolerance, same belief accumulation order.
+    convergence tolerance, same round cap of 50, same belief accumulation order.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     m = params.num_labels
@@ -126,7 +125,7 @@ def reference_predict_map_bp(params: ModelParams, x,
 
         converged = False
         iterations = 0
-        for iterations in range(1, max_iters + 1):
+        for iterations in range(1, 51):
             new_messages = {}
             max_change = 0.0
             for (src, dst), old in messages.items():

@@ -171,11 +171,24 @@ class TestTrain:
         assert code == 3  # rejected by the loader as non-finite
 
     def test_unknown_flag_exits_2(self, toy_files, tmp_path):
-        train, _ = toy_files
+        train, test = toy_files
         for flag in ("--bogus-flag", "--no-accel"):
             with pytest.raises(SystemExit) as exc:
                 main(["train", str(train), flag, "--model-out", str(tmp_path / "m")])
             assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(tmp_path / "m.json"), str(test), "--bp-iters", "5"])
+        assert exc.value.code == 2
+
+    def test_compare_ilrs_with_ilrs_trainer_exits_2(self, tmp_path, capsys):
+        # the baseline would be compared with itself; refused before any file is touched
+        with pytest.raises(SystemExit) as exc:
+            main(["cv", str(tmp_path / "missing.csv"), "--trainer", "ilrs", "--compare-ilrs",
+                  "--json-out", str(tmp_path / "cv.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--compare-ilrs" in err and "--trainer" in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["train", "cv", "stability"])
     def test_no_accel_is_a_usage_error(self, toy_files, tmp_path, command):
@@ -239,6 +252,9 @@ class TestTrain:
         assert options["stability"]["max_iters"].default == 100000
         for name in ("train", "cv", "stability"):
             assert "no_accel" not in options[name]
+        # decoding takes no settings; the round cap is the constant inference.MAX_ITERS
+        for name in ("predict", "eval"):
+            assert "bp_iters" not in options[name]
         assert options["cv"]["trainer"].choices == TRAINERS
         assert [options["synth"][k].default for k in ("n_train", "n_test", "seed")] == [
             toy.n_train, toy.n_test, toy.seed]
@@ -516,16 +532,6 @@ class TestPredictAndEval:
         assert main([command, str(trained_model), str(three), *extra]) == 3
         err = capsys.readouterr().err
         assert err == "error: model predicts 2 labels, data has 3\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["predict", "eval"])
-    def test_bp_iters_below_one_exits_3(self, trained_model, toy_files, tmp_path, capsys,
-                                        command):
-        out = tmp_path / "out.txt"
-        extra = ["--out", str(out)] if command == "predict" else ["--json-out", str(out)]
-        assert main([command, str(trained_model), str(toy_files[1]), "--bp-iters", "0",
-                     *extra]) == 3
-        assert capsys.readouterr().err == "error: max_iters must be positive\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])

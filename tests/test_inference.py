@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from corrlog import inference
 from corrlog.data import sample_from_model
 from corrlog.errors import DataError
+from corrlog.evaluation import predict_dataset
 from corrlog.inference import (
     BRUTEFORCE_LIMIT,
     ENUMERATION_LIMIT,
@@ -123,7 +125,7 @@ class TestPredictMapBp:
         rng = np.random.default_rng(9)
         params = random_params(rng, 8, 2, alpha_scale=5.0, density=0.9)
         x = rng.normal(size=2) * 10
-        _, state = predict_map_bp(params, x, max_iters=50)
+        _, state = predict_map_bp(params, x)
         for msg in state.messages.values():
             assert np.all(np.isfinite(msg))
         assert np.all(np.isfinite(state.beliefs))
@@ -158,7 +160,7 @@ class TestPredictMapBp:
         params = ModelParams(beta, alpha, m, 1)
         labels, state = predict_map_bp(params, np.array([1.0]))
         assert not state.converged
-        assert state.iterations_run == 50
+        assert state.iterations_run == inference.MAX_ITERS
         assert labels.shape == (m,)
         assert np.all(np.isfinite(state.beliefs))
 
@@ -172,6 +174,17 @@ def assert_same_state(got: BeliefState, want: BeliefState) -> None:
     assert got.beliefs.tobytes() == want.beliefs.tobytes()
 
 
+@pytest.mark.parametrize("decoder, names", [
+    (decode_rows, ["params", "X"]),
+    (predict_map_bp, ["params", "x"]),
+    (inference._max_product, ["unary", "layout"]),
+    (predict_dataset, ["params", "dataset"]),
+], ids=["decode_rows", "predict_map_bp", "_max_product", "predict_dataset"])
+def test_decoding_takes_no_settings(decoder, names):
+    # the round cap is the constant MAX_ITERS, not a parameter
+    assert list(inspect.signature(decoder).parameters) == names
+
+
 class TestReferenceDecoder:
     """The batched kernel against the per-instance dict decoder, bit for bit.
 
@@ -179,37 +192,39 @@ class TestReferenceDecoder:
     exactly, so the batch tests lower the limit to 0 to run max-product.
     """
 
-    # the ids keep the names these cases had while damping was a second parameter
-    @pytest.mark.parametrize("max_iters", [1, 5, 50], ids=["1-0.0", "5-0.0", "50-0.0"])
-    def test_matches_reference_on_loopy_models(self, monkeypatch, max_iters):
+    def test_matches_reference_on_loopy_models(self, monkeypatch):
         monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
-        rng = np.random.default_rng(1000 + max_iters)
+        rng = np.random.default_rng(1050)
+        flags = []
         for k in range(6):
             m = int(rng.integers(2, 13))
             params = random_params(rng, m, 3, alpha_scale=(0.3, 1.0, 2.0)[k % 3],
                                    density=0.7)
             X = rng.normal(size=(8, 3))
-            labels, converged = decode_rows(params, X, max_iters)
+            labels, converged = decode_rows(params, X)
+            flags += converged.tolist()
             assert labels.dtype == np.int8 and labels.shape == (8, m)
             assert converged.dtype == bool and converged.shape == (8,)
             for r, x in enumerate(X):
-                want_labels, want = reference_predict_map_bp(params, x, max_iters)
-                got_labels, got = predict_map_bp(params, x, max_iters)
+                want_labels, want = reference_predict_map_bp(params, x)
+                got_labels, got = predict_map_bp(params, x)
                 assert np.array_equal(got_labels, want_labels)
                 assert_same_state(got, want)
                 assert np.array_equal(labels[r], want_labels)
                 assert converged[r] == want.converged
+        # rows that stop at the round cap are compared too, not only converged ones
+        assert set(flags) == {True, False}
 
     def test_batch_with_rows_frozen_at_different_rounds(self, monkeypatch):
         monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
         rng = np.random.default_rng(31)
         params = random_params(rng, 7, 3, alpha_scale=1.0, density=0.7)
         X = rng.normal(size=(12, 3))
-        reference = [reference_predict_map_bp(params, x, 50) for x in X]
+        reference = [reference_predict_map_bp(params, x) for x in X]
         rounds = {state.iterations_run for _, state in reference}
         assert len(rounds) >= 3
         assert {state.converged for _, state in reference} == {True, False}
-        labels, converged = decode_rows(params, X, 50)
+        labels, converged = decode_rows(params, X)
         assert np.array_equal(labels, np.array([lab for lab, _ in reference]))
         assert np.array_equal(converged, [state.converged for _, state in reference])
 
@@ -286,9 +301,9 @@ class TestChunkUnaries:
         monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 12_000)
         shapes, max_product = [], inference._max_product
 
-        def spy(unary, layout, max_iters):
+        def spy(unary, layout):
             shapes.append(unary.shape)
-            return max_product(unary, layout, max_iters)
+            return max_product(unary, layout)
 
         monkeypatch.setattr(inference, "_max_product", spy)
         labels, converged = decode_rows(params, X)

@@ -11,6 +11,7 @@ from corrlog.model import (
     ModelParams,
     MultilabelDataset,
     conditional_label_prob,
+    default_label_names,
     ilrs_label_prob,
     joint_score,
     sigmoid,
@@ -113,6 +114,10 @@ class TestInstanceAndDataset:
     def test_wrong_number_of_label_names_rejected(self):
         with pytest.raises(DataError, match="label_names"):
             MultilabelDataset(np.zeros((2, 2)), np.ones((2, 2)), ("a", "b", "c"))
+
+    def test_default_label_names_count_from_one(self):
+        assert default_label_names(3) == ("label1", "label2", "label3")
+        assert default_label_names(0) == ()
 
 
 class TestJointScore:
