@@ -70,6 +70,7 @@ from .optimizer import (
 from .serialize import (
     LabelGraph,
     ModelDocument,
+    dump_json,
     export_label_graph,
     load_model,
     save_model,

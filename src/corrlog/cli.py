@@ -2,9 +2,12 @@
 
 ``main`` echoes a subcommand's resolved configuration, runs it, and maps failures
 to distinct exit codes: 0 success, 2 usage error (argparse), 3 data/parse error,
-4 numeric failure.  Tables have JSON twins where applicable, and flag defaults
-and choices are read from the library objects the flags configure.  Every data
-command reads its files with ``_load_data`` and prepares them with ``_prepare``.
+4 numeric failure.  ``eval``, ``cv``, ``graph`` and ``stability`` write a JSON twin
+of their table with ``--json-out``, each through ``serialize.dump_json``: standard
+JSON, 2-space indent, sorted keys, a trailing newline, and an infinite t-statistic
+written as null.  Flag defaults and choices are read from the library objects the
+flags configure.  Every data command reads its files with ``_load_data`` and
+prepares them with ``_prepare``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .data import (
 )
 from .errors import DataError, ModelFormatError, NumericError, ParseError
 from .evaluation import (
-    TRAINERS,
     compare_cv,
     cross_validate,
     predict_dataset,
@@ -40,7 +42,7 @@ from .metrics import DISPLAY_NAMES, METRIC_NAMES, compute_metrics
 from .model import default_label_names
 from .objective import RegularizationConfig
 from .optimizer import TrainConfig, train_corrlog, train_ilrs
-from .serialize import EDGE_THRESHOLD, export_label_graph, load_model, save_model
+from .serialize import EDGE_THRESHOLD, dump_json, export_label_graph, load_model, save_model
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -196,21 +198,20 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if flagged:
         print(f"non-converged instances: {len(flagged)}")
     if args.json_out:
-        payload = report.as_dict() | {"n_eval": report.n_eval}
-        _write(args.json_out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.json_out, dump_json(report.as_dict()))
 
 
 def cmd_cv(args: argparse.Namespace) -> None:
     dataset, _ = _prepare_like_training(args)
     config = _train_config(args)
-    result = cross_validate(dataset, args.folds, args.trainer, config, args.seed)
+    result = cross_validate(dataset, args.folds, "corrlog", config, args.seed)
     if args.compare_ilrs:
         baseline = cross_validate(dataset, args.folds, "ilrs", config, args.seed)
         result = compare_cv(result, baseline)
         print(baseline.to_text())
     print(result.to_text())
     if args.json_out:
-        _write(args.json_out, result.to_json() + "\n")
+        _write(args.json_out, dump_json(result.as_dict()))
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
@@ -231,7 +232,7 @@ def cmd_graph(args: argparse.Namespace) -> None:
     else:
         print(graph.to_dot(), end="")
     if args.json_out:
-        _write(args.json_out, graph.to_json())
+        _write(args.json_out, dump_json(graph.as_dict()))
 
 
 def cmd_stability(args: argparse.Namespace) -> None:
@@ -244,7 +245,7 @@ def cmd_stability(args: argparse.Namespace) -> None:
                                   seed=args.seed, pool=pool)
     print(report.to_text())
     if args.json_out:
-        _write(args.json_out, report.to_json() + "\n")
+        _write(args.json_out, dump_json(report.as_dict()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,12 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", default=None, help="also write metrics as JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = add_command("cv", "k-fold cross-validation")
+    p = add_command("cv", "k-fold cross-validation of the correlated model")
     p.add_argument("data")
     _add_training_flags(p, "folding")
     p.add_argument("--folds", type=int, default=5, help="number of folds")
-    p.add_argument("--trainer", choices=TRAINERS, default=TRAINERS[0],
-                   help="which model to cross-validate")
     p.add_argument("--compare-ilrs", action="store_true",
                    help="also run the independent baseline and attach paired t-tests")
     p.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
@@ -327,10 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand: echo its resolved configuration, then map its outcome to an exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "cv" and args.compare_ilrs and args.trainer == "ilrs":
-        parser.error("cv: --compare-ilrs compares against ilrs, so it needs --trainer corrlog")
+    args = build_parser().parse_args(argv)
     try:
         print("config " + json.dumps({k: v for k, v in sorted(vars(args).items()) if k != "func"},
                                      default=str))

@@ -17,7 +17,6 @@ loose tolerance can void the premise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -136,24 +135,21 @@ class CvResult:
     def per_fold(self, metric: str) -> list[float]:
         return [getattr(r, metric) for r in self.folds]
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
+        """The cv document; an infinite t-statistic (a constant nonzero shift) is None."""
         doc = {}
         for name in METRIC_NAMES:
-            entry = {
-                "mean": self.means[name],
-                "std": self.stds[name],
-                "per_fold": self.per_fold(name),
-            }
+            doc[name] = {"mean": self.means[name], "std": self.stds[name],
+                         "per_fold": self.per_fold(name)}
             if self.ttests is not None:
                 tt = self.ttests[name]
-                entry["t_test"] = {
-                    "t_statistic": tt.t_statistic,
+                doc[name]["t_test"] = {
+                    "t_statistic": tt.t_statistic if math.isfinite(tt.t_statistic) else None,
                     "p_value": tt.p_value,
                     "dof": tt.dof,
                     "degenerate": tt.degenerate,
                 }
-            doc[name] = entry
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return doc
 
     def to_text(self) -> str:
         lines = [f"{self.k}-fold cross-validation, trainer={self.trainer}, seed={self.seed}"]
@@ -257,22 +253,11 @@ class StabilityReport:
     def all_within_bound(self) -> bool:
         return all(d <= self.bound for d in self.diffs)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bound": self.bound,
-                "n": self.n,
-                "min_lambda": self.min_lambda,
-                "rel_tol": self.rel_tol,
-                "trials": self.trials,
-                "diffs": self.diffs,
-                "max_diff": self.max_diff,
-                "mean_diff": self.mean_diff,
-                "all_within_bound": self.all_within_bound,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def as_dict(self) -> dict:
+        return {"bound": self.bound, "n": self.n, "min_lambda": self.min_lambda,
+                "rel_tol": self.rel_tol, "trials": self.trials, "diffs": self.diffs,
+                "max_diff": self.max_diff, "mean_diff": self.mean_diff,
+                "all_within_bound": self.all_within_bound}
 
     def to_text(self) -> str:
         lines = [

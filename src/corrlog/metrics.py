@@ -38,8 +38,9 @@ class MetricsReport:
     n_eval: int
     degenerate_labels: tuple[int, ...] = field(default=())
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
+    def as_dict(self) -> dict:
+        """The eval document: the six measures and the number of rows scored."""
+        return {name: getattr(self, name) for name in (*METRIC_NAMES, "n_eval")}
 
 
 def _to_label_matrix(vectors, what: str) -> np.ndarray:

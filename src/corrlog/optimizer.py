@@ -2,7 +2,8 @@
 
 Minimizes  nll_pl + elastic_net  from the all-zeros start by iterating
 
-    theta_{k+1} = soft_threshold(theta_k - eta * grad_smooth(theta_k) / h, eta * lam * eps / h)
+    z_k         = theta_k + omega_k (theta_k - theta_{k-1})
+    theta_{k+1} = soft_threshold(z_k - eta * grad_smooth(z_k) / h, eta * lam * eps / h)
 
 on one flat coordinate vector theta (beta, then alpha's upper-triangle array
 when pairs are fitted; see :mod:`corrlog.objective`) with a per-coordinate
@@ -13,14 +14,15 @@ The fixed diagonal metric h is the smooth part's Hessian diagonal at theta = 0
 variable-metric forward-backward splitting (Combettes & Vu 2014), or the plain
 method in the coordinates sqrt(h) * theta.  Each step exactly minimizes the
 surrogate  smooth + <grad, d> + sum(h * d^2) / (2 eta) + l1  built around
-theta_k.  The dimensionless eta first tries 1, the plain Jacobi step; each
+z_k.  The dimensionless eta first tries 1, the plain Jacobi step; each
 step tries twice the last eta, then halves until that surrogate majorizes the
 smooth part at the candidate (Scheinberg, Goldfarb & Bai 2014), so every
 accepted step decreases the full objective.  A step makes one fused
 value+gradient pass at its anchor point and one value pass per candidate.
 Two-point momentum with a monotone restart is the one step rule (the O(1/k^2)
-rate): an extrapolated step that would increase the objective restarts the
-momentum and is retaken from the current point, which keeps the trace monotone.
+rate): omega_k = (t_k - 1) / t_{k+1} with t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2,
+t_0 = 1 and z_0 = theta_0.  An extrapolated step that would increase the objective
+resets t to 1 and is retaken from z_k = theta_k, which keeps the trace monotone.
 
 Training is deterministic: identical inputs produce bit-identical models.
 """

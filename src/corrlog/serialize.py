@@ -1,7 +1,9 @@
-"""Model documents and label-graph export.
+"""Model documents, label-graph export, and the one JSON layout.
 
-A model document is versioned JSON.  Coefficients are stored as C99 hex
-floats (``float.hex()``), which round-trip bit-exactly, and keys are sorted
+Every JSON document the package writes goes through ``dump_json``: standard
+JSON (no ``NaN`` or ``Infinity``), 2-space indent, sorted keys and a trailing
+newline.  A model document is versioned JSON.  Coefficients are stored as C99
+hex floats (``float.hex()``), which round-trip bit-exactly, and keys are sorted
 with a fixed layout so re-serializing a loaded document reproduces it byte
 for byte.  Pairwise weights are stored as (i, j, value) triples, i < j, with
 0-based indices, one per nonzero pair in row-major order.
@@ -33,14 +35,19 @@ class ModelDocument:
     metadata: dict = field(default_factory=dict)
 
 
+def dump_json(doc) -> str:
+    """``doc`` as standard JSON with 2-space indent, sorted keys and a trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def save_model(params: ModelParams, reg: RegularizationConfig,
                metadata: dict | None = None) -> str:
     """Serialize to the versioned JSON document; full precision, deterministic.
 
-    The layout is ``json.dumps(doc, indent=2, sort_keys=True)``'s; its first two
-    keys, alpha and beta, are joined as strings, and ``json.dumps`` renders the rest.
+    The layout is ``dump_json``'s; the document's first two keys, alpha and beta,
+    are joined as strings, and ``dump_json`` renders the rest.
     """
-    rest = json.dumps({
+    rest = dump_json({
         "magic": MAGIC,
         "version": FORMAT_VERSION,
         "num_labels": params.num_labels,
@@ -51,15 +58,15 @@ def save_model(params: ModelParams, reg: RegularizationConfig,
             "epsilon": reg.epsilon,
         },
         "metadata": metadata or {},
-    }, indent=2, sort_keys=True)
+    })
     alpha = [f'[\n      {i},\n      {j},\n      "{v.hex()}"\n    ]' for i, j, v in params.pairs()]
     beta = ['[\n      "' + '",\n      "'.join(map(float.hex, row)) + '"\n    ]' if row else "[]"
             for row in params.beta.tolist()]
-    return f'{{\n  "alpha": {_json_list(alpha)},\n  "beta": {_json_list(beta)},\n{rest[2:]}\n'
+    return f'{{\n  "alpha": {_json_list(alpha)},\n  "beta": {_json_list(beta)},\n{rest[2:]}'
 
 
 def _json_list(items: list[str]) -> str:
-    """Items already laid out at depth 2 as one ``json.dumps(indent=2)`` list at depth 1."""
+    """Items already laid out at depth 2 as one ``dump_json`` list at depth 1."""
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
@@ -167,10 +174,8 @@ class LabelGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"nodes": list(self.nodes), "edges": self.edges}, indent=2, sort_keys=True
-        ) + "\n"
+    def as_dict(self) -> dict:
+        return {"nodes": list(self.nodes), "edges": self.edges}
 
 
 def _dot_id(name: str) -> str:

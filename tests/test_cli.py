@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 
@@ -18,7 +19,6 @@ from corrlog.data import (
     scale_features,
     write_dense_csv,
 )
-from corrlog.evaluation import TRAINERS
 from corrlog.model import MultilabelDataset
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig
@@ -181,13 +181,12 @@ class TestTrain:
         assert exc.value.code == 2
 
     def test_compare_ilrs_with_ilrs_trainer_exits_2(self, tmp_path, capsys):
-        # the baseline would be compared with itself; refused before any file is touched
+        # cv cross-validates the correlated model; the flag that chose the trainer is gone
         with pytest.raises(SystemExit) as exc:
             main(["cv", str(tmp_path / "missing.csv"), "--trainer", "ilrs", "--compare-ilrs",
                   "--json-out", str(tmp_path / "cv.json")])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--compare-ilrs" in err and "--trainer" in err
+        assert "--trainer" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["train", "cv", "stability"])
@@ -255,7 +254,8 @@ class TestTrain:
         # decoding takes no settings; the round cap is the constant inference.MAX_ITERS
         for name in ("predict", "eval"):
             assert "bp_iters" not in options[name]
-        assert options["cv"]["trainer"].choices == TRAINERS
+        # cv cross-validates the correlated model; --compare-ilrs adds the baseline
+        assert "trainer" not in options["cv"]
         assert [options["synth"][k].default for k in ("n_train", "n_test", "seed")] == [
             toy.n_train, toy.n_test, toy.seed]
         threshold = inspect.signature(export_label_graph).parameters["threshold"].default
@@ -609,6 +609,37 @@ class TestCv:
         small = tmp_path / "small.csv"
         small.write_text("f1|l1\n0.5,1\n0.4,0\n")
         assert main(["cv", str(small), "--folds", "5"]) == 3
+
+
+class TestJsonTwins:
+    # sha256 of each file written below: any change of layout or of a number shows here
+    DIGESTS = {
+        "m.json": "c44e8b24a7d517f13211a40cdd2d1e0bd8d16340b2f5d44bb38ef6b266c0e76d",
+        "e.json": "074e69f460f31a9295f5a5acea4b1bd0e30cfa4306235b8917741a8c071fc0fb",
+        "cv.json": "6fc488596361ff8ed38264fececfa4b3be5b16223b8e08ab33c39a884fbada3a",
+        "g.json": "fe0373ee22327de0f7166c647de692d978f34b5f37dc0eaad9a0879c887b45c9",
+        "s.json": "38627e6c95429c1c4065aab5e5d13fdcb717cde6d559ca3278547262c5056175",
+    }
+
+    def test_twin_bytes_are_pinned(self, tmp_path):
+        train, test, model = (str(tmp_path / name) for name in ("tr.csv", "te.csv", "m.json"))
+        out = {name: str(tmp_path / name) for name in self.DIGESTS}
+        for argv in (
+            ["synth", "--n-train", "60", "--n-test", "40", "--seed", "0",
+             "--train-out", train, "--test-out", test],
+            ["train", train, "--add-bias", "--model-out", model],
+            ["eval", model, test, "--json-out", out["e.json"]],
+            # no metric of these folds shifts by a constant, so every t is finite
+            ["cv", train, "--folds", "3", "--compare-ilrs", "--json-out", out["cv.json"]],
+            ["graph", model, "--json-out", out["g.json"]],
+            ["stability", train, "--pool", test, "--trials", "2", "--json-out", out["s.json"]],
+        ):
+            assert main(argv) == 0, argv
+        for name, digest in self.DIGESTS.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+            text = data.decode("utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
 class TestGraph:

@@ -29,11 +29,12 @@ from corrlog.evaluation import (
     regularized_incomplete_beta,
     stability_experiment,
 )
-from corrlog.metrics import METRIC_NAMES
+from corrlog.metrics import METRIC_NAMES, MetricsReport
 from corrlog.inference import map_bruteforce
 from corrlog.model import CsrRows, ModelParams, MultilabelDataset
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog
+from corrlog.serialize import dump_json
 
 from conftest import random_dataset, random_params, reference_predict_map_bp
 
@@ -203,7 +204,7 @@ class TestCrossValidate:
 
     def test_json_schema(self, toy_train):
         result = cross_validate(toy_train, 4, "ilrs", toy_config(), seed=0)
-        doc = json.loads(result.to_json())
+        doc = result.as_dict()
         assert set(doc) == set(METRIC_NAMES)
         for entry in doc.values():
             assert set(entry) == {"mean", "std", "per_fold"}
@@ -217,8 +218,28 @@ class TestCrossValidate:
         assert set(compared.ttests) == set(METRIC_NAMES)
         text = compared.to_text()
         assert "t=" in text and "p=" in text
-        doc = json.loads(compared.to_json())
+        doc = compared.as_dict()
         assert "t_test" in doc["zero_one_loss"]
+
+    def test_constant_shift_writes_standard_json(self):
+        # every metric sits 0.2 above the baseline on every fold: t is infinite
+        def fixed(values, trainer):
+            folds = [MetricsReport(**dict.fromkeys(METRIC_NAMES, v), n_eval=10) for v in values]
+            means = dict.fromkeys(METRIC_NAMES, float(np.mean(values)))
+            stds = dict.fromkeys(METRIC_NAMES, float(np.std(values, ddof=1)))
+            return CvResult(trainer, len(values), 0, folds, means, stds)
+
+        compared = compare_cv(fixed([0.3, 0.5, 0.7], "corrlog"), fixed([0.1, 0.3, 0.5], "ilrs"))
+        assert all(tt.t_statistic == math.inf for tt in compared.ttests.values())
+
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        doc = json.loads(dump_json(compared.as_dict()), parse_constant=refuse)
+        for name in METRIC_NAMES:
+            assert doc[name]["t_test"] == {"t_statistic": None, "p_value": 0.0, "dof": 2,
+                                           "degenerate": True}
+        assert compared.to_text().count("t=+inf p=0.0000 (degenerate)") == len(METRIC_NAMES)
 
     def test_unknown_trainer_rejected(self, toy_train):
         with pytest.raises(DataError):
@@ -417,7 +438,7 @@ class TestStability:
         ds = random_dataset(rng, 10, 2, 2)
         config = TrainConfig(reg=RegularizationConfig(0.1, 0.1, 1.0))
         report = stability_experiment(ds, config, trials=2, seed=0, pool=ds)
-        doc = json.loads(report.to_json())
+        doc = report.as_dict()
         assert {"bound", "diffs", "max_diff", "mean_diff", "rel_tol",
                 "all_within_bound", "n", "min_lambda", "trials"} <= set(doc)
         assert "bound" in report.to_text()

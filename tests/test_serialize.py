@@ -12,7 +12,14 @@ from corrlog.inference import predict_map_bp
 from corrlog.model import ModelParams
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog
-from corrlog.serialize import FORMAT_VERSION, MAGIC, export_label_graph, load_model, save_model
+from corrlog.serialize import (
+    FORMAT_VERSION,
+    MAGIC,
+    dump_json,
+    export_label_graph,
+    load_model,
+    save_model,
+)
 
 from conftest import random_params
 
@@ -302,7 +309,7 @@ class TestLabelGraph:
         assert edge["weight"] == 0.5
         assert edge["sign"] == "positive"
         assert '"x" -- "y"' in graph.to_dot()
-        parsed = json.loads(graph.to_json())
+        parsed = json.loads(dump_json(graph.as_dict()))
         assert parsed["edges"][0]["sign"] == "positive"
 
     @pytest.mark.parametrize("names,ids", [
@@ -317,7 +324,7 @@ class TestLabelGraph:
             f"  {ids[0]};\n  {ids[1]};\n"
             f'  {ids[0]} -- {ids[1]} [weight=0.5, sign="negative", label="-0.5"];\n'
             "}\n")
-        assert json.loads(graph.to_json())["nodes"] == list(names)
+        assert graph.as_dict()["nodes"] == list(names)
 
     def test_threshold_filters_small_weights(self):
         params = ModelParams(
@@ -342,3 +349,10 @@ class TestLabelGraph:
             graphs[eps] = export_label_graph(params, ds.label_names)
         assert len(graphs[1.0].edges) <= len(graphs[0.0].edges)
         assert len(graphs[0.0].edges) == 10  # quadratic penalty keeps every pair
+
+
+class TestDumpJson:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_standard_numbers_are_refused(self, value):
+        with pytest.raises(ValueError):
+            dump_json({"t_statistic": value})
