@@ -32,8 +32,8 @@ def run(args) -> None:
         corr, _ = train_corrlog(train, config)
         ilrs, _ = train_ilrs(train, config)
         y_true = test.labels
-        corr_pred, _ = predict_dataset(corr, test)
-        ilrs_pred, _ = predict_dataset(ilrs, test)
+        corr_pred = predict_dataset(corr, test)
+        ilrs_pred = predict_dataset(ilrs, test)
         zc = compute_metrics(y_true, corr_pred).zero_one_loss
         zi = compute_metrics(y_true, ilrs_pred).zero_one_loss
         ic = float(np.mean((corr_pred[:, 0] == 1) & (corr_pred[:, 1] == -1)))

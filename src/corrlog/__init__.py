@@ -3,7 +3,7 @@
 Per-label logistic regressions coupled by symmetric pairwise interaction
 weights, trained by elastic-net-regularized maximum pseudo-likelihood
 (proximal gradient with soft thresholding) and decoded jointly: by max-sum elimination
-on label graphs of elimination width below 16, by max-product message passing otherwise.
+on label graphs of elimination width below 16, by iterated conditional modes otherwise.
 """
 
 from .data import (

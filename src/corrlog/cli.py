@@ -1,6 +1,7 @@
 """Command-line entry points: train, predict, eval, cv, synth, graph, stability.
 
-``main`` echoes a subcommand's resolved configuration, runs it, and maps failures
+``main`` echoes a subcommand's resolved configuration as one line of standard JSON
+(a non-finite float as its string), runs it, and maps failures
 to distinct exit codes: 0 success, 2 usage error (argparse), 3 data/parse error,
 4 numeric failure.  ``eval``, ``cv``, ``graph`` and ``stability`` write a JSON twin
 of their table with ``--json-out``, each through ``serialize.dump_json``: standard
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,7 +49,9 @@ from .serialize import EDGE_THRESHOLD, dump_json, export_label_graph, load_model
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-SHOWN_NONCONVERGED = 20  # `predict` lists at most this many non-converged rows
+# what `predict`, and `eval` of a wide model, say of labels not decoded exactly
+LOCAL_OPTIMA = ("the labels are local optima (no single flip raises a row's score) "
+                "and are not certified exact")
 
 
 def _write(path: str, text: str) -> None:
@@ -174,29 +178,20 @@ def _load_model_and_data(args: argparse.Namespace):
 
 def cmd_predict(args: argparse.Namespace) -> None:
     doc, dataset = _load_model_and_data(args)
-    preds, flagged = predict_dataset(doc.params, dataset)
+    preds = predict_dataset(doc.params, dataset)
     with open(args.out, "w", encoding="utf-8") as fh:
         np.savetxt(fh, preds, fmt="%d", delimiter=",")
     print(f"{len(preds)} predictions written to {args.out}")
-    if flagged:
-        shown = " ".join(map(str, flagged[:SHOWN_NONCONVERGED]))
-        more = " ..." if len(flagged) > SHOWN_NONCONVERGED else ""
-        print(f"message passing did not converge on instances: {shown}{more} "
-              f"({len(flagged)} of {len(preds)} rows)")
-    elif decodes_exactly(doc.params):
-        print("every instance was decoded exactly")
-    else:
-        print("message passing converged on every instance")
+    print("every instance was decoded exactly" if decodes_exactly(doc.params) else LOCAL_OPTIMA)
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
     doc, dataset = _load_model_and_data(args)
-    preds, flagged = predict_dataset(doc.params, dataset)
-    report = compute_metrics(dataset.labels, preds)
+    report = compute_metrics(dataset.labels, predict_dataset(doc.params, dataset))
     for name in METRIC_NAMES:
         print(f"{DISPLAY_NAMES[name]:<13} {getattr(report, name):.4f}")
-    if flagged:
-        print(f"non-converged instances: {len(flagged)}")
+    if not decodes_exactly(doc.params):
+        print(LOCAL_OPTIMA)
     if args.json_out:
         _write(args.json_out, dump_json(report.as_dict()))
 
@@ -328,8 +323,10 @@ def main(argv=None) -> int:
     """Run one subcommand: echo its resolved configuration, then map its outcome to an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        print("config " + json.dumps({k: v for k, v in sorted(vars(args).items()) if k != "func"},
-                                     default=str))
+        # standard JSON: a non-finite float, refused later, is echoed as a string
+        echo = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in sorted(vars(args).items()) if k != "func"}
+        print("config " + json.dumps(echo, default=str, allow_nan=False))
         args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

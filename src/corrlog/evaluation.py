@@ -186,11 +186,10 @@ def _fit(trainer: str, train_set: MultilabelDataset, config: TrainConfig) -> Mod
     raise DataError(f"unknown trainer {trainer!r}; expected one of {TRAINERS}")
 
 
-def predict_dataset(params: ModelParams, dataset: MultilabelDataset) -> tuple[np.ndarray, list[int]]:
-    """(n x m predictions, non-converged indices) of every instance; ``decode_rows``
-    slices a chunk of rows at a time, so sparse rows are never made dense whole."""
-    preds, converged = decode_rows(params, dataset.features)
-    return preds, np.flatnonzero(~converged).tolist()
+def predict_dataset(params: ModelParams, dataset: MultilabelDataset) -> np.ndarray:
+    """n x m predictions of every instance; ``decode_rows`` slices a chunk of rows at a
+    time, so sparse rows are never made dense whole."""
+    return decode_rows(params, dataset.features)
 
 
 def cross_validate(dataset: MultilabelDataset, k: int, trainer: str,
@@ -203,7 +202,7 @@ def cross_validate(dataset: MultilabelDataset, k: int, trainer: str,
         train_set = _subset(dataset, train_idx)
         test_set = _subset(dataset, folds[held_out])
         params = _fit(trainer, train_set, config)
-        preds, _ = predict_dataset(params, test_set)
+        preds = predict_dataset(params, test_set)
         reports.append(compute_metrics(test_set.labels, preds))
     means = {n: float(np.mean([getattr(r, n) for r in reports])) for n in METRIC_NAMES}
     stds = {n: float(np.std([getattr(r, n) for r in reports], ddof=1)) for n in METRIC_NAMES}

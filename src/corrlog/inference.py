@@ -1,4 +1,4 @@
-"""Joint MAP label prediction: exact max-sum elimination or loopy max-product.
+"""Joint MAP label prediction: exact max-sum elimination, or iterated conditional modes.
 
 The prediction problem  argmax_y  sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j
 is a MAP query on a pairwise graphical model whose nodes are labels and whose
@@ -12,15 +12,13 @@ last with ties to +1, so each row gets the lexicographically first optimum, as
 ``map_bruteforce`` does; it and ``margin`` score all 2^m label vectors of one
 row, 2^16 at a time, up to ``BRUTEFORCE_LIMIT`` labels.
 
-Wider models decode by max-product, a heuristic on them; it takes no settings.
-Messages live in the log domain, are updated synchronously (flooding), and are
-renormalized every round by subtracting their maximum.  One kernel decodes a
-batch: each round updates the 2-vector messages of every row and directed edge
-with a few numpy operations; a row is frozen at the round where its largest
-message change drops below 1e-9, and is reported non-converged if still moving
-after ``MAX_ITERS`` rounds.  Sums on both paths are taken in a fixed order, so a
-row's labels, beliefs and convergence flag do not depend on its batch.
-``predict_map_bp`` decodes one vector by max-product, with messages and beliefs.
+Wider models decode by iterated conditional modes (ICM; Besag 1986), a heuristic
+that takes no settings and returns local optima.  Both paths take sums per row in
+a fixed order, so a row's labels do not depend on its chunk.
+
+``predict_map_bp`` decodes one vector by loopy max-product: log-domain messages,
+updated synchronously and renormalized by their maximum every round, until no
+message moves by 1e-9 or ``MAX_ITERS`` rounds have run.
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ ENUMERATION_LIMIT = 16  # exact decoding needs a smaller width; sampling enumera
 BRUTEFORCE_LIMIT = 20  # largest label count map_bruteforce and margin enumerate
 _BLOCK = 1 << 16  # label vectors they score at a time
 
-MAX_ITERS = 50  # message-passing rounds before a row is reported non-converged
-_TOLERANCE = 1e-9  # a row converges when no message moves by this much in a round
+MAX_ITERS = 50  # max-product rounds before a vector is reported non-converged
+_TOLERANCE = 1e-9  # max-product converges when no message moves by this much in a round
 # Floats per working array when decoding rows (8 MiB); the rows per chunk follow from
-# the model's largest elimination table or edge count, its label count (the unaries)
-# and its feature count (the dense slice of X).
+# the model's largest elimination table, its label count (the unaries and ICM's
+# label arrays) and its feature count (the dense slice of X).
 DECODE_CHUNK_FLOATS = 1 << 20
 
 # index 0 holds the value for state +1, index 1 for state -1
@@ -115,56 +113,36 @@ def _edge_layout(params: ModelParams) -> _EdgeLayout:
 
 def _message_round(messages: np.ndarray, node_terms: np.ndarray,
                    layout: _EdgeLayout) -> np.ndarray:
-    """One synchronous max-product update of every row's directed-edge messages.
+    """One synchronous max-product update of every directed-edge message.
 
-    messages is (rows, 2E, 2) and node_terms (rows, m, 2) holds u_i * s_i.
+    messages is (2E, 2) and node_terms (m, 2) holds u_i * s_i.
     """
     # accumulated log-belief of src excluding what dst sent it
-    src_belief = node_terms[:, layout.src]
+    src_belief = node_terms[layout.src]
     for edges, others in layout.gather:
-        src_belief[:, edges] += messages[:, others]
+        src_belief[edges] += messages[others]
     # msg[s_dst] = max over s_src of src_belief + weight*s_src*s_dst
-    msg = (src_belief[..., :, None] + layout.pairwise).max(axis=-2)
+    msg = (src_belief[:, :, None] + layout.pairwise).max(axis=-2)
     return msg - msg.max(axis=-1, keepdims=True)
 
 
 def _max_product(unary: np.ndarray, layout: _EdgeLayout):
-    """Loopy max-product on rows of unaries (n x m), each row on its own.
+    """Loopy max-product on one row of unaries (m,).
 
-    Returns (messages n x 2E x 2, beliefs n x m x 2, converged n, iterations n).
-    A row is frozen at the round whose largest message change drops below the
-    tolerance; rows still moving stop at ``MAX_ITERS``.
+    Returns (messages 2E x 2, beliefs m x 2, converged, rounds run): it stops at the
+    round whose largest message change drops below the tolerance, or at ``MAX_ITERS``.
     """
-    n = unary.shape[0]
-    node_terms = unary[:, :, None] * _STATES
-    messages = np.zeros((n, layout.src.size, 2))
-    converged = np.full(n, layout.src.size == 0)
-    iterations = np.zeros(n, dtype=np.int64)
-    if layout.src.size:
-        active = np.arange(n)
-        current = messages
-        for rnd in range(1, MAX_ITERS + 1):
-            if not active.size:
-                break
-            updated = _message_round(current, node_terms[active], layout)
-            change = np.abs(updated - current).max(axis=(1, 2))
-            current = updated
-            iterations[active] = rnd
-            done = change < _TOLERANCE
-            if done.any():
-                messages[active[done]] = current[done]
-                converged[active[done]] = True
-                active, current = active[~done], current[~done]
-        messages[active] = current
-
+    node_terms = unary[:, None] * _STATES
+    messages = np.zeros((layout.src.size, 2))
+    converged, rounds = layout.src.size == 0, 0
+    while not converged and rounds < MAX_ITERS:
+        updated = _message_round(messages, node_terms, layout)
+        converged = bool(np.abs(updated - messages).max() < _TOLERANCE)
+        messages, rounds = updated, rounds + 1
     beliefs = node_terms.copy()
     for nodes, edges in layout.deliver:
-        beliefs[:, nodes] += messages[:, edges]
-    return messages, beliefs, converged, iterations
-
-
-def _labels(beliefs: np.ndarray) -> np.ndarray:
-    return np.where(beliefs[..., 0] >= beliefs[..., 1], 1, -1).astype(np.int8)
+        beliefs[nodes] += messages[edges]
+    return messages, beliefs, converged, rounds
 
 
 def _scopes(params: ModelParams) -> list[np.ndarray]:
@@ -184,7 +162,7 @@ def elimination_width(params: ModelParams) -> int:
 
 
 def decodes_exactly(params: ModelParams) -> bool:
-    """Whether ``decode_rows`` decodes exactly (else by max-product): width below the limit."""
+    """Whether ``decode_rows`` decodes exactly (else by ICM): width below the limit."""
     return elimination_width(params) < ENUMERATION_LIMIT
 
 
@@ -214,48 +192,62 @@ def _eliminate(unary: np.ndarray, alpha: np.ndarray, scopes: list[np.ndarray]) -
     return (1 - 2 * minus.view(np.int8)).T
 
 
-def decode_rows(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray]:
-    """Decode every row of X (n x D); returns (n x m int8 labels, n bool converged).
+def _icm(unary: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Local-optimum labels of rows of unaries (n x m) by iterated conditional modes.
 
-    When ``decodes_exactly(params)``, row r gets its lexicographically first MAP and
-    counts as converged: ``map_bruteforce(params, X[r])``, unless two optima differ only
-    by rounding.  Otherwise it gets the labels and flag that ``predict_map_bp(params, X[r])``
-    reports, non-converged after ``MAX_ITERS`` rounds.  X, an array, a list of rows or
-    ``CsrRows``, is read only through ``np.shape`` and row slices: one chunk at a time,
-    whose working arrays and dense slice each stay within ``DECODE_CHUNK_FLOATS`` floats
-    (at least one row), so memory stays bounded at any n.
+    Each start (the sign rule with ties to +1, all +1, all -1) sweeps the labels in
+    order, flipping a label when that raises the row's score, until a sweep flips
+    nothing; each row keeps its best-scoring start, the earlier one on a tie.
+    """
+    best, best_score = np.empty_like(unary), np.full(len(unary), -np.inf)
+    for y in (np.where(unary >= 0, 1.0, -1.0), np.ones_like(unary), -np.ones_like(unary)):
+        flipped = True
+        while flipped:
+            flipped = False
+            for i in range(unary.shape[1]):
+                # flipping y_i changes the score by -2 y_i (u_i + sum_j alpha_ij y_j)
+                up = y[:, i] * (unary[:, i] + (y[:, None, :] @ alpha[:, i])[:, 0]) < 0
+                if up.any():
+                    y[up, i] *= -1
+                    flipped = True
+        # y . (u + alpha y / 2): the joint score, row by row
+        field = unary + (y[:, None, :] @ alpha)[:, 0] / 2
+        score = (y[:, None, :] @ field[:, :, None])[:, 0, 0]
+        better = score > best_score
+        best[better], best_score[better] = y[better], score[better]
+    return best.astype(np.int8)
+
+
+def decode_rows(params: ModelParams, X) -> np.ndarray:
+    """Decode every row of X (n x D) into n x m int8 labels.
+
+    When ``decodes_exactly(params)``, row r gets its lexicographically first MAP:
+    ``map_bruteforce(params, X[r])``, unless two optima differ only by rounding.
+    Otherwise it gets ICM's labels, a local optimum that no single flip improves.  X,
+    an array, a list of rows or ``CsrRows``, is read only through ``np.shape`` and row
+    slices: one chunk at a time, whose working arrays and dense slice each stay within
+    ``DECODE_CHUNK_FLOATS`` floats (at least one row), so memory stays bounded at any n.
     """
     shape = np.shape(X)
     if len(shape) != 2 or shape[1] != params.num_features:
         raise DataError(f"feature matrix has shape {shape}, expected (n, {params.num_features})")
     scopes = _scopes(params)
     width = max(map(len, scopes), default=0)
-    if width < ENUMERATION_LIMIT:  # decodes_exactly's rule, on the scopes built once
-        floats = 2 << width  # a row's largest bucket table
-
-        def decode(unary):
-            return _eliminate(unary, params.alpha, scopes), True
-    else:
-        layout = _edge_layout(params)
-        # a row's widest BP arrays: a round's temporary (4 floats per directed edge),
-        # node_terms and beliefs (2 per label)
-        floats = max(4 * layout.src.size, 2 * params.num_labels)
-
-        def decode(unary):
-            _, beliefs, done, _ = _max_product(unary, layout)
-            return _labels(beliefs), done
+    exact = width < ENUMERATION_LIMIT  # decodes_exactly's rule, on the scopes built once
+    # a row's largest bucket table; ICM's arrays hold one float per label
+    floats = 2 << width if exact else params.num_labels
     rows = max(1, DECODE_CHUNK_FLOATS // max(floats, params.num_labels, params.num_features))
     labels = np.empty((shape[0], params.num_labels), dtype=np.int8)
-    converged = np.empty(shape[0], dtype=bool)
     for start in range(0, shape[0], rows):
         # (1 x D) @ (D x m) per row, as beta @ x, so each row rounds alike; the slice is freed
         unary = np.matmul(np.asarray(X[start:start + rows], float)[:, None, :], params.beta.T)
-        labels[start:start + rows], converged[start:start + rows] = decode(unary[:, 0])
-    return labels, converged
+        labels[start:start + rows] = (_eliminate(unary[:, 0], params.alpha, scopes) if exact
+                                      else _icm(unary[:, 0], params.alpha))
+    return labels
 
 
 def predict_map_bp(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, BeliefState]:
-    """Decode the most probable label vector for x; returns (labels, state).
+    """Decode the most probable label vector for x by max-product; returns (labels, state).
 
     With an empty interaction map this reduces exactly to per-label sign
     decisions (ties to +1).  Non-convergence within ``MAX_ITERS`` rounds is
@@ -264,15 +256,15 @@ def predict_map_bp(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Beli
     x = _row(params, x)
     unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
     layout = _edge_layout(params)
-    messages, beliefs, converged, iterations = _max_product(unary[None, :], layout)
+    messages, beliefs, converged, rounds = _max_product(unary, layout)
     state = BeliefState(
-        messages={(int(s), int(t)): messages[0, d]
+        messages={(int(s), int(t)): messages[d]
                   for d, (s, t) in enumerate(zip(layout.src, layout.dst))},
-        beliefs=beliefs[0],
-        converged=bool(converged[0]),
-        iterations_run=int(iterations[0]),
+        beliefs=beliefs,
+        converged=converged,
+        iterations_run=rounds,
     )
-    return _labels(beliefs[0]), state
+    return np.where(beliefs[:, 0] >= beliefs[:, 1], 1, -1).astype(np.int8), state
 
 
 def _guard_enumeration(m: int, limit: int) -> None:

@@ -102,8 +102,8 @@ _STATES = np.array([1.0, -1.0])
 def reference_predict_map_bp(params: ModelParams, x) -> tuple[np.ndarray, BeliefState]:
     """Per-instance loopy max-product over a dict of directed-edge messages.
 
-    This is the package's original decoder, kept as the reference that the
-    batched kernel must match bit for bit: same neighbour order, same
+    This is the package's original decoder, kept as the reference that
+    ``predict_map_bp`` must match bit for bit: same neighbour order, same
     convergence tolerance, same round cap of 50, same belief accumulation order.
     """
     x = np.asarray(x, dtype=float).reshape(-1)

@@ -57,8 +57,8 @@ def toy_sweep():
         results["objective_traces"].append(ilrs_trace.objectives())
 
         y_true = test.label_matrix.astype(int)
-        corr_pred, _ = predict_dataset(corr, test)
-        ilrs_pred, _ = predict_dataset(ilrs, test)
+        corr_pred = predict_dataset(corr, test)
+        ilrs_pred = predict_dataset(ilrs, test)
         results["corrlog_loss"].append(compute_metrics(y_true, corr_pred).zero_one_loss)
         results["ilrs_loss"].append(compute_metrics(y_true, ilrs_pred).zero_one_loss)
         results["corrlog_impossible"].append(

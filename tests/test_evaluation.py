@@ -36,7 +36,7 @@ from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog
 from corrlog.serialize import dump_json
 
-from conftest import random_dataset, random_params, reference_predict_map_bp
+from conftest import random_dataset, random_params
 
 
 def toy_config(epsilon=0.0, rel_tol=1e-8, max_iters=20000):
@@ -247,44 +247,12 @@ class TestCrossValidate:
 
 
 class TestPredictDataset:
-    def test_shapes_and_flags(self):
+    def test_shapes(self):
         rng = np.random.default_rng(0)
         ds = random_dataset(rng, 12, 3, 2)
-        params = ModelParams.zeros(3, 2)
-        preds, flagged = predict_dataset(params, ds)
+        preds = predict_dataset(ModelParams.zeros(3, 2), ds)
         assert preds.shape == (12, 3)
-        assert flagged == []
         assert np.all(preds == 1)
-
-    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 25])
-    def test_chunks_match_reference(self, monkeypatch, rows_per_chunk):
-        # m=5 is decoded exactly; lowering the limit runs max-product in chunks
-        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
-        rng = np.random.default_rng(44)
-        params = random_params(rng, 5, 3, alpha_scale=1.0, density=0.8)
-        ds = random_dataset(rng, 25, 5, 3)
-        # 4 floats per directed edge, 2 directed edges per pair
-        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS",
-                            8 * params.nnz_alpha() * rows_per_chunk)
-        reference = [reference_predict_map_bp(params, x) for x in ds.features]
-        preds, flagged = predict_dataset(params, ds)
-        assert np.array_equal(preds, np.array([labels for labels, _ in reference]))
-        assert flagged == [i for i, (_, state) in enumerate(reference) if not state.converged]
-        # non-converged rows sit in the first and in later chunks
-        assert min(flagged) < 7 and max(flagged) >= 14
-        assert all(type(i) is int for i in flagged)
-
-    @pytest.mark.parametrize("m", [1, 6, 16])
-    def test_nothing_flagged_when_decoded_exactly(self, monkeypatch, m):
-        rng = np.random.default_rng(46 + m)
-        params = random_params(rng, m, 3, alpha_scale=2.0, density=0.9)
-        ds = random_dataset(rng, 6, m, 3)
-        preds, flagged = predict_dataset(params, ds)
-        assert flagged == []
-        assert preds.shape == (6, m)
-        # max-product on the same rows does flag some of them
-        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
-        assert (predict_dataset(params, ds)[1] != []) == (m > 1)
 
     def test_edge_free_model_is_sign_rule(self, monkeypatch):
         monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 4)
@@ -293,11 +261,10 @@ class TestPredictDataset:
         beta[2] = 0.0  # label 3 scores exactly zero on every row
         params = ModelParams(beta, {(0, 1): 0.0}, 4, 3)
         ds = random_dataset(rng, 10, 4, 3)
-        preds, flagged = predict_dataset(params, ds)
+        preds = predict_dataset(params, ds)
         unary = np.array([beta @ x for x in ds.features])
         assert np.array_equal(preds, np.where(unary >= 0, 1, -1))
         assert np.all(preds[:, 2] == 1)
-        assert flagged == []
 
     def test_sparse_rows_are_scored_without_the_dense_matrix(self, tmp_path):
         rng = np.random.default_rng(47)
@@ -314,16 +281,16 @@ class TestPredictDataset:
         try:
             ds = load_dataset(path, DatasetSpec(format="sparse-multilabel", num_labels=m,
                                                 num_features=d))
-            preds, flagged = predict_dataset(params, ds)
+            preds = predict_dataset(params, ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * n * d * 8  # the dense matrix would take 200 MB
-        assert preds.shape == (n, m) and flagged == []
+        assert preds.shape == (n, m)
         rows = rng.choice(n, size=40, replace=False)
         twin = MultilabelDataset(np.vstack([ds.features[r:r + 1] for r in rows]),
                                  ds.labels[rows], ds.label_names)
-        assert predict_dataset(params, twin)[0].tobytes() == preds[rows].tobytes()
+        assert predict_dataset(params, twin).tobytes() == preds[rows].tobytes()
 
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3])
@@ -344,24 +311,21 @@ class TestPredictDataset:
         if not exact:
             monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
         whole = predict_dataset(params, dense)
-        # the features set the chunk: 50 floats a row exceed a row's tables and messages
+        # the features set the chunk: 50 floats a row exceed a row's tables and label arrays
         monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", rows_per_chunk * d)
         sizes, chunks = [], [rows_per_chunk] * (n // rows_per_chunk) + [n % rows_per_chunk] * (
             n % rows_per_chunk > 0)
-        for name in ("_eliminate", "_max_product"):
+        for name in ("_eliminate", "_icm"):
             def spy(unary, *rest, original=getattr(inference, name)):
                 sizes.append(len(unary))
                 return original(unary, *rest)
             monkeypatch.setattr(inference, name, spy)
         for ds in (sparse, dense):
             sizes.clear()
-            preds, flagged = predict_dataset(params, ds)
+            assert predict_dataset(params, ds).tobytes() == whole.tobytes()
             assert sizes == chunks
-            assert preds.tobytes() == whole[0].tobytes() and flagged == whole[1]
         # a list of rows is sliced alike
-        labels, converged = inference.decode_rows(params, values.tolist())
-        assert labels.tobytes() == whole[0].tobytes()
-        assert np.flatnonzero(~converged).tolist() == whole[1]
+        assert inference.decode_rows(params, values.tolist()).tobytes() == whole.tobytes()
 
     def test_zero_feature_columns_decode_and_scale(self):
         # labels equal in pairs, so the fitted pairwise weights carry the decision
@@ -371,9 +335,9 @@ class TestPredictDataset:
                                ("l1", "l2", "l3", "l4"))
         params, _ = train_corrlog(ds, toy_config(max_iters=2000))
         assert params.nnz_alpha() > 0
-        preds, flagged = predict_dataset(params, ds)
+        preds = predict_dataset(params, ds)
         want = map_bruteforce(params, np.zeros(0))
-        assert preds.tobytes() == np.tile(want, (30, 1)).tobytes() and flagged == []
+        assert preds.tobytes() == np.tile(want, (30, 1)).tobytes()
         assert compute_feature_scale(ds) == 0.0
 
 

@@ -22,7 +22,7 @@ from corrlog.inference import (
     margin_loss,
     predict_map_bp,
 )
-from corrlog.model import ModelParams
+from corrlog.model import ModelParams, joint_score
 
 from conftest import (
     all_label_vectors,
@@ -178,68 +178,45 @@ def assert_same_state(got: BeliefState, want: BeliefState) -> None:
     (decode_rows, ["params", "X"]),
     (predict_map_bp, ["params", "x"]),
     (inference._max_product, ["unary", "layout"]),
+    (inference._icm, ["unary", "alpha"]),
     (predict_dataset, ["params", "dataset"]),
-], ids=["decode_rows", "predict_map_bp", "_max_product", "predict_dataset"])
+], ids=["decode_rows", "predict_map_bp", "_max_product", "_icm", "predict_dataset"])
 def test_decoding_takes_no_settings(decoder, names):
-    # the round cap is the constant MAX_ITERS, not a parameter
+    # max-product's round cap is the constant MAX_ITERS, and ICM runs to a local optimum
     assert list(inspect.signature(decoder).parameters) == names
 
 
 class TestReferenceDecoder:
-    """The batched kernel against the per-instance dict decoder, bit for bit.
+    """``predict_map_bp`` against the per-instance dict decoder, bit for bit."""
 
-    ``decode_rows`` decodes models of elimination width below ENUMERATION_LIMIT
-    exactly, so the batch tests lower the limit to 0 to run max-product.
-    """
-
-    def test_matches_reference_on_loopy_models(self, monkeypatch):
-        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
+    def test_matches_reference_on_loopy_models(self):
         rng = np.random.default_rng(1050)
-        flags = []
+        flags, rounds = [], set()
         for k in range(6):
             m = int(rng.integers(2, 13))
             params = random_params(rng, m, 3, alpha_scale=(0.3, 1.0, 2.0)[k % 3],
                                    density=0.7)
-            X = rng.normal(size=(8, 3))
-            labels, converged = decode_rows(params, X)
-            flags += converged.tolist()
-            assert labels.dtype == np.int8 and labels.shape == (8, m)
-            assert converged.dtype == bool and converged.shape == (8,)
-            for r, x in enumerate(X):
+            for x in rng.normal(size=(8, 3)):
                 want_labels, want = reference_predict_map_bp(params, x)
                 got_labels, got = predict_map_bp(params, x)
                 assert np.array_equal(got_labels, want_labels)
                 assert_same_state(got, want)
-                assert np.array_equal(labels[r], want_labels)
-                assert converged[r] == want.converged
-        # rows that stop at the round cap are compared too, not only converged ones
-        assert set(flags) == {True, False}
-
-    def test_batch_with_rows_frozen_at_different_rounds(self, monkeypatch):
-        monkeypatch.setattr(inference, "ENUMERATION_LIMIT", 0)
-        rng = np.random.default_rng(31)
-        params = random_params(rng, 7, 3, alpha_scale=1.0, density=0.7)
-        X = rng.normal(size=(12, 3))
-        reference = [reference_predict_map_bp(params, x) for x in X]
-        rounds = {state.iterations_run for _, state in reference}
-        assert len(rounds) >= 3
-        assert {state.converged for _, state in reference} == {True, False}
-        labels, converged = decode_rows(params, X)
-        assert np.array_equal(labels, np.array([lab for lab, _ in reference]))
-        assert np.array_equal(converged, [state.converged for _, state in reference])
+                flags.append(got.converged)
+                rounds.add(got.iterations_run)
+        # vectors that stop at the round cap are compared too, not only converged ones
+        assert set(flags) == {True, False} and len(rounds) >= 3
 
     def test_edge_free_matches_reference(self):
         rng = np.random.default_rng(32)
         params = ModelParams(rng.normal(size=(4, 3)), {(0, 2): 0.0}, 4, 3)
         X = np.vstack([rng.normal(size=(5, 3)), np.zeros((1, 3))])
-        labels, converged = decode_rows(params, X)
+        labels = decode_rows(params, X)
         for r, x in enumerate(X):
             want_labels, want = reference_predict_map_bp(params, x)
             got_labels, got = predict_map_bp(params, x)
             assert np.array_equal(got_labels, want_labels)
             assert_same_state(got, want)
             assert np.array_equal(labels[r], want_labels)
-        assert converged.all()
 
     def test_decode_rows_checks_shape(self):
         params = ModelParams.zeros(2, 3)
@@ -281,36 +258,34 @@ class TestChunkUnaries:
         rng = np.random.default_rng(71)
         params = ModelParams(rng.normal(size=(40, 3)), {}, 40, 3)
         X = rng.normal(size=(50, 3))
-        whole, _ = decode_rows(params, X)
+        whole = decode_rows(params, X)
         monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 64)
         seen = spy_on_eliminate(monkeypatch)
-        labels, converged = decode_rows(params, X)
+        labels = decode_rows(params, X)
         assert max(unary.size for unary in seen) <= 64
         assert sum(map(len, seen)) == 50
-        assert labels.tobytes() == whole.tobytes() and converged.all()
+        assert labels.tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("m", [17, 300, 544, 545, 600])
-    def test_max_product_chunks_bound_node_terms_and_beliefs(self, monkeypatch, m):
-        # a complete 17-label graph (width 16: max-product) plus isolated labels; a row
-        # takes 4 floats per directed edge (1,088) in a round, 2m in node_terms and beliefs
+    @pytest.mark.parametrize("m", [17, 300])
+    def test_icm_chunks_bound_the_label_arrays(self, monkeypatch, m):
+        # a complete 17-label graph (width 16: ICM) plus isolated labels; each of ICM's
+        # arrays holds one float per label and row
         rng = np.random.default_rng(72)
         alpha = {(i, j): 0.01 for i in range(17) for j in range(i + 1, 17)}
         params = ModelParams(rng.normal(size=(m, 1)), alpha, m, 1)
         X = rng.normal(size=(25, 1))
-        whole, whole_converged = decode_rows(params, X)
-        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 12_000)
-        shapes, max_product = [], inference._max_product
+        whole = decode_rows(params, X)
+        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 4 * m + 3)
+        shapes, icm = [], inference._icm
 
-        def spy(unary, layout):
+        def spy(unary, alpha):
             shapes.append(unary.shape)
-            return max_product(unary, layout)
+            return icm(unary, alpha)
 
-        monkeypatch.setattr(inference, "_max_product", spy)
-        labels, converged = decode_rows(params, X)
-        assert all(rows * max(4 * 272, 2 * m) <= 12_000 for rows, _ in shapes)
-        assert sum(rows for rows, _ in shapes) == 25
+        monkeypatch.setattr(inference, "_icm", spy)
+        labels = decode_rows(params, X)
+        assert shapes == [(4, m)] * 6 + [(1, m)]
         assert labels.tobytes() == whole.tobytes()
-        assert np.array_equal(converged, whole_converged)
 
 
 def frustrated_cycle(m: int) -> ModelParams:
@@ -341,18 +316,16 @@ class TestExactDecode:
         for m in range(1, ENUMERATION_LIMIT + 1):
             params = random_params(rng, m, 3, alpha_scale=(0.3, 1.0, 2.0)[m % 3], density=0.7)
             X = rng.normal(size=(4 if m > 12 else 10, 3))
-            labels, converged = decode_rows(params, X)
+            labels = decode_rows(params, X)
             assert labels.dtype == np.int8 and labels.shape == (len(X), m)
-            assert converged.all()
             for r, x in enumerate(X):
                 assert labels[r].tobytes() == map_bruteforce(params, x).tobytes(), (m, r)
 
     def test_frustrated_triangle_tie_is_lexicographically_first(self):
         alpha = {(0, 1): -1.0, (0, 2): -1.0, (1, 2): -1.0}
         params = ModelParams(np.zeros((3, 1)), alpha, 3, 1)
-        labels, converged = decode_rows(params, np.zeros((3, 1)))
+        labels = decode_rows(params, np.zeros((3, 1)))
         assert labels.tolist() == [[1, 1, -1]] * 3
-        assert converged.all()
 
     def test_is_the_exact_map_where_bp_fails(self):
         params = frustrated_cycle(5)
@@ -360,21 +333,21 @@ class TestExactDecode:
         _, state = predict_map_bp(params, x)
         assert not state.converged
         table = oracle_joint_table(params, x)
-        labels, converged = decode_rows(params, x[None, :])
+        labels = decode_rows(params, x[None, :])
         assert table[tuple(labels[0].tolist())] == max(table.values())
-        assert converged.all()
 
-    @pytest.mark.parametrize("m", [3, 9, 16])
+    @pytest.mark.parametrize("m", [3, 9, 16, 24])
     def test_labels_do_not_depend_on_chunk_size(self, monkeypatch, m):
         rng = np.random.default_rng(61 + m)
         params = random_params(rng, m, 4, density=0.8)
+        # a row's largest table (width m - 1), or ICM's label arrays at m = 24
+        assert decodes_exactly(params) == (m < 24)
+        row = 1 << m if m < 24 else m
         X = rng.normal(size=(9, 4))
-        whole, _ = decode_rows(params, X)
-        for floats in (1, 2 << m, 5 << m):  # one row, two rows and five rows per chunk
+        whole = decode_rows(params, X)
+        for floats in (1, 2 * row, 5 * row):  # one row, two rows and five rows per chunk
             monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", floats)
-            chunked, converged = decode_rows(params, X)
-            assert chunked.tobytes() == whole.tobytes(), floats
-            assert converged.all()
+            assert decode_rows(params, X).tobytes() == whole.tobytes(), floats
 
     def test_forests_match_reference_bp(self):
         rng = np.random.default_rng(62)
@@ -383,26 +356,25 @@ class TestExactDecode:
             kind = ("chain", "star", "random")[trial % 3]
             params = tree_model(rng, m, kind, drop_prob=0.25 if kind == "random" else 0.0)
             X = rng.normal(size=(3, 2))
-            labels, _ = decode_rows(params, X)
+            labels = decode_rows(params, X)
             want = np.array([reference_predict_map_bp(params, x)[0] for x in X])
             assert labels.tobytes() == want.tobytes(), f"trial {trial}"
 
-    def test_above_the_limit_rows_go_to_bp(self):
+    def test_above_the_limit_rows_go_to_icm(self, monkeypatch):
         # the complete 17-label graph has width 16
         params = frustrated_complete(ENUMERATION_LIMIT + 1)
         X = np.ones((3, 1))
-        labels, converged = decode_rows(params, X)
-        want = [reference_predict_map_bp(params, x) for x in X]
-        assert labels.tobytes() == np.array([lab for lab, _ in want]).tobytes()
-        assert converged.tolist() == [state.converged for _, state in want] == [False] * 3
+        seen = spy_on_eliminate(monkeypatch)
+        labels = decode_rows(params, X)
+        assert seen == []
+        assert labels.tobytes() == inference._icm(X @ params.beta.T, params.alpha).tobytes()
 
     def test_elimination_width_by_graph_shape(self):
         rng = np.random.default_rng(63)
         for kind in ("chain", "star", "random"):
             assert elimination_width(tree_model(rng, 20, kind, drop_prob=0.3)) <= 1
         assert elimination_width(ModelParams.zeros(ENUMERATION_LIMIT + 4, 1)) == 0
-        labels, converged = decode_rows(ModelParams.zeros(0, 1), np.zeros((3, 1)))
-        assert labels.shape == (3, 0) and converged.all()
+        assert decode_rows(ModelParams.zeros(0, 1), np.zeros((3, 1))).shape == (3, 0)
         chain = tree_model(rng, 6, "chain")
         assert elimination_width(chain) == 1
         alpha = chain.alpha.copy()
@@ -435,17 +407,14 @@ class TestExactDecode:
         params = integer_model(rng, m, edges)
         assert elimination_width(params) == ENUMERATION_LIMIT - 1
         X = rng.integers(-1, 2, size=(3, 2)).astype(float)
-        labels, converged = decode_rows(params, X)
-        assert converged.all()
+        labels = decode_rows(params, X)
         for r, x in enumerate(X):
             assert labels[r].tobytes() == map_bruteforce(params, x).tobytes(), r
 
     def test_tied_forest_gets_the_lexicographically_first_optimum(self):
         # max-product tie-breaks each label alone and reports (+1, +1), which scores -1
         params = ModelParams(np.zeros((2, 1)), {(0, 1): -1.0}, 2, 1)
-        labels, converged = decode_rows(params, np.zeros((1, 1)))
-        assert labels.tolist() == [[1, -1]]
-        assert converged.all()
+        assert decode_rows(params, np.zeros((1, 1))).tolist() == [[1, -1]]
 
     def test_tied_forests_equal_map_bruteforce(self):
         rng = np.random.default_rng(67)
@@ -459,8 +428,7 @@ class TestExactDecode:
                               drop_prob=0.25 if kind == "random" else 0.0)
             params = ModelParams(np.round(tree.beta), np.round(tree.alpha), m, 2)
             X = rng.integers(-1, 2, size=(12 if m <= 12 else 3 if m <= 16 else 1, 2)).astype(float)
-            labels, converged = decode_rows(params, X)
-            assert converged.all()
+            labels = decode_rows(params, X)
             for r, x in enumerate(X):
                 assert labels[r].tobytes() == map_bruteforce(params, x).tobytes(), (trial, r)
                 tied += m <= 12 and margin(params, x, labels[r]) == 0.0
@@ -475,15 +443,18 @@ class TestExactDecode:
             assert params.nnz_alpha() >= m  # more pairs than a forest holds
             assert 2 <= elimination_width(params) < ENUMERATION_LIMIT
             X = rng.integers(-1, 2, size=(1, 2)).astype(float)
-            labels, converged = decode_rows(params, X)
-            assert converged.all()
+            labels = decode_rows(params, X)
             assert labels[0].tobytes() == map_bruteforce(params, X[0]).tobytes(), m
 
-    def test_forests_up_to_the_limit_converge(self):
+    def test_forests_up_to_the_limit_decode_exactly(self):
         rng = np.random.default_rng(64)
         for kind in ("chain", "star", "random"):
             params = tree_model(rng, ENUMERATION_LIMIT, kind)
-            assert decode_rows(params, rng.normal(size=(20, 2)))[1].all()
+            assert decodes_exactly(params)
+            X = rng.normal(size=(3, 2))
+            labels = decode_rows(params, X)
+            for r, x in enumerate(X):
+                assert labels[r].tobytes() == map_bruteforce(params, x).tobytes(), (kind, r)
 
     def test_limits_refuse_with_one_message(self):
         def refused(m, limit):
@@ -522,6 +493,45 @@ class TestExactDecode:
         runner_up = configs[order[1]].astype(np.int8)
         assert margin(params, x, runner_up) == pytest.approx(table[order[1]] - table[order[0]],
                                                              abs=1e-9)
+
+
+def dense_wide_model(m: int) -> tuple[ModelParams, np.ndarray]:
+    """A seeded model with every pair coupled (width m - 1) and 20 rows to decode."""
+    rng = np.random.default_rng(m)
+    return random_params(rng, m, 3), rng.normal(size=(20, 3))
+
+
+class TestWideDecode:
+    """Models of elimination width ENUMERATION_LIMIT or more decode by ICM."""
+
+    @pytest.mark.parametrize("m", [18, 24, 30, 50])
+    def test_every_row_is_a_local_optimum(self, m):
+        params, X = dense_wide_model(m)
+        assert not decodes_exactly(params)
+        for x, y in zip(X, decode_rows(params, X)):
+            score = joint_score(params, x, y)
+            for i in range(m):
+                flipped = y.copy()
+                flipped[i] = -flipped[i]
+                assert joint_score(params, x, flipped) <= score + 1e-12 * abs(score), i
+
+    @pytest.mark.parametrize("m", [18, 24, 30])
+    def test_scores_at_least_max_product(self, m):
+        params, X = dense_wide_model(m)
+        icm = np.mean([joint_score(params, x, y) for x, y in zip(X, decode_rows(params, X))])
+        bp = np.mean([joint_score(params, x, predict_map_bp(params, x)[0]) for x in X])
+        assert icm >= bp
+
+    def test_keeps_the_best_start(self):
+        # the sign rule's start falls to all -1 (score 5); the all +1 start stays (score 7)
+        alpha = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
+        assert inference._icm(np.array([[3.0, -1.0, -1.0]]), alpha).tolist() == [[1, 1, 1]]
+
+    def test_ties_go_to_the_earlier_start(self):
+        # a frustrated triangle: the sign rule (all +1 on zero unaries) ends at (-1, +1, +1)
+        # and all -1 at (+1, -1, -1); both score 1, and the earlier start is kept
+        alpha = np.eye(3) - 1.0
+        assert inference._icm(np.zeros((2, 3)), alpha).tolist() == [[-1, 1, 1]] * 2
 
 
 class TestSingleVectorContract:
