@@ -16,9 +16,13 @@ Wider models decode by iterated conditional modes (ICM; Besag 1986), a heuristic
 that takes no settings and returns local optima.  Both paths take sums per row in
 a fixed order, so a row's labels do not depend on its chunk.
 
-``predict_map_bp`` decodes one vector by loopy max-product: log-domain messages,
-updated synchronously and renormalized by their maximum every round, until no
-message moves by 1e-9 or ``MAX_ITERS`` rounds have run.
+``predict_map_bp`` decodes one vector by loopy max-product on a dense m x m x 2
+array of log-domain messages, ``[i, j]`` from label i to label j and 0 where
+alpha_ij is 0.  Each round updates every message at once and renormalizes it by
+its maximum, until no message moves by 1e-9 or ``MAX_ITERS`` rounds have run.
+A label's incoming messages are added in ascending label order, one label at a
+time, so messages and beliefs equal those of a per-edge decoder that adds them
+in that order, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,90 +63,6 @@ class BeliefState:
     beliefs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     converged: bool = False
     iterations_run: int = 0
-
-
-@dataclass(frozen=True)
-class _EdgeLayout:
-    """Index tables of a model's directed edges, fixed once per decoding call.
-
-    Directed edge 2k runs i -> j and 2k + 1 runs j -> i for the k-th nonzero
-    pair (i, j) in row-major order.  Level t of ``gather`` lists, for every
-    directed edge src -> dst whose source has more than t other incoming
-    edges, that edge and the t-th of them in ascending edge order; level t of
-    ``deliver`` lists each node with more than t incoming edges and its t-th
-    one.  A level that covers every edge or node holds a full slice in place
-    of the first index array.  Adding level by level keeps every sum in
-    ascending edge order.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    pairwise: np.ndarray  # (2E, 2, 2): weight * s_src * s_dst
-    gather: list[tuple[np.ndarray | slice, np.ndarray]]
-    deliver: list[tuple[np.ndarray | slice, np.ndarray]]
-
-
-def _edge_layout(params: ModelParams) -> _EdgeLayout:
-    src, dst, weights = [], [], []
-    for i, j, v in params.pairs():
-        src += [i, j]
-        dst += [j, i]
-        weights += [v, v]
-    incoming: list[list[int]] = [[] for _ in range(params.num_labels)]
-    for d, target in enumerate(dst):
-        incoming[target].append(d)
-    others = [[e for e in incoming[s] if src[e] != t] for s, t in zip(src, dst)]
-
-    def levels(lists):
-        out = []
-        for level in range(max(map(len, lists), default=0)):
-            rows = [r for r, items in enumerate(lists) if len(items) > level]
-            picked = np.array([lists[r][level] for r in rows], dtype=np.intp)
-            full = len(rows) == len(lists)  # index by a view, not a copy
-            out.append((slice(None) if full else np.array(rows, dtype=np.intp), picked))
-        return out
-
-    return _EdgeLayout(
-        src=np.array(src, dtype=np.intp),
-        dst=np.array(dst, dtype=np.intp),
-        pairwise=np.array(weights).reshape(-1, 1, 1) * np.outer(_STATES, _STATES),
-        gather=levels(others),
-        deliver=levels(incoming),
-    )
-
-
-def _message_round(messages: np.ndarray, node_terms: np.ndarray,
-                   layout: _EdgeLayout) -> np.ndarray:
-    """One synchronous max-product update of every directed-edge message.
-
-    messages is (2E, 2) and node_terms (m, 2) holds u_i * s_i.
-    """
-    # accumulated log-belief of src excluding what dst sent it
-    src_belief = node_terms[layout.src]
-    for edges, others in layout.gather:
-        src_belief[edges] += messages[others]
-    # msg[s_dst] = max over s_src of src_belief + weight*s_src*s_dst
-    msg = (src_belief[:, :, None] + layout.pairwise).max(axis=-2)
-    return msg - msg.max(axis=-1, keepdims=True)
-
-
-def _max_product(unary: np.ndarray, layout: _EdgeLayout):
-    """Loopy max-product on one row of unaries (m,).
-
-    Returns (messages 2E x 2, beliefs m x 2, converged, rounds run): it stops at the
-    round whose largest message change drops below the tolerance, or at ``MAX_ITERS``.
-    """
-    node_terms = unary[:, None] * _STATES
-    messages = np.zeros((layout.src.size, 2))
-    converged, rounds = layout.src.size == 0, 0
-    while not converged and rounds < MAX_ITERS:
-        updated = _message_round(messages, node_terms, layout)
-        converged = bool(np.abs(updated - messages).max() < _TOLERANCE)
-        messages, rounds = updated, rounds + 1
-    beliefs = node_terms.copy()
-    for nodes, edges in layout.deliver:
-        beliefs[nodes] += messages[edges]
-    return messages, beliefs, converged, rounds
 
 
 def _scopes(params: ModelParams) -> list[np.ndarray]:
@@ -254,12 +174,30 @@ def predict_map_bp(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Beli
     reported on the state, not raised.
     """
     x = _row(params, x)
-    unary = params.beta @ x  # node i carries log-potential y_i * unary[i]
-    layout = _edge_layout(params)
-    messages, beliefs, converged, rounds = _max_product(unary, layout)
+    m, edge = params.num_labels, params.alpha != 0
+    node_terms = (params.beta @ x)[:, None] * _STATES  # y_i * unary[i], +1 first
+    # [i, j, s_i, s_j]: weight * s_i * s_j
+    pairwise = params.alpha[:, :, None, None] * np.outer(_STATES, _STATES)
+    messages = np.zeros((m, m, 2))  # [i, j]: from label i to label j, 0 off the edges
+    converged, rounds = not edge.any(), 0
+    while not converged and rounds < MAX_ITERS:
+        # [j, i]: log-belief of i without what j sent it, the messages of k = 0, 1, ...
+        # added in turn.  A non-edge sends exactly 0, which at most flips the sign of a
+        # zero sum, and adding the nonzero edge weight below erases that sign
+        src_belief = np.repeat(node_terms[None], m, axis=0)
+        for k, sent in enumerate(messages):
+            src_belief[:k] += sent
+            src_belief[k + 1:] += sent
+        # msg[i, j, s_j] = max over s_i of src_belief[j, i, s_i] + weight * s_i * s_j
+        msg = (src_belief.transpose(1, 0, 2)[..., None] + pairwise).max(axis=-2)
+        updated = np.where(edge[:, :, None], msg - msg.max(axis=-1, keepdims=True), 0.0)
+        converged = bool(np.abs(updated - messages).max() < _TOLERANCE)
+        messages, rounds = updated, rounds + 1
+    beliefs = node_terms.copy()  # a -0.0 shows here, so only edges add, k = 0, 1, ...
+    for k, sent in enumerate(messages):
+        np.add(beliefs, sent, out=beliefs, where=edge[k][:, None])
     state = BeliefState(
-        messages={(int(s), int(t)): messages[d]
-                  for d, (s, t) in enumerate(zip(layout.src, layout.dst))},
+        messages={key: messages[key] for i, j, _ in params.pairs() for key in ((i, j), (j, i))},
         beliefs=beliefs,
         converged=converged,
         iterations_run=rounds,

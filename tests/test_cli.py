@@ -98,11 +98,13 @@ class TestTrain:
         ("--epsilon", "regularization weights must be finite and nonnegative"),
         ("--tol", "rel_tol must be positive and finite"),
     ])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    # argparse reads a separate "-inf" or "-1e-3" as an option, so those forms take "="
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "=-inf", "=-1e-3"])
     def test_knob_that_is_not_finite_and_in_range_exits_3(self, toy_files, tmp_path, capsys,
                                                            flag, message, value):
         train, _ = toy_files
-        code = main(["train", str(train), flag, value, "--model-out", str(tmp_path / "m")])
+        knob = [flag + value] if value.startswith("=") else [flag, value]
+        code = main(["train", str(train), *knob, "--model-out", str(tmp_path / "m")])
         assert code == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "m").exists()

@@ -177,10 +177,9 @@ def assert_same_state(got: BeliefState, want: BeliefState) -> None:
 @pytest.mark.parametrize("decoder, names", [
     (decode_rows, ["params", "X"]),
     (predict_map_bp, ["params", "x"]),
-    (inference._max_product, ["unary", "layout"]),
     (inference._icm, ["unary", "alpha"]),
     (predict_dataset, ["params", "dataset"]),
-], ids=["decode_rows", "predict_map_bp", "_max_product", "_icm", "predict_dataset"])
+], ids=["decode_rows", "predict_map_bp", "_icm", "predict_dataset"])
 def test_decoding_takes_no_settings(decoder, names):
     # max-product's round cap is the constant MAX_ITERS, and ICM runs to a local optimum
     assert list(inspect.signature(decoder).parameters) == names
@@ -196,7 +195,8 @@ class TestReferenceDecoder:
             m = int(rng.integers(2, 13))
             params = random_params(rng, m, 3, alpha_scale=(0.3, 1.0, 2.0)[k % 3],
                                    density=0.7)
-            for x in rng.normal(size=(8, 3)):
+            # the zero row gives +-0.0 unaries, whose signs the masked adds keep
+            for x in np.vstack([rng.normal(size=(8, 3)), np.zeros((1, 3))]):
                 want_labels, want = reference_predict_map_bp(params, x)
                 got_labels, got = predict_map_bp(params, x)
                 assert np.array_equal(got_labels, want_labels)
@@ -217,6 +217,26 @@ class TestReferenceDecoder:
             assert np.array_equal(got_labels, want_labels)
             assert_same_state(got, want)
             assert np.array_equal(labels[r], want_labels)
+
+    def test_isolated_label_in_loopy_model_keeps_negative_zero(self):
+        # label 3 has no edges, so its belief at x = 0 stays [0.0, -0.0]: nothing is added
+        params = ModelParams(np.ones((4, 1)), {(0, 1): 0.5, (1, 2): -1.0, (0, 2): 0.7}, 4, 1)
+        want_labels, want = reference_predict_map_bp(params, np.zeros(1))
+        got_labels, got = predict_map_bp(params, np.zeros(1))
+        assert np.array_equal(got_labels, want_labels)
+        assert_same_state(got, want)
+        assert np.signbit(got.beliefs[3, 1])
+
+    def test_infinite_unary_off_the_edges_leaves_them_converging(self):
+        # label 2's unary overflows to inf; it sends no messages, so none turns NaN
+        params = ModelParams([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e10]], {(0, 1): 0.5}, 3, 2)
+        x = np.array([0.3, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_labels, want = reference_predict_map_bp(params, x)
+            got_labels, got = predict_map_bp(params, x)
+        assert np.isinf(got.beliefs[2, 0]) and got.converged
+        assert np.array_equal(got_labels, want_labels)
+        assert_same_state(got, want)
 
     def test_decode_rows_checks_shape(self):
         params = ModelParams.zeros(2, 3)
