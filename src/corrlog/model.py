@@ -247,12 +247,14 @@ def check_signs(values, what: str) -> np.ndarray:
 def _row(params: ModelParams, x, y=None, i: int | None = None):
     """x, or (x, y), as flat float vectors of the model's feature and label counts.
 
-    A vector of the wrong length or a label other than -1/+1 is a DataError, and
-    a label index ``i`` outside [0, num_labels) an IndexError.
+    A vector of the wrong length, a non-finite feature or a label other than -1/+1 is a
+    DataError, and a label index ``i`` outside [0, num_labels) an IndexError.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (params.num_features,):
         raise DataError(f"feature vector has shape {x.shape}, expected ({params.num_features},)")
+    if not np.isfinite(x).all():
+        raise DataError("feature vector has non-finite values")
     if y is not None:
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape != (params.num_labels,):

@@ -9,9 +9,10 @@ function never appears.  The full objective splits as
 
 whose smooth part (everything except the l1 terms) has the closed-form
 gradient implemented here, for all m(m-1)/2 candidate pairs so the proximal
-step can activate or kill any pair.  :func:`smooth_grad_dense` returns the
-smooth value with the gradient from one activation pass, so an optimizer step
-reads the data once at its anchor point.  The loss and each penalty are
+step can activate or kill any pair.  The activations, linear in theta, are a
+pass's one forward product: :func:`smooth_value_dense` hands back the ones it
+computed, and :func:`smooth_grad_dense` takes its point's instead of
+recomputing them.  The loss and each penalty are
 written once and shared by every value function, so all agree bit for bit.
 Each loss term softplus(z) and its slope sigmoid(z) share one exp(-|z|).
 
@@ -91,13 +92,13 @@ def params_from_dense(theta: np.ndarray, problem: Problem) -> ModelParams:
     return ModelParams(beta.copy(), alpha, problem.num_labels, problem.num_features)
 
 
-def _neg_margins(theta: np.ndarray, problem: Problem) -> np.ndarray:
-    """n x m values z = -2 y a, where a[l, i] = <beta_i, x_l> + sum_{j != i} alpha_ij y_lj."""
+def activations(theta: np.ndarray, problem: Problem) -> np.ndarray:
+    """n x m activations a[l, i] = <beta_i, x_l> + sum_{j != i} alpha_ij y_lj, linear in theta."""
     beta, upper = problem.unpack(theta)
     act = problem.x_mat @ beta.T
     if upper is not None:
         act += problem.y_mat @ (upper + upper.T)
-    return problem.neg2y * act
+    return act
 
 
 def _mean_loss(neg_margins: np.ndarray, exp_neg_abs: np.ndarray | None = None) -> float:
@@ -129,21 +130,24 @@ def add_l1_penalty(value: float, theta: np.ndarray, problem: Problem) -> float:
     return value
 
 
-def smooth_value_dense(theta: np.ndarray, problem: Problem) -> float:
-    return add_quadratic_penalty(_mean_loss(_neg_margins(theta, problem)), theta, problem)
+def smooth_value_dense(theta: np.ndarray, problem: Problem) -> tuple[float, np.ndarray]:
+    """Smooth value at theta, and theta's activations for a gradient pass there."""
+    act = activations(theta, problem)
+    return add_quadratic_penalty(_mean_loss(problem.neg2y * act), theta, problem), act
 
 
 def full_value_dense(theta: np.ndarray, problem: Problem) -> float:
-    return add_l1_penalty(smooth_value_dense(theta, problem), theta, problem)
+    return add_l1_penalty(smooth_value_dense(theta, problem)[0], theta, problem)
 
 
-def smooth_grad_dense(theta: np.ndarray, problem: Problem) -> tuple[float, np.ndarray]:
-    """Smooth value and its gradient wrt theta, from one pass.
+def smooth_grad_dense(theta: np.ndarray, problem: Problem,
+                      act: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smooth value and its gradient wrt theta, given theta's activations ``act``.
 
-    The value is bit-identical to :func:`smooth_value_dense` at the same point.
+    With the exact ``act``, the value is bit-identical to :func:`smooth_value_dense`.
     The gradient is +0.0 on alpha's slots outside the strict upper triangle.
     """
-    neg_margins = _neg_margins(theta, problem)
+    neg_margins = problem.neg2y * act
     exp_neg_abs = np.exp(-np.abs(neg_margins))
     value = add_quadratic_penalty(_mean_loss(neg_margins, exp_neg_abs), theta, problem)
     # xi[l, i] = -2 y_li * sigmoid(-2 y_li a_li), the per-term loss derivative
@@ -172,7 +176,8 @@ def pack_params(params: ModelParams, dataset: MultilabelDataset,
 
 def neg_log_pseudo_likelihood(params: ModelParams, dataset: MultilabelDataset) -> float:
     """Mean negative log pseudo-likelihood over the dataset; always >= 0."""
-    return _mean_loss(_neg_margins(*pack_params(params, dataset, RegularizationConfig())))
+    theta, problem = pack_params(params, dataset, RegularizationConfig())
+    return _mean_loss(problem.neg2y * activations(theta, problem))
 
 
 def elastic_net_penalty(params: ModelParams, reg: RegularizationConfig) -> float:
@@ -185,7 +190,7 @@ def elastic_net_penalty(params: ModelParams, reg: RegularizationConfig) -> float
 def smooth_objective(params: ModelParams, dataset: MultilabelDataset,
                      reg: RegularizationConfig) -> float:
     """Pseudo-likelihood plus only the quadratic penalty terms (epsilon plays no role)."""
-    return smooth_value_dense(*pack_params(params, dataset, reg))
+    return smooth_value_dense(*pack_params(params, dataset, reg))[0]
 
 
 def full_objective(params: ModelParams, dataset: MultilabelDataset,
@@ -202,7 +207,7 @@ def smooth_gradient(params: ModelParams, dataset: MultilabelDataset,
     every candidate pair (i, j), i < j, including pairs whose weight is zero.
     """
     theta, problem = pack_params(params, dataset, reg)
-    return problem.unpack(smooth_grad_dense(theta, problem)[1])
+    return problem.unpack(smooth_grad_dense(theta, problem, activations(theta, problem))[1])
 
 
 def check_finite_dataset(dataset: MultilabelDataset) -> None:

@@ -14,15 +14,20 @@ The fixed diagonal metric h is the smooth part's Hessian diagonal at theta = 0
 variable-metric forward-backward splitting (Combettes & Vu 2014), or the plain
 method in the coordinates sqrt(h) * theta.  Each step exactly minimizes the
 surrogate  smooth + <grad, d> + sum(h * d^2) / (2 eta) + l1  built around
-z_k.  The dimensionless eta first tries 1, the plain Jacobi step; each
-step tries twice the last eta, then halves until that surrogate majorizes the
-smooth part at the candidate (Scheinberg, Goldfarb & Bai 2014), so every
-accepted step decreases the full objective.  A step makes one fused
-value+gradient pass at its anchor point and one value pass per candidate.
+z_k.  The dimensionless eta first tries 1, the plain Jacobi step, then halves
+until that surrogate majorizes the smooth part at the candidate, so every
+accepted step decreases the full objective.  The next step tries twice the
+last eta (Scheinberg, Goldfarb & Bai 2014) only when the accepted step's
+curvature in h, rho = (smooth_new - smooth_z - <grad, d>) / (sum(h d^2) / 2),
+has rho * eta <= 1/2, so the surrogate at 2 eta would have majorized it too.
+Activations are linear in theta: the momentum point's are
+A_z = A_k + omega_k (A_k - A_{k-1}), and A_{k+1} comes from the accepted
+candidate's value pass, so a step makes one gradient pass at z_k and one
+value pass, the only forward product, per candidate.
 Two-point momentum with a monotone restart is the one step rule (the O(1/k^2)
 rate): omega_k = (t_k - 1) / t_{k+1} with t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2,
 t_0 = 1 and z_0 = theta_0.  An extrapolated step that would increase the objective
-resets t to 1 and is retaken from z_k = theta_k, which keeps the trace monotone.
+resets t to 1 and is retaken from z_k = theta_k, with A_k, which keeps the trace monotone.
 
 Training is deterministic: identical inputs produce bit-identical models.
 """
@@ -38,6 +43,7 @@ from .model import ModelParams, MultilabelDataset
 from .objective import (
     Problem,
     RegularizationConfig,
+    activations,
     add_l1_penalty,
     check_finite_dataset,
     full_value_dense,
@@ -48,7 +54,9 @@ from .objective import (
 )
 
 MAX_BACKTRACKS = 100
-INITIAL_STEP = 0.5  # eta before the first attempt, which tries twice it: the plain Jacobi step
+# eta before the first attempt, which always tries twice it, the plain Jacobi step; each later
+# attempt tries twice the last eta only when the last step's curvature allows it
+INITIAL_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,8 @@ def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
     gradient, so they violate nothing.
     """
     theta, problem = pack_params(params, dataset, reg)
-    grad, lam_eps = smooth_grad_dense(theta, problem)[1], problem.lam * reg.epsilon
+    grad = smooth_grad_dense(theta, problem, activations(theta, problem))[1]
+    lam_eps = problem.lam * reg.epsilon
     viol = np.where(theta != 0.0, np.abs(grad + lam_eps * np.sign(theta)),
                     np.maximum(np.abs(grad) - lam_eps, 0.0))
     return float(viol.max())
@@ -131,47 +140,55 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
     f_cur = full_value_dense(theta, problem)
     if not np.isfinite(f_cur):
         raise NumericError("objective is not finite at the zero start")
-    h, lam_eps, eta = problem.jacobi_metric(), lam * reg.epsilon, INITIAL_STEP
+    act = act_prev = np.zeros_like(problem.neg2y)  # the activations of theta = 0
+    h, lam_eps, eta, grow = problem.jacobi_metric(), lam * reg.epsilon, INITIAL_STEP, True
     t_momentum = 1.0
 
     trace = TrainTrace()
 
-    def attempt_step(z, eta):
-        """Prox step from z in the metric h: try 2*eta, then halve until the surrogate majorizes.
+    def attempt_step(z, act_z, eta, grow):
+        """Prox step from z, whose activations are act_z, in the metric h: try 2*eta if grow,
+        else eta, then halve until the surrogate majorizes.
 
-        Returns the candidate, its eta and its full objective.
+        Returns the candidate, its activations, its eta, its full objective and whether
+        the next attempt may try twice that eta.
         """
-        smooth_z, grad = smooth_grad_dense(z, problem)
-        eta /= 0.5
+        smooth_z, grad = smooth_grad_dense(z, problem, act_z)
+        if grow:
+            eta /= 0.5
         for _ in range(MAX_BACKTRACKS):
             step = eta / h
             cand = soft_threshold(z - step * grad, step * lam_eps)
-            diff = cand - z
-            lin, sq = grad * diff, h * diff * diff
             quad, sq_sum = smooth_z, 0.0
             for block, _ in blocks:  # each block summed alone, added in block order
-                quad, sq_sum = quad + float(lin[block].sum()), sq_sum + float(sq[block].sum())
+                diff = cand[block] - z[block]
+                quad += float((grad[block] * diff).sum())
+                sq_sum += float((h[block] * diff * diff).sum())
+            smooth_new, act_new = smooth_value_dense(cand, problem)
+            excess = smooth_new - quad  # rho * sq_sum / 2, rho the step's curvature in h
             quad += sq_sum / (2.0 * eta)
-            smooth_new = smooth_value_dense(cand, problem)
             if smooth_new <= quad + 1e-15 * max(1.0, abs(quad)):
                 break
             eta *= 0.5
-        return cand, eta, add_l1_penalty(smooth_new, cand, problem)
+        grow = sq_sum == 0.0 or excess * eta <= 0.25 * sq_sum  # rho * eta <= 1/2
+        return cand, act_new, eta, add_l1_penalty(smooth_new, cand, problem), grow
 
     for k in range(config.max_iters):
-        z = theta
+        z, act_z = theta, act
         if k > 0:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
             omega = (t_momentum - 1.0) / t_next
             z = theta + omega * (theta - theta_prev)
+            # written over A_{k-1}, which nothing reads again, to keep one n x m array fewer
+            act_z = np.add(act, omega * (act - act_prev), out=act_prev)
             t_momentum = t_next
 
-        new_theta, eta, f_new = attempt_step(z, eta)
+        new_theta, new_act, eta, f_new, grow = attempt_step(z, act_z, eta, grow)
 
         if f_new > f_cur and (z is not theta):
             # momentum overshot: restart and retake the step from the current point
             t_momentum = 1.0
-            new_theta, eta, f_new = attempt_step(theta, eta)
+            new_theta, new_act, eta, f_new, grow = attempt_step(theta, act, eta, grow)
 
         if not np.isfinite(f_new):
             raise NumericError(f"objective became non-finite at iteration {k}")
@@ -182,7 +199,7 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
             # a line search out of halvings.  Stop without accepting the candidate.
             break
 
-        theta_prev, theta = theta, new_theta
+        theta_prev, theta, act_prev, act = theta, new_theta, act, new_act
         nnz_beta = int(np.count_nonzero(theta[blocks[0][0]]))
         record = TraceRecord(iteration=k, objective=f_new, step_size=eta,
                              nnz_alpha=int(np.count_nonzero(theta)) - nnz_beta, nnz_beta=nnz_beta)

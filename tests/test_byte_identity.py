@@ -34,29 +34,29 @@ CASES = {
 # (case, trainer) -> (model sha256, trace sha256)
 DIGESTS = {
     ("wide", "corrlog"): (
-        "4251961eaab84cc620f248535e4e86cd8190700f16b747eb1d5fa87a6888d3cd",
-        "fa968744281ea49fc69e6a8e12c5badf1337d1ebf91867977fbeae2042eeaab7"),
+        "199acb3726c410cd0ae986c238a60b086a0cd6457ccff82913190fb1efabda9d",
+        "717787a55cb8d962c5768dc5c3a7b09160911de72da6b59fd41144053bae79c6"),
     ("wide", "ilrs"): (
-        "93ba95bde5bb5e59332c337cc6c60531976fc948fa8f973576c7125ac5914aaf",
-        "8f38cd6466f29ea28f07b0c78a41217faaf6d2357718f56dfd5687a1fa00c5e5"),
+        "172e2668ce6e815b80f6eeb5cc2dd00187cbe76f3a74b422ae3f487d4cfbb35a",
+        "20874eaad1c0b01f60c93e0573409dd3edbb762dcb80da3ed6937dc4d184aaed"),
     ("single_label", "corrlog"): (
-        "cf5a99c4eab78ff76ac88f9e5ac130735e79245e7e5d041ff15d0f9251c5921a",
-        "4cc78eb8334a318521033a7e26e284f65854757e5fd94dec318ccda7dbef3c7c"),
+        "988b4aedd12b125284e8116be4270a669be4f6fadef8b175b99a81a8888f4b0b",
+        "94d7ce189d238ebbb79c6a23c50f5feb851f427caeb13279a12c5846b82e809c"),
     ("single_label", "ilrs"): (
-        "cf5a99c4eab78ff76ac88f9e5ac130735e79245e7e5d041ff15d0f9251c5921a",
-        "c864d2f29eb280a28cb7e634c46cc42d103c3f5662a211f93bdc16ccbf5b1930"),
+        "988b4aedd12b125284e8116be4270a669be4f6fadef8b175b99a81a8888f4b0b",
+        "d086353c1515904f0fb8771e5248e2306646f394defc55c1dd0d0ac8b0929aab"),
     ("alpha_killed", "corrlog"): (
-        "c93c1da84a77716a1a4eb47d88b1b651417d36e44d8a1462e59b1dd626ad990f",
+        "faad7b78207c5a9565caf84a96a70b87df790e8b22a5df08a6a026ad2ec021d2",
         "f8939c25cc5380b58b99ae429a8a29b31df31d698a67ff94cb114f6dfdb93fdc"),
     ("alpha_killed", "ilrs"): (
-        "c93c1da84a77716a1a4eb47d88b1b651417d36e44d8a1462e59b1dd626ad990f",
+        "faad7b78207c5a9565caf84a96a70b87df790e8b22a5df08a6a026ad2ec021d2",
         "278258b258f84f9090b023c5780535ff996b25107cc718ecefc4f4e3bee43d76"),
     ("capped", "corrlog"): (
-        "c513d5536a38e9583e498c3cf59317f8f18b4726501685aef7c88398791d7d79",
-        "f2ac51f1dad5e34e6c0d6fb670c6974865e684dc2ffe77e8df954b770895ae65"),
+        "55d952ae4a8c7f02e7fd1eb47121413c8c33f42d9df63836a16e21ff5f2733a3",
+        "f42b2793dd43bb091afc0672028ba7befd2a58943d6d1e21a6b87a2028806ad0"),
     ("capped", "ilrs"): (
-        "f0c832b2b740063e1b63ee92020e1aa014c37df075c5abfd91e40aea56dd75c4",
-        "bc329aef8cb723b417b3b4fea874d320d474ec0cabe984de32bfe1123f081173"),
+        "ce1203b42d26fa969fef0ed6ef5f28a6c6e8cb2611c71924d987e6308421ab58",
+        "c30f0084a97795b9ab7759f458cdf048781530296e6339d75996200c9e274bf8"),
 }
 
 

@@ -606,11 +606,11 @@ class TestCv:
 class TestJsonTwins:
     # sha256 of each file written below: any change of layout or of a number shows here
     DIGESTS = {
-        "m.json": "c44e8b24a7d517f13211a40cdd2d1e0bd8d16340b2f5d44bb38ef6b266c0e76d",
+        "m.json": "b0b911e917875846e742ec00e930865b0992ba3e7af55bbc18854ebc4d177a1e",
         "e.json": "074e69f460f31a9295f5a5acea4b1bd0e30cfa4306235b8917741a8c071fc0fb",
         "cv.json": "6fc488596361ff8ed38264fececfa4b3be5b16223b8e08ab33c39a884fbada3a",
-        "g.json": "fe0373ee22327de0f7166c647de692d978f34b5f37dc0eaad9a0879c887b45c9",
-        "s.json": "38627e6c95429c1c4065aab5e5d13fdcb717cde6d559ca3278547262c5056175",
+        "g.json": "1b538047e0501bf30c9b5ef2857bc48c24190d70f81539aac5af6524475ba945",
+        "s.json": "43b11f3ce88bbaa59441795ae2a94f190618095659dbf194626c603ba1bd7e8c",
     }
 
     def test_twin_bytes_are_pinned(self, tmp_path):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrlog import data
@@ -276,8 +276,13 @@ def reference_arrays(lines, spec):
     sizes, cols, values, label_sizes, label_idx = data._load_sparse_lines(lines, spec)
     if not len(sizes):  # a corrupt first token "#:1" can leave only comment lines
         raise ParseError("file contains no data rows")
-    m = spec.num_labels or int(label_idx.max()) + 1
-    d = spec.num_features or int(cols.max()) + 1
+    # each count inferred as _load_sparse infers it, with its errors
+    m = spec.num_labels if spec.num_labels is not None else int(label_idx.max(initial=-1)) + 1
+    d = spec.num_features if spec.num_features is not None else int(cols.max(initial=-1)) + 1
+    if m < 1:
+        raise ParseError("cannot infer the label count: no positive labels and no num_labels given")
+    if d < 1:
+        raise ParseError("cannot infer the feature count: no features and no num_features given")
     features, labels = np.zeros((len(sizes), d)), np.full((len(sizes), m), -1, np.int8)
     k = j = 0
     for r, (size, count) in enumerate(zip(sizes.tolist(), label_sizes.tolist())):
@@ -309,6 +314,16 @@ def corrupt(draw, rows):
         pos = draw(st.integers(has_labels, len(rows[r])))
         rows[r].insert(pos, draw(st.sampled_from(BAD_FEATURE_TOKENS)))
     return rows
+
+
+class Scripted:
+    """Stands in for ``st.data()`` in an explicit example: hands out the given draws in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
 
 
 def parse_outcome(lines, spec):
@@ -343,6 +358,9 @@ class TestBlockParser:
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_files(), st.data())
+    # the corrupt "#:1" turns the only feature line into a comment: no feature count to infer
+    @example(file=([["1:0.0"], ["1"]], 1, None, "\n"),
+             draw=Scripted(0, False, 0, "#:1", *[False, " ", "", ""] * 2))
     def test_one_corrupt_token_gives_the_same_error(self, file, draw):
         rows, num_labels, num_features, newline = file
         lines = render_sparse(draw.draw, corrupt(draw.draw, rows), newline)

@@ -272,6 +272,14 @@ class TestSingleRowContract:
         with pytest.raises(DataError, match="feature vector"):
             ROW_FUNCTIONS[name](self.params, x, self.y, 1)
 
+    @pytest.mark.parametrize("name", list(ROW_FUNCTIONS))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_are_a_data_error(self, name, value):
+        # a NaN feature once decoded to labels with only a RuntimeWarning
+        x = np.array([0.3, value])
+        with pytest.raises(DataError, match="feature vector has non-finite values"):
+            ROW_FUNCTIONS[name](self.params, x, self.y, 1)
+
     @pytest.mark.parametrize("name", READ_LABELS)
     @pytest.mark.parametrize("value", [0.0, 0.5])
     def test_labels_other_than_pm1_are_a_data_error(self, name, value):

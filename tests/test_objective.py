@@ -11,8 +11,8 @@ from corrlog.objective import (
     Problem,
     RegularizationConfig,
     _mean_loss,
-    _neg_margins,
     _slope,
+    activations,
     elastic_net_penalty,
     full_objective,
     neg_log_pseudo_likelihood,
@@ -242,8 +242,8 @@ class TestSmoothGradient:
             reg = RegularizationConfig(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.5)), 1.0)
             problem = Problem(reg, m, d, ds)
             theta = problem.pack(p.beta, p.alpha)
-            value, _ = smooth_grad_dense(theta, problem)
-            assert value == smooth_value_dense(theta, problem)
+            value, act = smooth_value_dense(theta, problem)
+            assert value == smooth_grad_dense(theta, problem, act)[0]
 
     def test_covers_pairs_with_zero_weight(self):
         rng = np.random.default_rng(55)
@@ -342,8 +342,9 @@ class TestSharedExp:
             x_mat, y_mat = ds.feature_matrix, ds.label_matrix
             problem = Problem(reg, m, d, ds)
             theta = problem.pack(beta, upper)
-            grad_beta, grad_alpha = problem.unpack(smooth_grad_dense(theta, problem)[1])
-            xi = -2.0 * y_mat * sigmoid(_neg_margins(theta, problem))
+            act = activations(theta, problem)
+            grad_beta, grad_alpha = problem.unpack(smooth_grad_dense(theta, problem, act)[1])
+            xi = -2.0 * y_mat * sigmoid(problem.neg2y * act)
             pair = xi.T @ y_mat
             assert np.array_equal(grad_beta, (xi.T @ x_mat) / n + 2.0 * reg.lambda1 * beta)
             assert np.array_equal(grad_alpha,

@@ -12,6 +12,7 @@ from corrlog.model import ModelParams, MultilabelDataset
 from corrlog.objective import (
     Problem,
     RegularizationConfig,
+    activations,
     full_objective,
     smooth_grad_dense,
     smooth_gradient,
@@ -205,7 +206,8 @@ class TestJacobiMetric:
         for k in np.flatnonzero(live):
             e = np.zeros_like(h)
             e[k] = delta
-            plus, minus = smooth_grad_dense(e, problem)[1], smooth_grad_dense(-e, problem)[1]
+            plus, minus = (smooth_grad_dense(v, problem, activations(v, problem))[1]
+                           for v in (e, -e))
             central.append((plus[k] - minus[k]) / (2 * delta))
         assert np.allclose(h[live], central, rtol=1e-6, atol=0.0)
         assert np.all(h[3:20:5] == 2 * reg.lambda1)  # the zero column
@@ -231,52 +233,121 @@ class TestJacobiMetric:
 
 
 class TestPassCount:
-    """Each attempted step makes one fused value+gradient pass at its anchor
-    and one value pass per candidate; only the zero start asks for the full
-    objective.  An attempt first tries twice the last eta and then halves, so
-    over a run the candidate passes are 2 * attempts - log2(final eta / INITIAL_STEP)."""
+    """Each attempted step makes one gradient pass at its anchor, which is handed the
+    anchor's activations, and one value pass, the only forward product, per candidate;
+    only the zero start asks for the full objective.  An attempt tries twice the last
+    eta only after a step whose curvature in the metric h,
+    rho = (smooth_new - smooth_z - <g, d>) / (sum(h d^2) / 2), has rho * eta <= 1/2 (the
+    first attempt always does), else the last eta; then it halves.  So over a run the
+    value passes are attempts + growing attempts - log2(final eta / INITIAL_STEP)."""
 
     @pytest.fixture
-    def passes(self, monkeypatch):
-        counts = {"fused": 0, "candidate": 0, "full": 0}
-        for key, name in (("fused", "smooth_grad_dense"), ("candidate", "smooth_value_dense"),
-                          ("full", "full_value_dense")):
-            def counted(*args, _key=key, _original=getattr(corrlog.optimizer, name)):
-                counts[_key] += 1
-                return _original(*args)
-            monkeypatch.setattr(corrlog.optimizer, name, counted)
-        return counts
+    def log(self, monkeypatch):
+        """Every pass in call order: ("grad", z, act, smooth_z, g, problem),
+        ("value", cand, smooth_new) or ("full",)."""
+        entries = []
+        grad_pass, value_pass, full_pass = (getattr(corrlog.optimizer, name) for name in
+                                            ("smooth_grad_dense", "smooth_value_dense",
+                                             "full_value_dense"))
+
+        def grad(theta, problem, act):
+            value, g = grad_pass(theta, problem, act)
+            # a copy: the trainer may reuse the buffer of A_{k-1} for a later momentum point
+            entries.append(("grad", theta, act.copy(), value, g, problem))
+            return value, g
+
+        def value(theta, problem):
+            out = value_pass(theta, problem)
+            entries.append(("value", theta, out[0]))
+            return out
+
+        def full(theta, problem):
+            entries.append(("full",))
+            return full_pass(theta, problem)
+
+        for name, fn in (("smooth_grad_dense", grad), ("smooth_value_dense", value),
+                         ("full_value_dense", full)):
+            monkeypatch.setattr(corrlog.optimizer, name, fn)
+        return entries
 
     @staticmethod
-    def step_doublings(trace, start):
-        doublings = math.log2(trace.records[-1].step_size / start)
-        assert doublings == round(doublings)  # every step is start * 2^k
-        return round(doublings)
+    def replay(log):
+        """Replays the step rule over the logged passes.
 
-    def test_momentum_pass_count_follows_step_growth(self, passes):
+        Returns each attempt's (anchor, value entries, accepted eta) and the number
+        of attempts that tried twice the last eta.
+        """
+        assert log[0] == ("full",) and all(entry[0] != "full" for entry in log[1:])
+        attempts = []
+        for entry in log[1:]:
+            if entry[0] == "grad":
+                attempts.append((entry, []))
+            else:
+                attempts[-1][1].append(entry)
+        eta, grow, grown, replayed = INITIAL_STEP, True, 0, []
+        for (_, z, _, smooth_z, g, problem), trials in attempts:
+            assert trials  # each attempt makes at least one value pass
+            grown += grow
+            eta = eta * 2.0 ** (grow - (len(trials) - 1))
+            d = trials[-1][1] - z
+            sq = float(np.sum(problem.jacobi_metric() * d * d))
+            excess = trials[-1][2] - smooth_z - float(g @ d)
+            grow = sq == 0.0 or excess / (0.5 * sq) * eta <= 0.5
+            replayed.append((z, trials, eta))
+        return replayed, grown
+
+    def check_accounting(self, log, trace):
+        attempts, grown = self.replay(log)
+        assert trace.iterations < len(attempts) <= 2 * trace.iterations  # restarts happened
+        assert 1 < grown < len(attempts)  # the gate both allowed and withheld growth
+        values = sum(len(trials) for _, trials, _ in attempts)
+        doublings = math.log2(trace.records[-1].step_size / INITIAL_STEP)
+        assert doublings == round(doublings)  # every step is INITIAL_STEP * 2^k
+        assert values == len(attempts) + grown - round(doublings)
+        assert values > len(attempts)  # some attempts backtracked
+        # an iteration ends at an attempt whose successor is not a restart, which
+        # retakes the step from the current point: a candidate the log holds
+        cands = [entry[1] for _, trials, _ in attempts for entry in trials]
+        restart = [any(z is c for c in cands) for z, _, _ in attempts]
+        ends = [eta for (_, _, eta), nxt in zip(attempts, restart[1:] + [False]) if not nxt]
+        assert ends == [r.step_size for r in trace.records]
+
+    def test_momentum_pass_count_follows_the_curvature_gate(self, log):
         rng = np.random.default_rng(22)
         ds = random_dataset(rng, 30, 4, 5)
         reg = RegularizationConfig(0.01, 0.01, 1.0)
-        _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=25, rel_tol=1e-15))
-        assert trace.iterations == 25 and not trace.converged
-        attempts = passes["fused"]
-        assert trace.iterations < attempts <= 2 * trace.iterations  # restarts happened
-        doublings = self.step_doublings(trace, INITIAL_STEP)
-        assert passes["full"] == 1
-        assert passes["candidate"] == 2 * attempts - doublings
-        assert passes["candidate"] > attempts  # some attempts backtracked
+        _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=20, rel_tol=1e-15))
+        assert trace.iterations == 20 and not trace.converged
+        self.check_accounting(log, trace)
 
-    def test_ilrs_takes_the_same_momentum_steps(self, passes):
+    def test_ilrs_takes_the_same_momentum_steps(self, log):
         rng = np.random.default_rng(22)
-        ds = random_dataset(rng, 60, 4, 8)  # independent fits stop sooner; 37 steps uncapped
+        ds = random_dataset(rng, 60, 4, 8)  # independent fits stop sooner
         reg = RegularizationConfig(1e-3, 1e-3, 1.0)
         _, trace = train_ilrs(ds, TrainConfig(reg=reg, max_iters=20, rel_tol=1e-15))
         assert trace.iterations == 20 and not trace.converged
-        attempts = passes["fused"]
-        assert trace.iterations < attempts <= 2 * trace.iterations  # restarts happened
-        doublings = self.step_doublings(trace, INITIAL_STEP)
-        assert passes["full"] == 1
-        assert passes["candidate"] == 2 * attempts - doublings
+        self.check_accounting(log, trace)
+
+    @pytest.mark.parametrize("trainer", [train_corrlog, train_ilrs])
+    def test_gradient_passes_get_the_activations_of_their_point(self, log, trainer):
+        # A_k is the accepted candidate's own product, reused bit for bit by a restart;
+        # the momentum point's A_k + omega (A_k - A_{k-1}) rounds off the product by ulps
+        ds = random_dataset(np.random.default_rng(22), 30, 4, 5)
+        reg = RegularizationConfig(0.01, 0.01, 1.0)
+        trainer(ds, TrainConfig(reg=reg, max_iters=5000, rel_tol=1e-12))
+        grads = [entry for entry in log if entry[0] == "grad"]
+        cands = [entry[1] for entry in log if entry[0] == "value"]
+        (_, start, start_act, *_), exact, extrapolated = grads[0], 0, []
+        assert not start.any() and not start_act.any()  # the zero start has A = 0
+        for _, z, act, _, _, problem in grads[1:]:
+            want = activations(z, problem)
+            if any(z is c for c in cands):
+                assert act.tobytes() == want.tobytes()
+                exact += 1
+            else:
+                extrapolated.append(float(np.abs(act - want).max() / np.abs(want).max()))
+        assert exact > 0 and len(extrapolated) > 10
+        assert max(extrapolated) <= 1e-12  # the last one at the stop included
 
 
 class TestStopRule:
