@@ -54,6 +54,9 @@ _LABEL_SYMBOLS = {"0": -1, "1": 1, "-1": -1, "+1": 1}
 _ROOT_HALF = 1.0 / math.sqrt(2.0)
 _BLOCK_LINES = 256  # lines of a sparse file parsed together
 _MAX_INDEX = 2**63 - 1
+# the toy problem's two label rules, over the augmented point (x1, x2, 1)
+TOY_ETA1 = (1.0, 1.0, -0.5)
+TOY_ETA2 = (-1.0, 1.0, -0.5)
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,6 @@ class ToySpec:
 
     n_train: int = 500
     n_test: int = 500
-    eta1: tuple[float, float, float] = (1.0, 1.0, -0.5)
-    eta2: tuple[float, float, float] = (-1.0, 1.0, -0.5)
     seed: int = 0
 
     def __post_init__(self):
@@ -407,8 +408,8 @@ def generate_toy(spec: ToySpec) -> tuple[MultilabelDataset, MultilabelDataset]:
     """Sample the correlated two-label toy problem.
 
     Instances are uniform on the unit disc.  With the augmented point
-    xt = (x1, x2, 1): the first label is sign(<eta1, xt>) and the second is
-    OR(y1, sign(<eta2, xt>)), so (+1, -1) can never occur.
+    xt = (x1, x2, 1): the first label is sign(<TOY_ETA1, xt>) and the second is
+    OR(y1, sign(<TOY_ETA2, xt>)), so (+1, -1) can never occur.
     """
     rng = np.random.default_rng(spec.seed)
     total = spec.n_train + spec.n_test
@@ -418,8 +419,8 @@ def generate_toy(spec: ToySpec) -> tuple[MultilabelDataset, MultilabelDataset]:
     xt = np.column_stack([xs, np.ones(total)])
 
     # signs with ties to +1; the second label is +1 wherever the first is
-    pos1 = xt @ np.asarray(spec.eta1) >= 0
-    pos2 = pos1 | (xt @ np.asarray(spec.eta2) >= 0)
+    pos1 = xt @ np.asarray(TOY_ETA1) >= 0
+    pos2 = pos1 | (xt @ np.asarray(TOY_ETA2) >= 0)
     labels = np.where(np.stack([pos1, pos2], axis=1), 1, -1).astype(np.int8)
 
     names = ("label1", "label2")

@@ -50,18 +50,16 @@ class RegularizationConfig:
 class Problem:
     """The layout of theta and the data each pass reads, built once per training.
 
-    ``blocks`` pairs each block's slice of theta with its lambda, beta first;
-    there is no pair block without ``fit_alpha``.  ``lam`` is each coordinate's
-    lambda.  Without a dataset only the penalties can be evaluated.
+    theta is beta's m*D coordinates, then alpha's m*m block only with
+    ``fit_alpha``.  ``lam`` is each coordinate's lambda: lambda1 on beta,
+    lambda2 on alpha.  Without a dataset only the penalties can be evaluated.
     """
 
     def __init__(self, reg: RegularizationConfig, num_labels: int, num_features: int,
                  dataset: MultilabelDataset | None = None, fit_alpha: bool = True):
         m, d = num_labels, num_features
         self.reg, self.num_labels, self.num_features = reg, m, d
-        self.blocks = ((slice(0, m * d), reg.lambda1),
-                       (slice(m * d, m * d + m * m), reg.lambda2))[:1 + fit_alpha]
-        self.lam = np.concatenate([np.full(s.stop - s.start, lam) for s, lam in self.blocks])
+        self.lam = np.repeat([reg.lambda1, reg.lambda2], [m * d, m * m * fit_alpha])
         self.upper = np.triu(np.ones((m, m), dtype=bool), 1) if fit_alpha else None
         if dataset is not None:
             self.x_mat, self.y_mat = dataset.feature_matrix, dataset.label_matrix
@@ -69,14 +67,23 @@ class Problem:
 
     def jacobi_metric(self) -> np.ndarray:
         """The smooth part's Hessian diagonal at theta = 0, where each loss term has curvature 1
-        in its activation: mean x_d^2 + 2 lambda1 on beta, 2 + 2 lambda2 on the pair block."""
-        m, x_sq = self.num_labels, (self.x_mat * self.x_mat).mean(axis=0)
+        in its activation: mean x_d^2 + 2 lambda1 on beta, 2 + 2 lambda2 on the pair block.
+
+        Raises :class:`NumericError` naming the first feature whose mean square overflows,
+        which would otherwise freeze beta at zero with steps of eta / inf.
+        """
+        m = self.num_labels
+        with np.errstate(over="ignore"):
+            x_sq = (self.x_mat * self.x_mat).mean(axis=0)
+        if not np.isfinite(x_sq).all():
+            idx = int(np.argmin(np.isfinite(x_sq)))
+            raise NumericError(f"feature {idx} has a mean square that overflows; scale the features")
         curv = np.concatenate([np.tile(x_sq, m), np.full(self.lam.size - m * x_sq.size, 2.0)])
         return curv + 2.0 * self.lam
 
     def pack(self, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """theta from beta and alpha; only alpha's strict upper triangle is read."""
-        return np.concatenate([beta.ravel(), np.triu(alpha, 1).ravel()][:len(self.blocks)])
+        return np.concatenate([beta.ravel(), np.triu(alpha, 1).ravel()])[:self.lam.size]
 
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Views of beta (m x D) and alpha's upper-triangle array (m x m, or None)."""
@@ -114,20 +121,24 @@ def _mean_loss(neg_margins: np.ndarray, exp_neg_abs: np.ndarray | None = None) -
     return float(per_row.sum() / per_row.size)  # the bits of per_row.mean(), in fewer calls
 
 
+def add_block_sums(value: float, vec: np.ndarray, problem: Problem,
+                   w_beta: float = 1.0, w_alpha: float = 1.0) -> float:
+    """value + w_beta*sum(vec's beta block) + w_alpha*sum(its alpha block), added in that
+    order; each block is summed alone, and an absent alpha block adds +0.0."""
+    nb = problem.num_labels * problem.num_features
+    return value + w_beta * float(vec[:nb].sum()) + w_alpha * float(vec[nb:].sum())
+
+
 def add_quadratic_penalty(value: float, theta: np.ndarray, problem: Problem) -> float:
     """value + lambda1*||beta||_2^2 + lambda2*||alpha||_2^2, added in that order."""
-    sq = theta * theta
-    for block, lam in problem.blocks:
-        value = value + lam * float(sq[block].sum())
-    return value
+    return add_block_sums(value, theta * theta, problem, problem.reg.lambda1, problem.reg.lambda2)
 
 
 def add_l1_penalty(value: float, theta: np.ndarray, problem: Problem) -> float:
     """value + lambda1*eps*||beta||_1 + lambda2*eps*||alpha||_1, added in that order."""
-    mag = np.abs(theta)
-    for block, lam in problem.blocks:
-        value = value + lam * problem.reg.epsilon * float(mag[block].sum())
-    return value
+    reg = problem.reg
+    return add_block_sums(value, np.abs(theta), problem,
+                          reg.lambda1 * reg.epsilon, reg.lambda2 * reg.epsilon)
 
 
 def smooth_value_dense(theta: np.ndarray, problem: Problem) -> tuple[float, np.ndarray]:

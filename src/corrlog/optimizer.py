@@ -44,6 +44,7 @@ from .objective import (
     Problem,
     RegularizationConfig,
     activations,
+    add_block_sums,
     add_l1_penalty,
     check_finite_dataset,
     full_value_dense,
@@ -134,14 +135,11 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
         raise DataError("training requires lambda2 > 0")
 
     problem = Problem(reg, dataset.num_labels, dataset.num_features, dataset, fit_alpha)
-    lam, blocks = problem.lam, problem.blocks
 
-    theta = theta_prev = np.zeros_like(lam)
-    f_cur = full_value_dense(theta, problem)
-    if not np.isfinite(f_cur):
-        raise NumericError("objective is not finite at the zero start")
+    theta = theta_prev = np.zeros_like(problem.lam)
+    f_cur = full_value_dense(theta, problem)  # m log 2: X is finite and A = 0
     act = act_prev = np.zeros_like(problem.neg2y)  # the activations of theta = 0
-    h, lam_eps, eta, grow = problem.jacobi_metric(), lam * reg.epsilon, INITIAL_STEP, True
+    h, lam_eps, eta, grow = problem.jacobi_metric(), problem.lam * reg.epsilon, INITIAL_STEP, True
     t_momentum = 1.0
 
     trace = TrainTrace()
@@ -159,11 +157,10 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
         for _ in range(MAX_BACKTRACKS):
             step = eta / h
             cand = soft_threshold(z - step * grad, step * lam_eps)
-            quad, sq_sum = smooth_z, 0.0
-            for block, _ in blocks:  # each block summed alone, added in block order
-                diff = cand[block] - z[block]
-                quad += float((grad[block] * diff).sum())
-                sq_sum += float((h[block] * diff * diff).sum())
+            diff = cand - z
+            quad = add_block_sums(smooth_z, grad * diff, problem)
+            sq_sum = add_block_sums(0.0, h * diff * diff, problem)
+            del step, diff  # no theta-sized temporary lives through the value pass
             smooth_new, act_new = smooth_value_dense(cand, problem)
             excess = smooth_new - quad  # rho * sq_sum / 2, rho the step's curvature in h
             quad += sq_sum / (2.0 * eta)
@@ -200,7 +197,7 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
             break
 
         theta_prev, theta, act_prev, act = theta, new_theta, act, new_act
-        nnz_beta = int(np.count_nonzero(theta[blocks[0][0]]))
+        nnz_beta = int(np.count_nonzero(problem.unpack(theta)[0]))
         record = TraceRecord(iteration=k, objective=f_new, step_size=eta,
                              nnz_alpha=int(np.count_nonzero(theta)) - nnz_beta, nnz_beta=nnz_beta)
         trace.records.append(record)

@@ -162,6 +162,24 @@ class TestTrain:
             "error: feature scale must be positive and finite, got inf\n")
         assert not model.exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_features_whose_squares_overflow_exit_4(self, tmp_path, capsys, command):
+        # finite features of size 1e160 whose squares overflow: without normalization the
+        # trainer would freeze beta at zero and report the zero start as converged
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(40, 3)) * 1e160, rng.integers(0, 2, size=(40, 2))
+        data = tmp_path / "big.csv"
+        data.write_text("f1,f2,f3|l1,l2\n" + "".join(
+            ",".join([*map(repr, row.tolist()), *map(str, labels)]) + "\n"
+            for row, labels in zip(x, y)))
+        out = tmp_path / "out.json"
+        extra = ["--model-out", str(out)] if command == "train" else [
+            "--folds", "2", "--json-out", str(out)]
+        assert main([command, str(data), *extra]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: feature 0 has a mean square that overflows; scale the features\n")
+        assert not out.exists()
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")])
         assert code == 3

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from corrlog import data
 from corrlog.cli import main
 from corrlog.data import (
+    TOY_ETA1,
+    TOY_ETA2,
     DatasetSpec,
     ToySpec,
     add_bias_column,
@@ -77,6 +79,26 @@ class TestDenseLoader:
         path.write_text("f1,l1\n0.5,1\n")
         with pytest.raises(ParseError, match="'\\|'"):
             load_dataset(path, DatasetSpec())
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_file_without_a_header_line(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="^file contains no header line$"):
+            load_dataset(path, DatasetSpec())
+
+    @pytest.mark.parametrize("header", ["f1,f2|", "| l1", " , |l1"])
+    def test_header_must_name_a_feature_and_a_label(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_text(f"\n{header}\n0.5,1\n")
+        with pytest.raises(ParseError, match="^line 2: header must name at least one feature"):
+            load_dataset(path, DatasetSpec())
+
+    @pytest.mark.parametrize("field,value", [("format", "parquet"),
+                                             ("normalization", "unit-norm")])
+    def test_spec_rejects_unknown_choices(self, field, value):
+        with pytest.raises(DataError, match=f"^unknown .*{value!r}$"):
+            DatasetSpec(**{field: value})
 
 
 class TestSparseLoader:
@@ -768,10 +790,9 @@ class TestFeaturePreparation:
 
 class TestGenerateToy:
     def test_label_rule_examples(self):
-        # evaluate the labeling rule on chosen points via a tiny helper dataset
-        train, _ = generate_toy(ToySpec(n_train=1, n_test=1, seed=0))
-        eta1 = np.array([1.0, 1.0, -0.5])
-        eta2 = np.array([-1.0, 1.0, -0.5])
+        # evaluate the labeling rule on chosen points
+        assert (TOY_ETA1, TOY_ETA2) == ((1.0, 1.0, -0.5), (-1.0, 1.0, -0.5))
+        eta1, eta2 = np.array(TOY_ETA1), np.array(TOY_ETA2)
         for x, expected in [
             (np.array([0.5, 0.5]), (1, 1)),
             (np.array([-0.5, -0.4]), (-1, -1)),
@@ -782,14 +803,20 @@ class TestGenerateToy:
             y2 = 1 if (y1 == 1 or eta2 @ xt >= 0) else -1
             assert (y1, y2) == expected
 
+    @pytest.mark.parametrize("split", [{"n_train": 0}, {"n_test": 0}])
+    def test_empty_split_is_refused(self, split):
+        with pytest.raises(DataError, match="^toy splits must contain at least one example$"):
+            ToySpec(**split)
+
     @pytest.mark.parametrize("eta1,eta2", [
         ((1.0, 1.0, -0.5), (-1.0, 1.0, -0.5)),
         ((0.0, 0.0, 0.0), (0.3, -2.0, 0.1)),  # every first label is a tie: +1
         ((0.3, -2.0, 0.1), (0.0, 0.0, 0.0)),  # every second label is a tie: +1
     ])
-    def test_labels_follow_the_rule_row_by_row(self, eta1, eta2):
-        train, test = generate_toy(ToySpec(n_train=200, n_test=50, eta1=eta1, eta2=eta2,
-                                           seed=11))
+    def test_labels_follow_the_rule_row_by_row(self, monkeypatch, eta1, eta2):
+        monkeypatch.setattr(data, "TOY_ETA1", eta1)
+        monkeypatch.setattr(data, "TOY_ETA2", eta2)
+        train, test = generate_toy(ToySpec(n_train=200, n_test=50, seed=11))
         for ds in (train, test):
             assert ds.labels.dtype == np.int8
             for x, labels in zip(ds.features, ds.labels):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -221,6 +222,11 @@ class TestCrossValidate:
         doc = compared.as_dict()
         assert "t_test" in doc["zero_one_loss"]
 
+    def test_compare_refuses_different_fold_counts(self):
+        four, five = (CvResult("corrlog", k, 0, [], {}, {}) for k in (4, 5))
+        with pytest.raises(DataError, match="^cannot pair fold scores across different fold"):
+            compare_cv(four, five)
+
     def test_constant_shift_writes_standard_json(self):
         # every metric sits 0.2 above the baseline on every fold: t is infinite
         def fixed(values, trainer):
@@ -342,6 +348,25 @@ class TestPredictDataset:
 
 
 class TestStability:
+    @pytest.mark.parametrize("other", [ModelParams.zeros(3, 2), ModelParams.zeros(2, 3)])
+    def test_distance_refuses_different_shapes(self, other):
+        with pytest.raises(DataError, match="^models have different shapes$"):
+            params_distance(ModelParams.zeros(2, 2), other)
+
+    def test_refuses_bad_pool_trials_and_lambdas(self):
+        ds = random_dataset(np.random.default_rng(3), 8, 2, 2)
+        wide = random_dataset(np.random.default_rng(3), 8, 2, 3)
+        zero = TrainConfig(reg=RegularizationConfig(0.01, 0.0, 1.0))
+        for call, message in [
+            (lambda: stability_experiment(ds, toy_config(), 1, 0, wide),
+             "pool dimensions do not match the training set"),
+            (lambda: stability_experiment(ds, toy_config(), 0, 0, ds), "need at least one trial"),
+            (lambda: stability_experiment(ds, zero, 1, 0, ds),
+             "stability bound requires lambda1, lambda2 > 0"),
+        ]:
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                call()
+
     def test_distance_zero_for_identical_models(self):
         rng = np.random.default_rng(1)
         ds = random_dataset(rng, 30, 2, 3)

@@ -163,6 +163,11 @@ class TestValidation:
         with pytest.raises(DataError, match="equal-length label vectors"):
             compute_metrics(y_true, [np.array([1, -1]), np.array([1, 1])])
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_no_examples_or_no_labels(self, shape):
+        with pytest.raises(DataError, match="^need at least one example and one label$"):
+            compute_metrics(np.ones(shape), np.ones(shape))
+
     def test_bad_label_values(self):
         with pytest.raises(DataError):
             compute_metrics([np.array([1, 0])], [np.array([1, 1])])

@@ -34,6 +34,10 @@ class TestModelParams:
         with pytest.raises(DataError):
             ModelParams(np.zeros((2, 2)), {(0, 2): 0.5}, 2, 2)
 
+    def test_rejects_beta_of_the_wrong_shape(self):
+        with pytest.raises(DataError, match=r"^beta shape \(2, 3\) does not match"):
+            ModelParams(np.zeros((2, 3)), {}, 2, 2)
+
     def test_rejects_non_finite(self):
         with pytest.raises(DataError):
             ModelParams(np.array([[np.nan]]), {}, 1, 1)

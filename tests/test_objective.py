@@ -160,6 +160,13 @@ class TestSmoothObjective:
 
 
 class TestFullObjective:
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_rejects_a_model_of_other_dimensions(self, shape):
+        ds = random_dataset(np.random.default_rng(6), 5, 2, 2)
+        with pytest.raises(DataError, match=r"^model dimensions \(\d labels, \d features\) "
+                                            r"do not match dataset \(2 labels, 2 features\)$"):
+            full_objective(ModelParams.zeros(*shape), ds, RegularizationConfig())
+
     def test_zero_params(self):
         rng = np.random.default_rng(20)
         ds = random_dataset(rng, 5, 2, 2)

@@ -215,6 +215,16 @@ class TestJacobiMetric:
         params, _ = train_corrlog(ds, TrainConfig(reg=reg))
         assert params.beta[:, 3].tobytes() == np.zeros(4).tobytes()
 
+    @pytest.mark.parametrize("trainer", [train_corrlog, train_ilrs])
+    def test_a_feature_whose_square_overflows_is_refused(self, trainer):
+        # x^2 overflows in feature 1 and 2 only: the metric there would be inf, every beta
+        # step eta / inf = 0, and the unchanged objective would read as convergence
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(40, 3)) * [1.0, 1e160, 1e160]
+        ds = MultilabelDataset(x, rng.choice([-1, 1], size=(40, 2)), ("a", "b"))
+        with pytest.raises(NumericError, match="^feature 1 has a mean square that overflows"):
+            trainer(ds, TrainConfig())
+
     @pytest.mark.parametrize("seed", range(4))
     def test_default_fit_stops_near_the_optimum(self, seed):
         # feature columns spanning 100x in scale, normalized to unit max row norm, plus a bias
@@ -374,11 +384,37 @@ class TestStopRule:
         assert trace.iterations == 4 and not trace.converged
 
 
+    @pytest.mark.parametrize("trainer", [train_corrlog, train_ilrs])
+    def test_a_step_without_descent_stops_untaken(self, trainer):
+        # TestPassCount's corrlog data stagnates at float level after 25 iterations; no
+        # finite change meets this tolerance, so only the no-descent stop ends the run
+        ds = random_dataset(np.random.default_rng(22), 30, 4, 5)
+        reg = RegularizationConfig(0.01, 0.01, 1.0)
+        params, trace = trainer(ds, TrainConfig(reg=reg, max_iters=5000, rel_tol=1e-300))
+        assert np.all(np.diff(trace.objectives()) <= 0.0)
+        assert trace.iterations < 5000 and not trace.converged
+        assert trace.records[-1].objective == full_objective(params, ds, reg)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_objective_is_refused(self, monkeypatch, bad):
+        value_pass = corrlog.optimizer.smooth_value_dense
+        monkeypatch.setattr(corrlog.optimizer, "smooth_value_dense",
+                            lambda theta, problem: (bad, value_pass(theta, problem)[1]))
+        ds = random_dataset(np.random.default_rng(22), 30, 4, 5)
+        with pytest.raises(NumericError, match="^objective became non-finite at iteration 0$"):
+            train_corrlog(ds, TrainConfig())
+
+
 class TestTrainConfig:
     def test_fields_are_regularization_cap_and_tolerance(self):
         assert [f.name for f in dataclasses.fields(TrainConfig)] == ["reg", "max_iters", "rel_tol"]
         with pytest.raises(TypeError):
             TrainConfig(accelerate=False)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_must_be_positive(self, max_iters):
+        with pytest.raises(DataError, match="^max_iters must be positive$"):
+            TrainConfig(max_iters=max_iters)
 
 
 class TestTrainCorrlog:

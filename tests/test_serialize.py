@@ -275,6 +275,14 @@ class TestModelDocument:
         with pytest.raises(ModelFormatError, match="shape"):
             load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["num_labels", "num_features", "beta", "alpha",
+                                     "regularization"])
+    def test_missing_field_rejected(self, key):
+        doc = json.loads(save_model(ModelParams.zeros(2, 2), RegularizationConfig()))
+        del doc[key]
+        with pytest.raises(ModelFormatError, match=f"^model document is missing .*'{key}'$"):
+            load_model(json.dumps(doc))
+
     def test_garbage_rejected(self):
         with pytest.raises(ModelFormatError):
             load_model("not json at all {")
