@@ -243,85 +243,81 @@ def cmd_stability(args: argparse.Namespace) -> None:
         _write(args.json_out, dump_json(report.as_dict()))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, or, given one's name, only that one's arguments: the
+    others stay stubs, which the top-level help and usage errors list as before."""
     parser = argparse.ArgumentParser(
         prog="corrlog",
         description="Pairwise-correlated logistic multilabel classifier",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text):
-        return sub.add_parser(
-            name, help=help_text,
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-        )
+    def add_command(name, help_text, func):  # the subparser to fill, or None for a stub
+        full = command in (None, name)
+        p = sub.add_parser(name, help=help_text, add_help=full,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        return p if full else None
 
-    p = add_command("train", "fit a model and write a model document")
-    p.add_argument("data", help="training dataset file")
-    _add_training_flags(p, "training")
-    p.add_argument("--ilrs", action="store_true",
-                   help="train independent logistic regressions (no pairwise weights)")
-    p.add_argument("--model-out", required=True, help="model document output path")
-    p.set_defaults(func=cmd_train)
+    if p := add_command("train", "fit a model and write a model document", cmd_train):
+        p.add_argument("data", help="training dataset file")
+        _add_training_flags(p, "training")
+        p.add_argument("--ilrs", action="store_true",
+                       help="train independent logistic regressions (no pairwise weights)")
+        p.add_argument("--model-out", required=True, help="model document output path")
 
-    p = add_command("predict", "decode labels for every instance")
-    _add_scoring_args(p)
-    p.add_argument("--out", required=True, help="predictions output file")
-    p.set_defaults(func=cmd_predict)
+    if p := add_command("predict", "decode labels for every instance", cmd_predict):
+        _add_scoring_args(p)
+        p.add_argument("--out", required=True, help="predictions output file")
 
-    p = add_command("eval", "score a model on labeled data")
-    _add_scoring_args(p)
-    p.add_argument("--json-out", default=None, help="also write metrics as JSON")
-    p.set_defaults(func=cmd_eval)
+    if p := add_command("eval", "score a model on labeled data", cmd_eval):
+        _add_scoring_args(p)
+        p.add_argument("--json-out", default=None, help="also write metrics as JSON")
 
-    p = add_command("cv", "k-fold cross-validation of the correlated model")
-    p.add_argument("data")
-    _add_training_flags(p, "folding")
-    p.add_argument("--folds", type=int, default=5, help="number of folds")
-    p.add_argument("--compare-ilrs", action="store_true",
-                   help="also run the independent baseline and attach paired t-tests")
-    p.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
-    p.add_argument("--json-out", default=None, help="also write the table as JSON")
-    p.set_defaults(func=cmd_cv)
+    if p := add_command("cv", "k-fold cross-validation of the correlated model", cmd_cv):
+        p.add_argument("data")
+        _add_training_flags(p, "folding")
+        p.add_argument("--folds", type=int, default=5, help="number of folds")
+        p.add_argument("--compare-ilrs", action="store_true",
+                       help="also run the independent baseline and attach paired t-tests")
+        p.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
+        p.add_argument("--json-out", default=None, help="also write the table as JSON")
 
-    toy = ToySpec()
-    p = add_command("synth", "generate the correlated two-label toy data")
-    p.add_argument("--n-train", type=int, default=toy.n_train, help="training rows")
-    p.add_argument("--n-test", type=int, default=toy.n_test, help="test rows")
-    p.add_argument("--seed", type=int, default=toy.seed, help="generator seed")
-    p.add_argument("--train-out", default="toy_train.csv", help="training CSV path")
-    p.add_argument("--test-out", default="toy_test.csv", help="test CSV path")
-    p.set_defaults(func=cmd_synth)
+    if p := add_command("synth", "generate the correlated two-label toy data", cmd_synth):
+        p.add_argument("--n-train", type=int, default=ToySpec.n_train, help="training rows")
+        p.add_argument("--n-test", type=int, default=ToySpec.n_test, help="test rows")
+        p.add_argument("--seed", type=int, default=ToySpec.seed, help="generator seed")
+        p.add_argument("--train-out", default="toy_train.csv", help="training CSV path")
+        p.add_argument("--test-out", default="toy_test.csv", help="test CSV path")
 
-    p = add_command("graph", "export the label-interaction graph")
-    p.add_argument("model")
-    p.add_argument("--threshold", type=float, default=EDGE_THRESHOLD,
-                   help="drop edges with |weight| at or below this")
-    p.add_argument("--dot-out", default=None, help="write DOT here instead of stdout")
-    p.add_argument("--json-out", default=None, help="also write the graph as JSON")
-    p.set_defaults(func=cmd_graph)
+    if p := add_command("graph", "export the label-interaction graph", cmd_graph):
+        p.add_argument("model")
+        p.add_argument("--threshold", type=float, default=EDGE_THRESHOLD,
+                       help="drop edges with |weight| at or below this")
+        p.add_argument("--dot-out", default=None, help="write DOT here instead of stdout")
+        p.add_argument("--json-out", default=None, help="also write the graph as JSON")
 
-    p = add_command("stability", "replace-one retraining stability check")
-    p.add_argument("data")
-    p.add_argument("--pool", required=True,
-                   help="held-out pool supplying replacement examples")
-    _add_format_flags(p)
-    p.add_argument("--add-bias", action="store_true",
-                   help="append a constant feature column to data and pool")
-    _add_reg_flags(p)
-    # the parameter-movement bound assumes near-exact minimizers
-    p.set_defaults(tol=1e-9, max_iters=100000)
-    p.add_argument("--trials", type=int, default=10, help="replace-one trials")
-    p.add_argument("--seed", type=int, default=0, help="replacement-draw seed")
-    p.add_argument("--json-out", default=None, help="also write the report as JSON")
-    p.set_defaults(func=cmd_stability)
+    if p := add_command("stability", "replace-one retraining stability check", cmd_stability):
+        p.add_argument("data")
+        p.add_argument("--pool", required=True,
+                       help="held-out pool supplying replacement examples")
+        _add_format_flags(p)
+        p.add_argument("--add-bias", action="store_true",
+                       help="append a constant feature column to data and pool")
+        _add_reg_flags(p)
+        # the parameter-movement bound assumes near-exact minimizers
+        p.set_defaults(tol=1e-9, max_iters=100000)
+        p.add_argument("--trials", type=int, default=10, help="replace-one trials")
+        p.add_argument("--seed", type=int, default=0, help="replacement-draw seed")
+        p.add_argument("--json-out", default=None, help="also write the report as JSON")
 
     return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand: echo its resolved configuration, then map its outcome to an exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # standard JSON: a non-finite float, refused later, is echoed as a string
         echo = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v

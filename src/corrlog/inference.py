@@ -70,7 +70,7 @@ def _scopes(params: ModelParams) -> list[np.ndarray]:
     linked = params.alpha != 0
     scopes = []
     for v in range(params.num_labels - 1, -1, -1):
-        scopes.append(np.flatnonzero(linked[v, :v]))
+        scopes.append(linked[v, :v].nonzero()[0])
         linked[scopes[-1][:, None], scopes[-1]] = True  # eliminating v links its neighbours
     return scopes[::-1]
 
@@ -91,11 +91,15 @@ def _eliminate(unary: np.ndarray, alpha: np.ndarray, scopes: list[np.ndarray]) -
     n, m = unary.shape
     incoming = [[] for _ in range(m)]  # (scope, max table) sent to the bucket of each label
     plus = [None] * m  # whether +1 is best for v at each state of its scope
-    for v, scope in reversed(list(enumerate(scopes))):
+    signed = alpha[:, :, None, None] * _STATES[:, None]  # [j, v]: alpha_jv y_j, y_j = +1, -1
+    for v in range(m - 1, -1, -1):
+        scope = scopes[v]
+        if not (scope.size or incoming[v]):
+            continue  # a label without pairs: its one-entry bucket is read off below
         # sum_j alpha_jv y_j by doubling: each label's axis above the last, its +1 half first
         pair = np.zeros(1)
         for j in scope:
-            pair = np.concatenate([pair + alpha[j, v], pair - alpha[j, v]])
+            pair = (pair + signed[j, v]).ravel()
         bucket = np.empty((2, pair.size, n))  # v's state, its scope's, then the row
         np.add(pair[:, None], unary[:, v], out=bucket[0])
         np.negative(bucket[0], out=bucket[1])
@@ -105,10 +109,11 @@ def _eliminate(unary: np.ndarray, alpha: np.ndarray, scopes: list[np.ndarray]) -
         plus[v] = bucket[0] >= bucket[1]
         if scope.size:
             incoming[scope[-1]].append((set(scope), np.maximum(bucket[0], bucket[1])))
-    minus, rows = np.zeros((m, n), dtype=bool), np.arange(n)  # one row per label
+    # every label as if it had no pairs: -1 where its unary is negative, ties to +1
+    minus, rows, bits = (unary < -unary).T.copy(), np.arange(n), 1 << np.arange(m)
     for v, scope in enumerate(scopes):
-        state = (1 << np.arange(scope.size)) @ minus[scope] if scope.size else 0
-        minus[v] = ~plus[v].take(state * n + rows)
+        if plus[v] is not None:  # the row's state of v's scope indexes plus[v]
+            np.logical_not(plus[v][bits[:scope.size] @ minus[scope], rows], out=minus[v])
     return (1 - 2 * minus.view(np.int8)).T
 
 

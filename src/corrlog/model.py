@@ -35,9 +35,9 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 def _slope(z: np.ndarray, exp_neg_abs: np.ndarray) -> np.ndarray:
     """sigmoid(z) from exp(-|z|), which the trainer shares with its loss terms.
 
-    The numerator is 1 where z >= 0 (there exp(-|z|) <= 1) and exp(-|z|) elsewhere.
+    The numerator max(exp(-|z|), sign(z)) is 1 where z >= 0 and exp(-|z|) elsewhere.
     """
-    return np.maximum(exp_neg_abs, z >= 0) / (1.0 + exp_neg_abs)
+    return np.maximum(exp_neg_abs, np.sign(z)) / (1.0 + exp_neg_abs)
 
 
 @dataclass(eq=False)

@@ -5,25 +5,25 @@ Minimizes  nll_pl + elastic_net  from the all-zeros start by iterating
     z_k         = theta_k + omega_k (theta_k - theta_{k-1})
     theta_{k+1} = soft_threshold(z_k - eta * grad_smooth(z_k) / h, eta * lam * eps / h)
 
-on one flat coordinate vector theta (beta, then alpha's upper-triangle array
-when pairs are fitted; see :mod:`corrlog.objective`) with a per-coordinate
-lam: lambda1 on beta coordinates and lambda2 on pairwise ones, so one
-soft-threshold, one momentum update and one difference serve both blocks.
-The fixed diagonal metric h is the smooth part's Hessian diagonal at theta = 0
-(``Problem.jacobi_metric``), so each coordinate moves by its own curvature:
-variable-metric forward-backward splitting (Combettes & Vu 2014), or the plain
-method in the coordinates sqrt(h) * theta.  Each step exactly minimizes the
-surrogate  smooth + <grad, d> + sum(h * d^2) / (2 eta) + l1  built around
-z_k.  The dimensionless eta first tries 1, the plain Jacobi step, then halves
-until that surrogate majorizes the smooth part at the candidate, so every
-accepted step decreases the full objective.  The next step tries twice the
-last eta (Scheinberg, Goldfarb & Bai 2014) only when the accepted step's
-curvature in h, rho = (smooth_new - smooth_z - <grad, d>) / (sum(h d^2) / 2),
+on one flat vector theta (beta, then the symmetric alpha when pairs are fitted;
+see :mod:`corrlog.objective`) with a per-coordinate lam, lambda1 on beta and
+lambda2 on pairs, so one soft-threshold, momentum update and difference serve
+both blocks.  The fixed diagonal metric h is the smooth part's Hessian diagonal
+at theta = 0 (``Problem.jacobi_metric``): variable-metric forward-backward
+splitting (Combettes & Vu 2014), or the plain method in sqrt(h) * theta.  Each
+step exactly minimizes the surrogate  smooth + <grad, d> + sum(h * d^2) / (2 eta)
++ l1  built around z_k.  The dimensionless eta first tries 1, the plain Jacobi
+step, then halves until that surrogate majorizes the smooth part at the
+candidate, so every accepted step decreases the full objective.  The next step
+tries twice the last eta (Scheinberg, Goldfarb & Bai 2014) only when the accepted
+step's curvature in h, rho = (smooth_new - smooth_z - <grad, d>) / (sum(h d^2) / 2),
 has rho * eta <= 1/2, so the surrogate at 2 eta would have majorized it too.
 Activations are linear in theta: the momentum point's are
 A_z = A_k + omega_k (A_k - A_{k-1}), and A_{k+1} comes from the accepted
-candidate's value pass, so a step makes one gradient pass at z_k and one
-value pass, the only forward product, per candidate.
+candidate's value pass, so a step makes one gradient pass at z_k and one value
+pass, the only forward product, per candidate.  grad / h is formed once a step,
+and a candidate is the prox step in units of eta, a power of 2, so scaling by it
+moves no bit: a one-candidate step is 48 numpy calls.
 Two-point momentum with a monotone restart is the one step rule (the O(1/k^2)
 rate): omega_k = (t_k - 1) / t_{k+1} with t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2,
 t_0 = 1 and z_0 = theta_0.  An extrapolated step that would increase the objective
@@ -34,6 +34,7 @@ Training is deterministic: identical inputs produce bit-identical models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,6 @@ from .objective import (
     Problem,
     RegularizationConfig,
     activations,
-    add_block_sums,
     add_l1_penalty,
     check_finite_dataset,
     full_value_dense,
@@ -98,13 +98,16 @@ class TrainTrace:
 
 
 def soft_threshold(u: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
-    """Shrink toward zero by t, a scalar or one threshold per element; exact zero inside [-t, t]."""
+    """Shrink toward zero by t, a scalar or one threshold per element; +0.0 inside [-t, t]."""
     if not (np.asarray(t) >= 0).all():  # NaN fails too
         raise DataError("threshold must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    out = np.maximum(np.abs(u) - t, 0.0)
-    out *= np.sign(u)
+    out = _shrink(np.asarray(u, dtype=float), t, np.negative(t))
     return out if out.ndim else float(out)
+
+
+def _shrink(u: np.ndarray, t, neg_t) -> np.ndarray:
+    """soft_threshold for thresholds t known to be >= 0: u less u clamped to [-t, t]."""
+    return u - np.minimum(np.maximum(u, neg_t), t)
 
 
 def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
@@ -114,8 +117,8 @@ def subgradient_residual(params: ModelParams, dataset: MultilabelDataset,
     At an exact minimizer, nonzero coordinates satisfy
     grad_smooth + lam*eps*sign = 0 and zero coordinates satisfy
     |grad_smooth| <= lam*eps; returns the largest deviation from either.
-    alpha's slots outside the strict upper triangle are zero with a zero
-    gradient, so they violate nothing.
+    alpha's diagonal is zero with a zero gradient, so it violates nothing,
+    and a pair's two slots violate alike.
     """
     theta, problem = pack_params(params, dataset, reg)
     grad = smooth_grad_dense(theta, problem, activations(theta, problem))[1]
@@ -137,10 +140,13 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
     problem = Problem(reg, dataset.num_labels, dataset.num_features, dataset, fit_alpha)
 
     theta = theta_prev = np.zeros_like(problem.lam)
-    f_cur = full_value_dense(theta, problem)  # m log 2: X is finite and A = 0
     act = act_prev = np.zeros_like(problem.neg2y)  # the activations of theta = 0
-    h, lam_eps, eta, grow = problem.jacobi_metric(), problem.lam * reg.epsilon, INITIAL_STEP, True
-    t_momentum = 1.0
+    f_cur = full_value_dense(theta, problem, act)  # m log 2: X is finite and A = 0
+    h = problem.jacobi_metric()
+    tau = problem.lam * reg.epsilon / h  # the l1 threshold at eta = 1
+    neg_tau, h_weight = -tau, h * problem.weight  # and the metric counting a pair once
+    eta, grow, t_momentum = INITIAL_STEP, True, 1.0
+    nb = problem.num_labels * problem.num_features
 
     trace = TrainTrace()
 
@@ -152,15 +158,17 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
         the next attempt may try twice that eta.
         """
         smooth_z, grad = smooth_grad_dense(z, problem, act_z)
+        direction = grad / h
         if grow:
-            eta /= 0.5
+            eta *= 2.0
         for _ in range(MAX_BACKTRACKS):
-            step = eta / h
-            cand = soft_threshold(z - step * grad, step * lam_eps)
+            # the step in units of eta, a power of 2, so scaling by it moves no bit
+            cand = _shrink(z / eta - direction, tau, neg_tau) * eta
             diff = cand - z
-            quad = add_block_sums(smooth_z, grad * diff, problem)
-            sq_sum = add_block_sums(0.0, h * diff * diff, problem)
-            del step, diff  # no theta-sized temporary lives through the value pass
+            h_diff = h_weight * diff
+            quad = smooth_z + float(direction.dot(h_diff))  # + <grad, diff>
+            sq_sum = float(diff.dot(h_diff))
+            del diff, h_diff  # no theta-sized temporary lives through the value pass
             smooth_new, act_new = smooth_value_dense(cand, problem)
             excess = smooth_new - quad  # rho * sq_sum / 2, rho the step's curvature in h
             quad += sq_sum / (2.0 * eta)
@@ -173,7 +181,7 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
     for k in range(config.max_iters):
         z, act_z = theta, act
         if k > 0:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
             omega = (t_momentum - 1.0) / t_next
             z = theta + omega * (theta - theta_prev)
             # written over A_{k-1}, which nothing reads again, to keep one n x m array fewer
@@ -187,7 +195,7 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
             t_momentum = 1.0
             new_theta, new_act, eta, f_new, grow = attempt_step(theta, act, eta, grow)
 
-        if not np.isfinite(f_new):
+        if not math.isfinite(f_new):
             raise NumericError(f"objective became non-finite at iteration {k}")
 
         trace.converged = abs(f_new - f_cur) < config.rel_tol * max(1.0, abs(f_cur))
@@ -197,9 +205,9 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
             break
 
         theta_prev, theta, act_prev, act = theta, new_theta, act, new_act
-        nnz_beta = int(np.count_nonzero(problem.unpack(theta)[0]))
-        record = TraceRecord(iteration=k, objective=f_new, step_size=eta,
-                             nnz_alpha=int(np.count_nonzero(theta)) - nnz_beta, nnz_beta=nnz_beta)
+        nnz_alpha = int(np.count_nonzero(theta[nb:])) // 2  # the small block: counted alone
+        record = TraceRecord(iteration=k, objective=f_new, step_size=eta, nnz_alpha=nnz_alpha,
+                             nnz_beta=int(np.count_nonzero(theta)) - 2 * nnz_alpha)
         trace.records.append(record)
 
         if trace.converged:

@@ -34,29 +34,29 @@ CASES = {
 # (case, trainer) -> (model sha256, trace sha256)
 DIGESTS = {
     ("wide", "corrlog"): (
-        "199acb3726c410cd0ae986c238a60b086a0cd6457ccff82913190fb1efabda9d",
-        "717787a55cb8d962c5768dc5c3a7b09160911de72da6b59fd41144053bae79c6"),
+        "9dc6e80b34e8c93bd7369fcf367d58ca094c4ce0b705fb9b540432ca23ef7bbd",
+        "f7a6879846fee7895a79b5b5913ef00a32e57e251fa1f30716911fe6ae275d45"),
     ("wide", "ilrs"): (
-        "172e2668ce6e815b80f6eeb5cc2dd00187cbe76f3a74b422ae3f487d4cfbb35a",
-        "20874eaad1c0b01f60c93e0573409dd3edbb762dcb80da3ed6937dc4d184aaed"),
+        "c414b9a4e2146cf92bd5544a5bd891767319e2b1eec27bb3729f8fd138197695",
+        "b91ef3bf38b2c6efdb68b5010da09253ac0bc5cf29b6466c0345157bdf169b45"),
     ("single_label", "corrlog"): (
-        "988b4aedd12b125284e8116be4270a669be4f6fadef8b175b99a81a8888f4b0b",
-        "94d7ce189d238ebbb79c6a23c50f5feb851f427caeb13279a12c5846b82e809c"),
+        "cf4a4dc0643301199a998485c624b9444e6aaef6a402e7ccbb4de4041ec65d7f",
+        "bfaeee69adb2d65780851d4bc176d6eb0fe2f4a0e50203b7f08e0b966f1ddffe"),
     ("single_label", "ilrs"): (
-        "988b4aedd12b125284e8116be4270a669be4f6fadef8b175b99a81a8888f4b0b",
-        "d086353c1515904f0fb8771e5248e2306646f394defc55c1dd0d0ac8b0929aab"),
+        "cf4a4dc0643301199a998485c624b9444e6aaef6a402e7ccbb4de4041ec65d7f",
+        "1ef2fcf98ae2d859db4b3ca8b6d1619f682c1ab97ab0daffcb041070fafb840c"),
     ("alpha_killed", "corrlog"): (
-        "faad7b78207c5a9565caf84a96a70b87df790e8b22a5df08a6a026ad2ec021d2",
-        "f8939c25cc5380b58b99ae429a8a29b31df31d698a67ff94cb114f6dfdb93fdc"),
+        "3a64ce5edbb4c952ff72b7a0c3134ccf0159b33febb63b98ceaa4550883311ef",
+        "a69f73db7bfa6c0780980186962658331d329b6aa94f6771ebff8d98c0f568d4"),
     ("alpha_killed", "ilrs"): (
-        "faad7b78207c5a9565caf84a96a70b87df790e8b22a5df08a6a026ad2ec021d2",
-        "278258b258f84f9090b023c5780535ff996b25107cc718ecefc4f4e3bee43d76"),
+        "3a64ce5edbb4c952ff72b7a0c3134ccf0159b33febb63b98ceaa4550883311ef",
+        "943c29b8caa5f81cde22af433d9f4cc099c02c8f5afd0285a945a20ac323d9a0"),
     ("capped", "corrlog"): (
-        "55d952ae4a8c7f02e7fd1eb47121413c8c33f42d9df63836a16e21ff5f2733a3",
-        "f42b2793dd43bb091afc0672028ba7befd2a58943d6d1e21a6b87a2028806ad0"),
+        "76a0d4d8117b4df96fb9abae404306a1ee51b13c8d444f714adfefe9d335b0c8",
+        "5a42734a98c6b05316b5b86250a6270c222a32f9aebe774452b86a8dc92a1f25"),
     ("capped", "ilrs"): (
-        "ce1203b42d26fa969fef0ed6ef5f28a6c6e8cb2611c71924d987e6308421ab58",
-        "c30f0084a97795b9ab7759f458cdf048781530296e6339d75996200c9e274bf8"),
+        "b3e3275405a50f5510ed59e6608a91a6a11a91af09969d93c3dd3660617db5b3",
+        "e2a5d558a459c4a15d87186795a4e4537fe5c738c43ea463eafa97a89a5b7b79"),
 }
 
 

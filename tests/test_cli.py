@@ -196,9 +196,9 @@ class TestTrain:
         assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
         assert not any(tmp_path.iterdir())
 
-    def test_nan_data_exits_4(self, tmp_path):
+    def test_infinite_feature_text_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        # bypass the loader's finite check by constructing a near-degenerate file
+        # the text parses to inf, which the loader's finite check refuses before training
         bad.write_text("f1|l1\n1e400,1\n")  # overflows to inf in float()
         code = main(["train", str(bad), "--model-out", str(tmp_path / "m")])
         assert code == 3  # rejected by the loader as non-finite
@@ -293,6 +293,20 @@ class TestTrain:
             toy.n_train, toy.n_test, toy.seed]
         threshold = inspect.signature(export_label_graph).parameters["threshold"].default
         assert options["graph"]["threshold"].default == threshold
+
+    def test_a_named_commands_parser_helps_as_the_full_parser(self):
+        # main builds only the arguments of the command it is given; the others stay stubs
+        def commands(parser):
+            return next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        full = build_parser()
+        for name in [*commands(full), "--help", "bogus"]:
+            named = build_parser(name)
+            assert named.format_help() == full.format_help()
+            assert list(commands(named)) == list(commands(full))
+            if name in commands(full):
+                assert commands(named)[name].format_help() == commands(full)[name].format_help()
 
 
 class TestSeparableRecovery:
@@ -624,11 +638,11 @@ class TestCv:
 class TestJsonTwins:
     # sha256 of each file written below: any change of layout or of a number shows here
     DIGESTS = {
-        "m.json": "b0b911e917875846e742ec00e930865b0992ba3e7af55bbc18854ebc4d177a1e",
+        "m.json": "a0625518e2c0d00414e2d781f1c0d74fd88da76b8245f1c9e69ab28a9395d487",
         "e.json": "074e69f460f31a9295f5a5acea4b1bd0e30cfa4306235b8917741a8c071fc0fb",
         "cv.json": "6fc488596361ff8ed38264fececfa4b3be5b16223b8e08ab33c39a884fbada3a",
-        "g.json": "1b538047e0501bf30c9b5ef2857bc48c24190d70f81539aac5af6524475ba945",
-        "s.json": "43b11f3ce88bbaa59441795ae2a94f190618095659dbf194626c603ba1bd7e8c",
+        "g.json": "0019aec6519f9a11e6c0b1152f2680d0522da5e1c580b8cc21caa23048e76082",
+        "s.json": "d1c77be70fe868cc55c4536285ad7a68ee872319ef3afced206be1b86fd31026",
     }
 
     def test_twin_bytes_are_pinned(self, tmp_path):

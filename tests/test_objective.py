@@ -351,11 +351,12 @@ class TestSharedExp:
             theta = problem.pack(beta, upper)
             act = activations(theta, problem)
             grad_beta, grad_alpha = problem.unpack(smooth_grad_dense(theta, problem, act)[1])
-            xi = -2.0 * y_mat * sigmoid(problem.neg2y * act)
+            xi = -2.0 * y_mat / n * sigmoid(problem.neg2y * act)
             pair = xi.T @ y_mat
-            assert np.array_equal(grad_beta, (xi.T @ x_mat) / n + 2.0 * reg.lambda1 * beta)
-            assert np.array_equal(grad_alpha,
-                                  np.triu(pair + pair.T, 1) / n + 2.0 * reg.lambda2 * upper)
+            assert np.array_equal(grad_beta, xi.T @ x_mat + 2.0 * reg.lambda1 * beta)
+            # both slots of a pair hold its gradient, and the diagonal holds +0.0
+            want = np.where(np.eye(m, dtype=bool), 0.0, pair + pair.T)
+            assert np.array_equal(grad_alpha, want + 2.0 * reg.lambda2 * (upper + upper.T))
 
 
 class TestSurrogate:

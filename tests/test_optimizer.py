@@ -201,11 +201,12 @@ class TestJacobiMetric:
         reg = RegularizationConfig(0.01, 0.02, 1.0)
         problem = Problem(reg, 4, 5, ds)
         h = problem.jacobi_metric()
-        live = np.concatenate([np.ones(20, bool), problem.upper.ravel()])
+        live = np.concatenate([np.ones(20, bool), np.triu(np.ones((4, 4), bool), 1).ravel()])
+        mirror = np.concatenate([np.arange(20), 20 + np.arange(16).reshape(4, 4).T.ravel()])
         delta, central = 1e-4, []
         for k in np.flatnonzero(live):
             e = np.zeros_like(h)
-            e[k] = delta
+            e[[k, mirror[k]]] = delta  # a pair moves in both of its slots
             plus, minus = (smooth_grad_dense(v, problem, activations(v, problem))[1]
                            for v in (e, -e))
             central.append((plus[k] - minus[k]) / (2 * delta))
@@ -271,9 +272,9 @@ class TestPassCount:
             entries.append(("value", theta, out[0]))
             return out
 
-        def full(theta, problem):
+        def full(theta, problem, act):
             entries.append(("full",))
-            return full_pass(theta, problem)
+            return full_pass(theta, problem, act)
 
         for name, fn in (("smooth_grad_dense", grad), ("smooth_value_dense", value),
                          ("full_value_dense", full)):
@@ -299,9 +300,10 @@ class TestPassCount:
             assert trials  # each attempt makes at least one value pass
             grown += grow
             eta = eta * 2.0 ** (grow - (len(trials) - 1))
+            # sums over theta weighted as the trainer's: a pair's two alpha slots count once
             d = trials[-1][1] - z
-            sq = float(np.sum(problem.jacobi_metric() * d * d))
-            excess = trials[-1][2] - smooth_z - float(g @ d)
+            sq = float(d @ (problem.jacobi_metric() * problem.weight * d))
+            excess = trials[-1][2] - smooth_z - float((g * problem.weight) @ d)
             grow = sq == 0.0 or excess / (0.5 * sq) * eta <= 0.5
             replayed.append((z, trials, eta))
         return replayed, grown
@@ -384,11 +386,13 @@ class TestStopRule:
         assert trace.iterations == 4 and not trace.converged
 
 
-    @pytest.mark.parametrize("trainer", [train_corrlog, train_ilrs])
-    def test_a_step_without_descent_stops_untaken(self, trainer):
-        # TestPassCount's corrlog data stagnates at float level after 25 iterations; no
-        # finite change meets this tolerance, so only the no-descent stop ends the run
-        ds = random_dataset(np.random.default_rng(22), 30, 4, 5)
+    @pytest.mark.parametrize("trainer,seed", [(train_corrlog, 22), (train_ilrs, 21)])
+    def test_a_step_without_descent_stops_untaken(self, trainer, seed):
+        # each fit stagnates at float level after 19 to 25 iterations, where the next step
+        # raises the objective: no nonzero change meets this tolerance, so only the
+        # no-descent stop ends the run.  (A step that leaves the objective exactly unchanged
+        # would meet it; TestPassCount's data, seed 22, ends the ILR fit that way.)
+        ds = random_dataset(np.random.default_rng(seed), 30, 4, 5)
         reg = RegularizationConfig(0.01, 0.01, 1.0)
         params, trace = trainer(ds, TrainConfig(reg=reg, max_iters=5000, rel_tol=1e-300))
         assert np.all(np.diff(trace.objectives()) <= 0.0)
