@@ -198,12 +198,12 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_cv(args: argparse.Namespace) -> None:
     dataset, _ = _prepare_like_training(args)
-    config = _train_config(args)
-    result = cross_validate(dataset, args.folds, "corrlog", config, args.seed)
-    if args.compare_ilrs:
-        baseline = cross_validate(dataset, args.folds, "ilrs", config, args.seed)
-        result = compare_cv(result, baseline)
-        print(baseline.to_text())
+    trainers = ("corrlog", "ilrs") if args.compare_ilrs else ("corrlog",)
+    result, *baseline = cross_validate(dataset, args.folds, trainers, _train_config(args),
+                                       args.seed)
+    if baseline:
+        result = compare_cv(result, baseline[0])
+        print(baseline[0].to_text())
     print(result.to_text())
     if args.json_out:
         _write(args.json_out, dump_json(result.as_dict()))

@@ -1,9 +1,10 @@
 """Cross-validation, paired significance testing, and the stability check.
 
-The paired t-test's two-sided p-value comes from the Student-t CDF expressed
-through the regularized incomplete beta function, implemented here with the
-standard continued-fraction expansion so the package needs no statistics
-dependency.
+``cross_validate`` fits every trainer it is given on one split and one set of fold
+subsets, so the fold scores of ``("corrlog", "ilrs")`` pair by construction; one trainer
+alone is ``cross_validate(dataset, k, ("ilrs",), config, seed)``.  The paired t-test's
+two-sided p-value comes from the Student-t CDF through the regularized incomplete beta
+function, a continued fraction computed here, so the package needs no statistics library.
 
 The stability check retrains after swapping one training example for a fresh
 one and compares the parameter movement
@@ -122,25 +123,27 @@ def paired_t_test(per_fold_a, per_fold_b) -> TTestResult:
 
 @dataclass
 class CvResult:
-    """Per-fold metrics with their mean/std aggregation."""
+    """One trainer's per-fold metric reports; k, means and stds are read off them."""
 
     trainer: str
-    k: int
     seed: int
     folds: list[MetricsReport]
-    means: dict[str, float]
-    stds: dict[str, float]
     ttests: dict[str, TTestResult] | None = None
 
     def per_fold(self, metric: str) -> list[float]:
         return [getattr(r, metric) for r in self.folds]
 
+    def mean_std(self, metric: str) -> tuple[float, float]:
+        """Mean and sample standard deviation of ``metric`` over the folds."""
+        scores = self.per_fold(metric)
+        return float(np.mean(scores)), float(np.std(scores, ddof=1))
+
     def as_dict(self) -> dict:
         """The cv document; an infinite t-statistic (a constant nonzero shift) is None."""
         doc = {}
         for name in METRIC_NAMES:
-            doc[name] = {"mean": self.means[name], "std": self.stds[name],
-                         "per_fold": self.per_fold(name)}
+            mean, std = self.mean_std(name)
+            doc[name] = {"mean": mean, "std": std, "per_fold": self.per_fold(name)}
             if self.ttests is not None:
                 tt = self.ttests[name]
                 doc[name]["t_test"] = {
@@ -152,9 +155,11 @@ class CvResult:
         return doc
 
     def to_text(self) -> str:
-        lines = [f"{self.k}-fold cross-validation, trainer={self.trainer}, seed={self.seed}"]
+        lines = [f"{len(self.folds)}-fold cross-validation, trainer={self.trainer}, "
+                 f"seed={self.seed}"]
         for name in METRIC_NAMES:
-            row = f"  {DISPLAY_NAMES[name]:<13} {self.means[name]:.4f} +- {self.stds[name]:.4f}"
+            mean, std = self.mean_std(name)
+            row = f"  {DISPLAY_NAMES[name]:<13} {mean:.4f} +- {std:.4f}"
             if self.ttests is not None:
                 tt = self.ttests[name]
                 flag = " (degenerate)" if tt.degenerate else ""
@@ -192,27 +197,26 @@ def predict_dataset(params: ModelParams, dataset: MultilabelDataset) -> np.ndarr
     return decode_rows(params, dataset.features)
 
 
-def cross_validate(dataset: MultilabelDataset, k: int, trainer: str,
-                   config: TrainConfig, seed: int) -> CvResult:
-    """Train on k-1 folds and score the held-out fold, for every fold."""
+def cross_validate(dataset: MultilabelDataset, k: int, trainers: tuple[str, ...],
+                   config: TrainConfig, seed: int) -> list[CvResult]:
+    """Train on k-1 folds and score the held-out fold, for every fold and every trainer;
+    all trainers share one split and its fold subsets, so their fold scores pair."""
     folds = fold_indices(len(dataset), k, seed)
-    reports = []
-    for held_out in range(k):
-        train_idx = np.concatenate([f for i, f in enumerate(folds) if i != held_out])
-        train_set = _subset(dataset, train_idx)
-        test_set = _subset(dataset, folds[held_out])
-        params = _fit(trainer, train_set, config)
-        preds = predict_dataset(params, test_set)
-        reports.append(compute_metrics(test_set.labels, preds))
-    means = {n: float(np.mean([getattr(r, n) for r in reports])) for n in METRIC_NAMES}
-    stds = {n: float(np.std([getattr(r, n) for r in reports], ddof=1)) for n in METRIC_NAMES}
-    return CvResult(trainer=trainer, k=k, seed=seed, folds=reports, means=means, stds=stds)
+    reports = [[] for _ in trainers]
+    for held_out, test_idx in enumerate(folds):
+        train_set = _subset(dataset, np.concatenate(folds[:held_out] + folds[held_out + 1:]))
+        test_set = _subset(dataset, test_idx)
+        for trainer, trainer_reports in zip(trainers, reports):
+            preds = predict_dataset(_fit(trainer, train_set, config), test_set)
+            trainer_reports.append(compute_metrics(test_set.labels, preds))
+    return [CvResult(trainer, seed, r) for trainer, r in zip(trainers, reports)]
 
 
 def compare_cv(result: CvResult, baseline: CvResult) -> CvResult:
-    """Attach per-metric paired t-tests of ``result`` against ``baseline``."""
-    if result.k != baseline.k:
-        raise DataError("cannot pair fold scores across different fold counts")
+    """Attach per-metric paired t-tests of ``result`` against ``baseline``, which must
+    come from the same fold split: the same seed and the same held-out fold sizes."""
+    if result.seed != baseline.seed or result.per_fold("n_eval") != baseline.per_fold("n_eval"):
+        raise DataError("cannot pair fold scores across different fold splits")
     ttests = {
         name: paired_t_test(result.per_fold(name), baseline.per_fold(name))
         for name in METRIC_NAMES
@@ -237,7 +241,6 @@ class StabilityReport:
     n: int
     min_lambda: float
     rel_tol: float
-    trials: int
     replaced_indices: list[int] = field(default_factory=list)
 
     @property
@@ -254,13 +257,13 @@ class StabilityReport:
 
     def as_dict(self) -> dict:
         return {"bound": self.bound, "n": self.n, "min_lambda": self.min_lambda,
-                "rel_tol": self.rel_tol, "trials": self.trials, "diffs": self.diffs,
+                "rel_tol": self.rel_tol, "trials": len(self.diffs), "diffs": self.diffs,
                 "max_diff": self.max_diff, "mean_diff": self.mean_diff,
                 "all_within_bound": self.all_within_bound}
 
     def to_text(self) -> str:
         lines = [
-            f"replace-one stability over {self.trials} trials "
+            f"replace-one stability over {len(self.diffs)} trials "
             f"(n={self.n}, min lambda={self.min_lambda:g}, training tolerance={self.rel_tol:g})",
             f"  bound 16/(min_lambda*n) = {self.bound:.6g}",
             f"  max parameter movement  = {self.max_diff:.6g}",
@@ -307,12 +310,5 @@ def stability_experiment(dataset: MultilabelDataset, config: TrainConfig,
         diffs.append(params_distance(base_params, new_params))
         replaced.append(swap_at)
 
-    return StabilityReport(
-        bound=16.0 / (min_lambda * n),
-        diffs=diffs,
-        n=n,
-        min_lambda=min_lambda,
-        rel_tol=config.rel_tol,
-        trials=trials,
-        replaced_indices=replaced,
-    )
+    return StabilityReport(bound=16.0 / (min_lambda * n), diffs=diffs, n=n, min_lambda=min_lambda,
+                           rel_tol=config.rel_tol, replaced_indices=replaced)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from corrlog import cli, inference
+from corrlog import cli, evaluation, inference
 from corrlog.cli import LOCAL_OPTIMA, build_parser, main
 from corrlog.data import (
     FORMATS,
@@ -628,6 +628,24 @@ class TestCv:
         }
         assert len(doc["zero_one_loss"]["per_fold"]) == 5
         assert "t_test" in doc["zero_one_loss"]
+
+    def test_compare_ilrs_splits_once_and_shares_the_fold_subsets(self, toy_files, monkeypatch):
+        calls = {"fold_indices": 0, "_subset": 0}
+
+        def counted(name):
+            original = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(evaluation, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        train, _ = toy_files
+        assert main(["cv", str(train), "--folds", "4", "--compare-ilrs", "--max-iters", "5"]) == 0
+        # one split, and one training and one held-out subset per fold for both trainers
+        assert calls == {"fold_indices": 1, "_subset": 8}
 
     def test_too_few_instances_exits_3(self, tmp_path):
         small = tmp_path / "small.csv"

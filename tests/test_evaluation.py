@@ -193,18 +193,16 @@ def toy_train():
 
 class TestCrossValidate:
     def test_same_seed_identical_result(self, toy_train):
-        a = cross_validate(toy_train, 4, "ilrs", toy_config(), seed=2)
-        b = cross_validate(toy_train, 4, "ilrs", toy_config(), seed=2)
-        assert a.means == b.means
-        assert a.stds == b.stds
+        (a,) = cross_validate(toy_train, 4, ("ilrs",), toy_config(), seed=2)
+        (b,) = cross_validate(toy_train, 4, ("ilrs",), toy_config(), seed=2)
+        assert a.as_dict() == b.as_dict()
 
     def test_corrlog_beats_ilrs_zero_one_on_toy(self, toy_train):
-        corr = cross_validate(toy_train, 5, "corrlog", toy_config(), seed=1)
-        ilrs = cross_validate(toy_train, 5, "ilrs", toy_config(), seed=1)
-        assert corr.means["zero_one_loss"] < ilrs.means["zero_one_loss"]
+        corr, ilrs = cross_validate(toy_train, 5, ("corrlog", "ilrs"), toy_config(), seed=1)
+        assert corr.mean_std("zero_one_loss")[0] < ilrs.mean_std("zero_one_loss")[0]
 
     def test_json_schema(self, toy_train):
-        result = cross_validate(toy_train, 4, "ilrs", toy_config(), seed=0)
+        (result,) = cross_validate(toy_train, 4, ("ilrs",), toy_config(), seed=0)
         doc = result.as_dict()
         assert set(doc) == set(METRIC_NAMES)
         for entry in doc.values():
@@ -212,8 +210,11 @@ class TestCrossValidate:
             assert len(entry["per_fold"]) == 4
 
     def test_compare_attaches_ttests(self, toy_train):
-        corr = cross_validate(toy_train, 4, "corrlog", toy_config(), seed=1)
-        ilrs = cross_validate(toy_train, 4, "ilrs", toy_config(), seed=1)
+        corr, ilrs = cross_validate(toy_train, 4, ("corrlog", "ilrs"), toy_config(), seed=1)
+        # the joint call scores each trainer exactly as a call of its own would
+        for joint in (corr, ilrs):
+            (alone,) = cross_validate(toy_train, 4, (joint.trainer,), toy_config(), seed=1)
+            assert joint.folds == alone.folds
         compared = compare_cv(corr, ilrs)
         assert compared.ttests is not None
         assert set(compared.ttests) == set(METRIC_NAMES)
@@ -223,17 +224,22 @@ class TestCrossValidate:
         assert "t_test" in doc["zero_one_loss"]
 
     def test_compare_refuses_different_fold_counts(self):
-        four, five = (CvResult("corrlog", k, 0, [], {}, {}) for k in (4, 5))
-        with pytest.raises(DataError, match="^cannot pair fold scores across different fold"):
-            compare_cv(four, five)
+        def result(seed, sizes):
+            folds = [MetricsReport(**dict.fromkeys(METRIC_NAMES, 0.5), n_eval=n) for n in sizes]
+            return CvResult("corrlog", seed, folds)
+
+        four = result(0, [10, 10, 10, 10])
+        assert compare_cv(four, result(0, [10, 10, 10, 10])).ttests is not None
+        # a different fold count, a different seed, a different fold size
+        for other in (result(0, [10] * 5), result(7, [10] * 4), result(0, [10, 10, 10, 9])):
+            with pytest.raises(DataError, match="^cannot pair fold scores across different fold"):
+                compare_cv(four, other)
 
     def test_constant_shift_writes_standard_json(self):
         # every metric sits 0.2 above the baseline on every fold: t is infinite
         def fixed(values, trainer):
             folds = [MetricsReport(**dict.fromkeys(METRIC_NAMES, v), n_eval=10) for v in values]
-            means = dict.fromkeys(METRIC_NAMES, float(np.mean(values)))
-            stds = dict.fromkeys(METRIC_NAMES, float(np.std(values, ddof=1)))
-            return CvResult(trainer, len(values), 0, folds, means, stds)
+            return CvResult(trainer, 0, folds)
 
         compared = compare_cv(fixed([0.3, 0.5, 0.7], "corrlog"), fixed([0.1, 0.3, 0.5], "ilrs"))
         assert all(tt.t_statistic == math.inf for tt in compared.ttests.values())
@@ -249,7 +255,7 @@ class TestCrossValidate:
 
     def test_unknown_trainer_rejected(self, toy_train):
         with pytest.raises(DataError):
-            cross_validate(toy_train, 4, "nope", toy_config(), seed=0)
+            cross_validate(toy_train, 4, ("nope",), toy_config(), seed=0)
 
 
 class TestPredictDataset:
