@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from corrlog.data import sample_from_model
+from corrlog.inference import sample_from_model
 from corrlog.model import ModelParams
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog

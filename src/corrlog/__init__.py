@@ -13,7 +13,6 @@ from .data import (
     compute_feature_scale,
     generate_toy,
     load_dataset,
-    sample_from_model,
     scale_features,
     write_dense_csv,
 )
@@ -42,6 +41,7 @@ from .inference import (
     margin,
     margin_loss,
     predict_map_bp,
+    sample_from_model,
 )
 from .metrics import MetricsReport, compute_metrics
 from .model import (

@@ -34,7 +34,8 @@ rescales the augmented vector by 1/sqrt(2) so the norm bound still holds; a
 test set reuses its training set's scale.  Both steps act on the stored values
 only, a sparse file's entries or a dense array, with the same two roundings.
 ``load_dataset`` prepares a file with its own scale, the largest row norm of
-its dense rows, computed a block of rows at a time.
+its dense rows, computed ``model.DECODE_CHUNK_FLOATS`` floats at a time.  Labels
+drawn from a model's p(y | x) come from ``inference.sample_from_model``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParseError
-from .inference import DECODE_CHUNK_FLOATS, ENUMERATION_LIMIT, _configs, _guard_enumeration
-from .model import CsrRows, ModelParams, MultilabelDataset, _allocate, check_seed, default_label_names
+from .model import (DECODE_CHUNK_FLOATS, CsrRows, MultilabelDataset, _allocate, check_seed,
+                    default_label_names)
 
 FORMATS = ("dense-csv", "sparse-multilabel")
 NORMALIZATIONS = ("none", "global-max-norm")
@@ -427,29 +428,3 @@ def generate_toy(spec: ToySpec) -> tuple[MultilabelDataset, MultilabelDataset]:
     train = MultilabelDataset(xs[: spec.n_train], labels[: spec.n_train], names)
     test = MultilabelDataset(xs[spec.n_train:], labels[spec.n_train:], names)
     return train, test
-
-
-def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDataset:
-    """Draw n instances with x uniform in the unit ball and y ~ p(y|x; params).
-
-    Labels are sampled exactly by enumerating all 2^m configurations, so the
-    label count must stay small (m <= ``ENUMERATION_LIMIT``).
-    """
-    m, d = params.num_labels, params.num_features
-    _guard_enumeration(m, ENUMERATION_LIMIT)
-    configs = np.ascontiguousarray(_configs(m).T)  # one label vector per row
-    rng = np.random.default_rng(check_seed(seed))
-
-    pair_scores = 0.5 * np.einsum("ci,ij,cj->c", configs, params.alpha, configs)
-
-    features = np.empty((n, d))
-    labels = np.empty((n, m), dtype=np.int8)
-    for r in range(n):
-        v = rng.normal(size=d)
-        x = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / d)
-        scores = configs @ (params.beta @ x) + pair_scores
-        probs = np.exp(scores - scores.max())
-        probs /= probs.sum()
-        features[r] = x
-        labels[r] = configs[rng.choice(2 ** m, p=probs)]
-    return MultilabelDataset(features, labels, default_label_names(m))

@@ -1,16 +1,17 @@
-"""Joint MAP label prediction: exact max-sum elimination, or iterated conditional modes.
+"""Joint MAP label prediction (exact max-sum elimination, or ICM) and exact label sampling.
 
 The prediction problem  argmax_y  sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j
 is a MAP query on a pairwise graphical model whose nodes are labels and whose
 edges are the nonzero pairwise weights.  ``decode_rows`` slices a chunk of rows at
 a time and takes their unaries <beta_i, x> in one stacked product that rounds each
-row as ``beta @ x``.
+row as ``beta @ x``; a row whose unaries are not all finite raises ``NumericError``.
 When ``decodes_exactly`` (``elimination_width`` below ``ENUMERATION_LIMIT``), it
 runs max-sum variable elimination on the chunk: labels are eliminated from last
 to first into tables of at most 2^16 entries a row, then read back from first to
 last with ties to +1, so each row gets the lexicographically first optimum, as
 ``map_bruteforce`` does; it and ``margin`` score all 2^m label vectors of one
-row, 2^16 at a time, up to ``BRUTEFORCE_LIMIT`` labels.
+row, 2^16 at a time, up to ``BRUTEFORCE_LIMIT`` labels.  ``sample_from_model`` draws
+labels exactly from p(y | x) over all 2^m, up to ``ENUMERATION_LIMIT`` labels.
 
 Wider models decode by iterated conditional modes (ICM; Besag 1986), a heuristic
 that takes no settings and returns local optima.  Both paths take sums per row in
@@ -31,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
-from .model import ModelParams, _row
+from .errors import DataError, NumericError
+from .model import (DECODE_CHUNK_FLOATS, ModelParams, MultilabelDataset, _row, check_seed,
+                    default_label_names)
 
 ENUMERATION_LIMIT = 16  # exact decoding needs a smaller width; sampling enumerates 2^16
 BRUTEFORCE_LIMIT = 20  # largest label count map_bruteforce and margin enumerate
@@ -40,10 +42,6 @@ _BLOCK = 1 << 16  # label vectors they score at a time
 
 MAX_ITERS = 50  # max-product rounds before a vector is reported non-converged
 _TOLERANCE = 1e-9  # max-product converges when no message moves by this much in a round
-# Floats per working array when decoding rows (8 MiB); the rows per chunk follow from
-# the model's largest elimination table, its label count (the unaries and ICM's
-# label arrays) and its feature count (the dense slice of X).
-DECODE_CHUNK_FLOATS = 1 << 20
 
 # index 0 holds the value for state +1, index 1 for state -1
 _STATES = np.array([1.0, -1.0])
@@ -152,6 +150,7 @@ def decode_rows(params: ModelParams, X) -> np.ndarray:
     an array, a list of rows or ``CsrRows``, is read only through ``np.shape`` and row
     slices: one chunk at a time, whose working arrays and dense slice each stay within
     ``DECODE_CHUNK_FLOATS`` floats (at least one row), so memory stays bounded at any n.
+    A row whose label scores are not all finite raises ``NumericError`` with its index.
     """
     shape = np.shape(X)
     if len(shape) != 2 or shape[1] != params.num_features:
@@ -165,9 +164,12 @@ def decode_rows(params: ModelParams, X) -> np.ndarray:
     labels = np.empty((shape[0], params.num_labels), dtype=np.int8)
     for start in range(0, shape[0], rows):
         # (1 x D) @ (D x m) per row, as beta @ x, so each row rounds alike; the slice is freed
-        unary = np.matmul(np.asarray(X[start:start + rows], float)[:, None, :], params.beta.T)
-        labels[start:start + rows] = (_eliminate(unary[:, 0], params.alpha, scopes) if exact
-                                      else _icm(unary[:, 0], params.alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            unary = np.matmul(np.asarray(X[start:start + rows], float)[:, None, :], params.beta.T)[:, 0]
+        if not (finite := np.isfinite(unary).all(axis=1)).all():
+            raise NumericError(f"row {start + finite.argmin()} has label scores that are not finite")
+        labels[start:start + rows] = (_eliminate(unary, params.alpha, scopes) if exact
+                                      else _icm(unary, params.alpha))
     return labels
 
 
@@ -245,6 +247,32 @@ def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = _row(params, x)
     best = int(_bruteforce_scores(params, x).argmax())
     return _configs(params.num_labels, best, best + 1)[:, 0].astype(np.int8)
+
+
+def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDataset:
+    """Draw n instances with x uniform in the unit ball and y ~ p(y|x; params).
+
+    Labels are sampled exactly by enumerating all 2^m configurations, so the
+    label count must stay small (m <= ``ENUMERATION_LIMIT``).
+    """
+    m, d = params.num_labels, params.num_features
+    _guard_enumeration(m, ENUMERATION_LIMIT)
+    configs = np.ascontiguousarray(_configs(m).T)  # one label vector per row
+    rng = np.random.default_rng(check_seed(seed))
+
+    pair_scores = 0.5 * np.einsum("ci,ij,cj->c", configs, params.alpha, configs)
+
+    features = np.empty((n, d))
+    labels = np.empty((n, m), dtype=np.int8)
+    for r in range(n):
+        v = rng.normal(size=d)
+        x = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / d)
+        scores = configs @ (params.beta @ x) + pair_scores
+        probs = np.exp(scores - scores.max())
+        probs /= probs.sum()
+        features[r] = x
+        labels[r] = configs[rng.choice(2 ** m, p=probs)]
+    return MultilabelDataset(features, labels, default_label_names(m))
 
 
 def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:

@@ -24,6 +24,10 @@ import numpy as np
 
 from .errors import DataError
 
+# Floats per working array when rows are read a chunk at a time (8 MiB): each dense
+# slice of rows, and the tables, unaries and labels that ``decode_rows`` makes of it.
+DECODE_CHUNK_FLOATS = 1 << 20
+
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function, elementwise."""

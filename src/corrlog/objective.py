@@ -58,7 +58,7 @@ class Problem:
     def __init__(self, reg: RegularizationConfig, num_labels: int, num_features: int,
                  dataset: MultilabelDataset | None = None, fit_alpha: bool = True):
         m, d = num_labels, num_features
-        self.reg, self.num_labels, self.num_features = reg, m, d
+        self.num_labels, self.num_features = m, d
         sizes = [m * d, m * m * fit_alpha]
         self.lam = np.repeat([reg.lambda1, reg.lambda2], sizes)
         self.weight = np.repeat([1.0, 0.5], sizes)

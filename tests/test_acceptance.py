@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from corrlog.cli import main as cli_main
-from corrlog.data import ToySpec, add_bias_column, generate_toy, sample_from_model
+from corrlog.data import ToySpec, add_bias_column, generate_toy
 from corrlog.evaluation import predict_dataset, stability_experiment
-from corrlog.inference import map_bruteforce, predict_map_bp
+from corrlog.inference import map_bruteforce, predict_map_bp, sample_from_model
 from corrlog.metrics import compute_metrics
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import (

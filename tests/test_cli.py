@@ -541,6 +541,20 @@ class TestPredictAndEval:
             "error: beta must be a list of lists, one row of hex floats per label\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_label_scores_that_overflow_exit_4(self, toy_files, tmp_path, capsys, command):
+        # unscaled, the second row's scores overflow: its labels would be read off nan tables
+        train, _ = toy_files
+        model, big, out = tmp_path / "plain.json", tmp_path / "big.csv", tmp_path / "out"
+        assert main(["train", str(train), "--model-out", str(model)]) == 0
+        big.write_text("x1,x2|label1,label2\n0.1,0.2,1,-1\n1e308,1e308,1,1\n")
+        capsys.readouterr()
+        extra = ["--out", str(out)] if command == "predict" else ["--json-out", str(out)]
+        assert main([command, str(model), str(big), *extra]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: row 1 has label scores that are not finite\n")
+        assert not out.exists()
+
     def test_dimension_mismatch_exits_3(self, trained_model, tmp_path):
         other = tmp_path / "wide.csv"
         other.write_text("f1,f2,f3,f4|l1,l2\n0.1,0.2,0.3,0.4,1,0\n")

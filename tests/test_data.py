@@ -18,11 +18,11 @@ from corrlog.data import (
     compute_feature_scale,
     generate_toy,
     load_dataset,
-    sample_from_model,
     scale_features,
     write_dense_csv,
 )
 from corrlog.errors import DataError, ParseError
+from corrlog.inference import sample_from_model
 from corrlog.model import CsrRows, ModelParams, MultilabelDataset
 from corrlog.objective import RegularizationConfig
 from corrlog.serialize import save_model

@@ -16,7 +16,6 @@ from corrlog.data import (
     compute_feature_scale,
     generate_toy,
     load_dataset,
-    sample_from_model,
 )
 from corrlog.errors import DataError
 from corrlog.evaluation import (
@@ -31,7 +30,7 @@ from corrlog.evaluation import (
     stability_experiment,
 )
 from corrlog.metrics import METRIC_NAMES, MetricsReport
-from corrlog.inference import map_bruteforce
+from corrlog.inference import map_bruteforce, sample_from_model
 from corrlog.model import CsrRows, ModelParams, MultilabelDataset
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlog import inference
-from corrlog.data import sample_from_model
-from corrlog.errors import DataError
+from corrlog.errors import DataError, NumericError
 from corrlog.evaluation import predict_dataset
 from corrlog.inference import (
     BRUTEFORCE_LIMIT,
@@ -21,6 +20,7 @@ from corrlog.inference import (
     margin,
     margin_loss,
     predict_map_bp,
+    sample_from_model,
 )
 from corrlog.model import ModelParams, joint_score
 
@@ -306,6 +306,31 @@ class TestChunkUnaries:
         labels = decode_rows(params, X)
         assert shapes == [(4, m)] * 6 + [(1, m)]
         assert labels.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("m", [3, 17])  # a complete graph: elimination, then ICM
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1e308, 0.0]])
+    def test_a_row_whose_label_scores_are_not_finite_is_named(self, monkeypatch, m, bad):
+        # every label's score is nan, or 4e308 overflowing to inf, on row 5 of 7; two rows a
+        # chunk (a row's largest table is 8 floats at m = 3, ICM's arrays m floats) put it in
+        # the third chunk, after two decoded ones
+        rng = np.random.default_rng(74)
+        alpha = {(i, j): 0.1 for i in range(m) for j in range(i + 1, m)}
+        params = ModelParams(np.column_stack([np.full(m, 4.0), rng.normal(size=m)]), alpha, m, 2)
+        assert decodes_exactly(params) == (m == 3)
+        X = rng.normal(size=(7, 2))
+        X[5] = bad
+        monkeypatch.setattr(inference, "DECODE_CHUNK_FLOATS", 2 * (8 if m == 3 else m))
+        chunks, decoder = [], "_eliminate" if m == 3 else "_icm"
+        real = getattr(inference, decoder)
+
+        def spy(unary, *rest):
+            chunks.append(len(unary))
+            return real(unary, *rest)
+
+        monkeypatch.setattr(inference, decoder, spy)
+        with pytest.raises(NumericError, match=r"^row 5 has label scores that are not finite$"):
+            decode_rows(params, X)
+        assert chunks == [2, 2]
 
 
 def frustrated_cycle(m: int) -> ModelParams:

@@ -550,7 +550,7 @@ class TestSparsityMonotonicity:
         # statistical property on a fixed seed: stronger l1 weight cannot
         # produce a denser interaction graph
         from conftest import random_params
-        from corrlog.data import sample_from_model
+        from corrlog.inference import sample_from_model
 
         rng = np.random.default_rng(99)
         truth = random_params(rng, 6, 4, alpha_scale=0.6, density=0.3)

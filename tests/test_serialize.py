@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrlog.data import ToySpec, add_bias_column, generate_toy, sample_from_model
+from corrlog.data import ToySpec, add_bias_column, generate_toy
 from corrlog.errors import DataError, ModelFormatError
-from corrlog.inference import predict_map_bp
+from corrlog.inference import predict_map_bp, sample_from_model
 from corrlog.model import ModelParams
 from corrlog.objective import RegularizationConfig
 from corrlog.optimizer import TrainConfig, train_corrlog
