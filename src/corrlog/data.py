@@ -11,9 +11,10 @@ Two on-disk formats are supported:
   are 1-based.  Every index is a run of ASCII decimal digits.
 
 A file is decoded from UTF-8, then a leading byte-order mark is dropped.
-A dense file's data rows are converted by one ``np.loadtxt`` call, which
-reads a cell as ``float()`` does; a file it finds irregular (``_dense_rows``)
-is parsed again line by line, which raises the first error with its line.
+A dense file's non-blank lines are numbered in one pass: the first is the
+header, and the data rows after it are converted by one ``np.loadtxt`` call,
+which reads a cell as ``float()`` does; rows it finds irregular (``_dense_rows``)
+are parsed again one by one, which raises the first error with its line.
 A sparse file is parsed a fixed block of lines at a time: each line is split
 once, and the feature tokens of the block are split at their colon, converted
 and checked together as arrays, so the per-token strings held at once stay
@@ -131,14 +132,10 @@ def _parse_float(token: str, line_no: int) -> float:
 
 
 def _load_dense(lines: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    header_no = None
-    for idx, line in enumerate(lines, start=1):
-        if line.strip():
-            header_no = idx
-            break
-    if header_no is None:
+    numbered = [(line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip()]
+    if not numbered:
         raise ParseError("file contains no header line")
-    header = lines[header_no - 1]
+    (header_no, header), *numbered = numbered
     if header.count("|") != 1:
         raise ParseError("header must contain exactly one '|' between feature and label names", header_no)
     feat_part, label_part = header.split("|")
@@ -148,15 +145,12 @@ def _load_dense(lines: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
         raise ParseError("header must name at least one feature and one label column", header_no)
     n_feat, n_lab = len(feature_names), len(label_names)
 
-    rows = [line for line in lines[header_no:] if line.strip()]
+    rows = [line for _, line in numbered]
     parsed = _dense_rows(rows, n_feat, n_lab) if rows else None  # loadtxt warns on no rows
     if parsed is not None:
         return *parsed, tuple(label_names)
     features, labels = [], []
-    for line_no in range(header_no + 1, len(lines) + 1):
-        line = lines[line_no - 1]
-        if not line.strip():
-            continue
+    for line_no, line in numbered:
         cells = line.split(",")
         if len(cells) != n_feat + n_lab:
             raise ParseError(

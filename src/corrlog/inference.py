@@ -226,10 +226,15 @@ def _configs(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
 
 def _bruteforce_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Joint scores of all 2^m label vectors of x, ``_BLOCK`` at a time: the pair score
-    sum_{i<j} alpha_ij y_i y_j, then unary_i * y_i added label by label."""
+    sum_{i<j} alpha_ij y_i y_j, then unary_i * y_i added label by label.  Unaries that
+    are not all finite raise ``NumericError``."""
     m = params.num_labels
     _guard_enumeration(m, BRUTEFORCE_LIMIT)
-    unary, upper, blocks = params.beta @ x, np.triu(params.alpha, 1), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        unary = params.beta @ x
+    if not np.isfinite(unary).all():
+        raise NumericError("x has label scores that are not finite")
+    upper, blocks = np.triu(params.alpha, 1), []
     for start in range(0, 1 << m, _BLOCK):
         configs = _configs(m, start, start + _BLOCK)
         blocks.append(((upper @ configs) * configs).sum(axis=0))
@@ -257,6 +262,8 @@ def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDatas
     """
     m, d = params.num_labels, params.num_features
     _guard_enumeration(m, ENUMERATION_LIMIT)
+    if d < 1:
+        raise DataError(f"sampling x from the unit ball needs at least one feature, got {d}")
     configs = np.ascontiguousarray(_configs(m).T)  # one label vector per row
     rng = np.random.default_rng(check_seed(seed))
 

@@ -5,6 +5,10 @@ are both empty scores 1 on Jaccard accuracy and example-F1 (and 0 when exactly
 one side is empty, which the formulas already give).  A label with no true and
 no predicted positives across the whole evaluation set contributes F1 = 1 to
 macro-F1 and is flagged as degenerate in the report.
+
+Every measure comes from four counts of positives: per example, the shared
+ones and both sides' summed (the union is their difference); per label, the
+true ones and the true plus predicted ones (2 tp + fp + fn).
 """
 
 from __future__ import annotations
@@ -43,59 +47,44 @@ class MetricsReport:
         return {name: getattr(self, name) for name in (*METRIC_NAMES, "n_eval")}
 
 
-def _to_label_matrix(vectors, what: str) -> np.ndarray:
+def _positives(vectors, what: str) -> np.ndarray:
+    """The ``== 1`` mask of a matrix of -1/+1 label vectors; anything else is a DataError."""
     try:
         mat = np.asarray(vectors)
     except ValueError as exc:  # ragged rows
         raise DataError(f"{what} must be a list of equal-length label vectors") from exc
     if mat.ndim != 2:
         raise DataError(f"{what} must be a list of equal-length label vectors")
-    return check_signs(mat, f"{what} entries").astype(int)
+    return check_signs(mat, f"{what} entries") == 1
 
 
 def compute_metrics(y_true, y_pred) -> MetricsReport:
     """Six standard multilabel measures of predictions against ground truth."""
-    true_mat = _to_label_matrix(y_true, "y_true")
-    pred_mat = _to_label_matrix(y_pred, "y_pred")
-    if true_mat.shape != pred_mat.shape:
+    true_pos = _positives(y_true, "y_true")
+    pred_pos = _positives(y_pred, "y_pred")
+    if true_pos.shape != pred_pos.shape:
         raise DataError(
-            f"shape mismatch: y_true {true_mat.shape} vs y_pred {pred_mat.shape}"
+            f"shape mismatch: y_true {true_pos.shape} vs y_pred {pred_pos.shape}"
         )
-    n, m = true_mat.shape
+    n, m = true_pos.shape
     if n == 0 or m == 0:
         raise DataError("need at least one example and one label")
 
-    disagree = true_mat != pred_mat
-    hamming = float(disagree.mean())
-    zero_one = float(disagree.any(axis=1).mean())
-
-    true_pos = true_mat == 1
-    pred_pos = pred_mat == 1
-    inter = (true_pos & pred_pos).sum(axis=1)
-    union = (true_pos | pred_pos).sum(axis=1)
+    shared = true_pos & pred_pos
+    inter = shared.sum(axis=1)
     size_sum = true_pos.sum(axis=1) + pred_pos.sum(axis=1)
-    # both sets empty -> perfect agreement on this example
-    accuracy = float(np.where(union > 0, inter / np.maximum(union, 1), 1.0).mean())
-    f1_ex = float(np.where(size_sum > 0, 2 * inter / np.maximum(size_sum, 1), 1.0).mean())
-
-    tp = (true_pos & pred_pos).sum(axis=0)
-    fp = (~true_pos & pred_pos).sum(axis=0)
-    fn = (true_pos & ~pred_pos).sum(axis=0)
-    denom = 2 * tp + fp + fn
-    degenerate = tuple(int(j) for j in np.nonzero(denom == 0)[0])
-    per_label_f1 = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 1.0)
-    macro_f1 = float(per_label_f1.mean())
-
+    union = size_sum - inter
+    tp = shared.sum(axis=0)
+    denom = true_pos.sum(axis=0) + pred_pos.sum(axis=0)  # 2 tp + fp + fn
     pooled_denom = int(denom.sum())
-    micro_f1 = float(2 * tp.sum() / pooled_denom) if pooled_denom > 0 else 1.0
-
     return MetricsReport(
-        hamming_loss=hamming,
-        zero_one_loss=zero_one,
-        accuracy=accuracy,
-        f1_example=f1_ex,
-        macro_f1=macro_f1,
-        micro_f1=micro_f1,
+        hamming_loss=float((union - inter).sum() / (n * m)),
+        zero_one_loss=float((inter < union).mean()),
+        # both sets empty -> perfect agreement on this example
+        accuracy=float(np.where(union > 0, inter / np.maximum(union, 1), 1.0).mean()),
+        f1_example=float(np.where(size_sum > 0, 2 * inter / np.maximum(size_sum, 1), 1.0).mean()),
+        macro_f1=float(np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 1.0).mean()),
+        micro_f1=float(2 * tp.sum() / pooled_denom) if pooled_denom > 0 else 1.0,
         n_eval=n,
-        degenerate_labels=degenerate,
+        degenerate_labels=tuple(int(j) for j in np.nonzero(denom == 0)[0]),
     )

@@ -636,6 +636,8 @@ class TestWholeFileDenseParser:
         pytest.param("\ufefff1|l1\n1,1\n", True, None, id="byte-order-mark"),
         pytest.param("f1,f2|l1\n0.5,-0.25,+1\n", True, None, id="single-row"),
         pytest.param("f1|l1\n\n", False, "file contains no data rows", id="header-only"),
+        pytest.param("\n  \nf1,f2|l1\n\n1,2,1\n1,1\n", False,
+                     "line 6: expected 3 columns, found 2", id="ragged-after-blank-lines"),
     ])
     def test_named_edge_cells(self, tmp_path, text, whole_file, error):
         path = tmp_path / "d.csv"
@@ -908,3 +910,8 @@ class TestSampleFromModel:
         assert np.array_equal(a.feature_matrix, b.feature_matrix)
         assert np.array_equal(a.label_matrix, b.label_matrix)
         assert np.linalg.norm(a.feature_matrix, axis=1).max() <= 1.0
+
+    def test_a_model_without_features_is_refused(self):
+        # the radius u ** (1 / d) has no meaning at d = 0
+        with pytest.raises(DataError, match=r"^sampling x from the unit ball needs at least one feature, got 0$"):
+            sample_from_model(ModelParams.zeros(2, 0), 3, 0)

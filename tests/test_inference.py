@@ -629,6 +629,14 @@ class TestMapBruteforce:
         with pytest.raises(DataError):
             map_bruteforce(params, np.zeros(1))
 
+    def test_overflowing_label_scores_raise(self):
+        # beta @ x overflows to (inf, -inf): scored, every vector would be NaN
+        params = ModelParams(np.array([[4.0, 0.0], [-4.0, 1.0]]), {}, 2, 2)
+        x = np.array([1e308, 0.0])
+        for call in (lambda: map_bruteforce(params, x), lambda: margin(params, x, np.ones(2))):
+            with pytest.raises(NumericError, match=r"^x has label scores that are not finite$"):
+                call()
+
 
 class TestMargin:
     def test_zero_params_margin_zero(self):

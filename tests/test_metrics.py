@@ -118,6 +118,24 @@ class TestAgainstOracle:
             for name in METRIC_NAMES:
                 assert getattr(got, name) == pytest.approx(want[name], abs=1e-12), name
 
+    def test_pinned_bits(self):
+        # exact values, where the oracle comparison allows 1e-12
+        rng = np.random.default_rng(35)
+        y_true = np.where(rng.uniform(size=(40, 7)) < 0.4, 1, -1)
+        y_pred = np.where(rng.uniform(size=(40, 7)) < 0.4, 1, -1)
+        y_true[3] = y_pred[3] = -1  # an example with no positives on either side
+        y_true[:, 5] = y_pred[:, 5] = -1  # a label with no positives on either side
+        got = compute_metrics(y_true, y_pred)
+        assert {name: getattr(got, name).hex() for name in METRIC_NAMES} == {
+            "hamming_loss": "0x1.c924924924925p-2",
+            "zero_one_loss": "0x1.f333333333333p-1",
+            "accuracy": "0x1.0da740da740dbp-2",
+            "f1_example": "0x1.790d2a6c405dap-2",
+            "macro_f1": "0x1.e7aeb01ce08efp-2",
+            "micro_f1": "0x1.8f9c18f9c18fap-2",
+        }
+        assert got.degenerate_labels == (5,)
+
 
 class TestProperties:
     @settings(max_examples=80, deadline=None)
