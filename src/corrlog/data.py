@@ -20,13 +20,13 @@ once, and the feature tokens of the block are split at their colon, converted
 and checked together as arrays, so the per-token strings held at once stay
 bounded.  The tokens are joined by spaces once; each has exactly one colon
 when the colon and space bytes of that text alternate, starting with a colon.
-numpy converts the indices once each is known to be ASCII digits; it
-saturates at 2**63 - 1, so a block holding that value is converted again
-exactly by ``int``.  A block with any irregularity is parsed again line by
-line, which raises the first error in reading order with its whole-file line
-number; tests use that per-line parser as the reference.  The features of a
-sparse file are kept as CSR rows (``CsrRows``): training densifies them once,
-through ``feature_matrix``, and scoring reads one dense slice of rows at a time.
+numpy converts the indices once each is known to be ASCII digits.  It saturates
+at 2**63 - 1, so a block holding that value is parsed again line by line, like a
+block with any other irregularity; the per-line parser raises the first error in
+reading order with its whole-file line number, and tests use it as the reference.
+The features of a sparse file are kept as CSR rows (``CsrRows``): training
+densifies them once, through ``feature_matrix``, and scoring reads one dense
+slice of rows at a time.
 
 Feature preparation follows the model's instance-space convention ||x|| <= 1:
 ``scale_features`` divides every vector by the training set's largest l2 norm
@@ -238,19 +238,15 @@ def _load_sparse_lines(lines: list[str], spec: DatasetSpec, first_line: int = 1)
 
 
 def _index_array(texts: list[str]) -> np.ndarray | None:
-    """The indices as int64, or None unless each is ASCII digits worth 1 to 2**63 - 1."""
+    """The indices as int64, or None unless each is ASCII digits worth 1 to 2**63 - 2;
+    numpy saturates at 2**63 - 1, so a block that reaches it is parsed line by line."""
     if not texts:
         return np.zeros(0, dtype=np.int64)
     digits = "".join(texts)
     if "" in texts or not (digits.isascii() and digits.isdigit()):
         return None
     indices = np.fromstring(" ".join(texts), dtype=np.int64, sep=" ")
-    if indices.max() == _MAX_INDEX:  # numpy saturates there: convert again exactly
-        try:
-            indices = np.fromiter(map(int, texts), dtype=np.int64, count=len(texts))
-        except (OverflowError, ValueError):
-            return None
-    return indices if indices.min() >= 1 else None
+    return indices if indices.min() >= 1 and indices.max() < _MAX_INDEX else None
 
 
 def _sparse_entries(lines: list[str], spec: DatasetSpec):

@@ -12,6 +12,8 @@ last with ties to +1, so each row gets the lexicographically first optimum, as
 ``map_bruteforce`` does; it and ``margin`` score all 2^m label vectors of one
 row, 2^16 at a time, up to ``BRUTEFORCE_LIMIT`` labels.  ``sample_from_model`` draws
 labels exactly from p(y | x) over all 2^m, up to ``ENUMERATION_LIMIT`` labels.
+Like ``decode_rows``, they and ``predict_map_bp`` raise ``NumericError`` on label
+scores that are not finite.
 
 Wider models decode by iterated conditional modes (ICM; Besag 1986), a heuristic
 that takes no settings and returns local optima.  Both paths take sums per row in
@@ -33,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError
-from .model import (DECODE_CHUNK_FLOATS, ModelParams, MultilabelDataset, _row, check_seed,
-                    default_label_names)
+from .model import (DECODE_CHUNK_FLOATS, ModelParams, MultilabelDataset, _label_scores, _row,
+                    check_seed, default_label_names)
 
 ENUMERATION_LIMIT = 16  # exact decoding needs a smaller width; sampling enumerates 2^16
 BRUTEFORCE_LIMIT = 20  # largest label count map_bruteforce and margin enumerate
@@ -178,11 +180,12 @@ def predict_map_bp(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Beli
 
     With an empty interaction map this reduces exactly to per-label sign
     decisions (ties to +1).  Non-convergence within ``MAX_ITERS`` rounds is
-    reported on the state, not raised.
+    reported on the state, not raised; label scores that are not finite raise
+    ``NumericError``.
     """
     x = _row(params, x)
     m, edge = params.num_labels, params.alpha != 0
-    node_terms = (params.beta @ x)[:, None] * _STATES  # y_i * unary[i], +1 first
+    node_terms = _label_scores(params, x)[:, None] * _STATES  # y_i * unary[i], +1 first
     # [i, j, s_i, s_j]: weight * s_i * s_j
     pairwise = params.alpha[:, :, None, None] * np.outer(_STATES, _STATES)
     messages = np.zeros((m, m, 2))  # [i, j]: from label i to label j, 0 off the edges
@@ -230,10 +233,7 @@ def _bruteforce_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
     are not all finite raise ``NumericError``."""
     m = params.num_labels
     _guard_enumeration(m, BRUTEFORCE_LIMIT)
-    with np.errstate(over="ignore", invalid="ignore"):
-        unary = params.beta @ x
-    if not np.isfinite(unary).all():
-        raise NumericError("x has label scores that are not finite")
+    unary = _label_scores(params, x)
     upper, blocks = np.triu(params.alpha, 1), []
     for start in range(0, 1 << m, _BLOCK):
         configs = _configs(m, start, start + _BLOCK)
@@ -274,8 +274,11 @@ def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDatas
     for r in range(n):
         v = rng.normal(size=d)
         x = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / d)
-        scores = configs @ (params.beta @ x) + pair_scores
-        probs = np.exp(scores - scores.max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = configs @ (params.beta @ x) + pair_scores
+            if not np.isfinite(scores).all():
+                raise NumericError(f"drawn row {r} has label scores that are not finite")
+            probs = np.exp(scores - scores.max())  # a gap past the largest float weighs 0
         probs /= probs.sum()
         features[r] = x
         labels[r] = configs[rng.choice(2 ** m, p=probs)]

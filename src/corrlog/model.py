@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 # Floats per working array when rows are read a chunk at a time (8 MiB): each dense
 # slice of rows, and the tables, unaries and labels that ``decode_rows`` makes of it.
@@ -229,14 +229,12 @@ class MultilabelDataset:
         if isinstance(features, CsrRows):
             features = replace(features, data=fn(features.data, None))
             features = features if column is None else features.with_column(column)
-        elif column is None:
-            features = fn(features, None)
         else:
             n, d = features.shape
-            out = np.empty((n, d + 1))
-            fn(features, out[:, :d])
-            out[:, d] = column
-            features = out
+            features = np.empty((n, d + (column is not None)))
+            fn(self.features, features[:, :d])
+            if column is not None:
+                features[:, d] = column
         return MultilabelDataset(features, self.labels, self.label_names)
 
 
@@ -269,10 +267,19 @@ def _row(params: ModelParams, x, y=None, i: int | None = None):
     return x if y is None else (x, y)
 
 
+def _label_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """``beta @ x`` for an x that ``_row`` checked; a score not finite is a NumericError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        unary = params.beta @ x
+    if not np.isfinite(unary).all():
+        raise NumericError("x has label scores that are not finite")
+    return unary
+
+
 def joint_score(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Unnormalized log-probability sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j."""
     x, y = _row(params, x, y)
-    return float(y @ (params.beta @ x)) + float(y @ np.triu(params.alpha, 1) @ y)
+    return float(y @ _label_scores(params, x)) + float(y @ np.triu(params.alpha, 1) @ y)
 
 
 def conditional_label_prob(

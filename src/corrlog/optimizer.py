@@ -29,7 +29,9 @@ rate): omega_k = (t_k - 1) / t_{k+1} with t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2,
 t_0 = 1 and z_0 = theta_0.  An extrapolated step that would increase the objective
 resets t to 1 and is retaken from z_k = theta_k, with A_k, which keeps the trace monotone.
 
-Training is deterministic: identical inputs produce bit-identical models.
+Training is deterministic: identical inputs produce bit-identical models with the
+same numpy, BLAS build and BLAS thread count.  Across thread counts the iteration
+counts, the objectives (to rounding) and the decoded labels agree.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from corrlog.data import (
     scale_features,
     write_dense_csv,
 )
-from corrlog.errors import DataError, ParseError
+from corrlog.errors import DataError, NumericError, ParseError
 from corrlog.inference import sample_from_model
 from corrlog.model import CsrRows, ModelParams, MultilabelDataset
 from corrlog.objective import RegularizationConfig
@@ -289,6 +289,10 @@ def arrays_identical(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# an index that parses, but only line by line
+LINE_BY_LINE = "parsed line by line"
+
+
 def must_not_fall_back(lines, spec, first_line=1):
     raise AssertionError("the block parser fell back on a well-formed block")
 
@@ -426,8 +430,9 @@ class TestBlockParser:
 
     @pytest.mark.parametrize("line,message", [
         ("1 0000000000000000000012:0.5", None),
-        ("1 9223372036854775807:0.5", None),
-        ("2,00000000000000000003 3:1 9223372036854775807:0.5 0000000000000000000012:2", None),
+        ("1 9223372036854775807:0.5", LINE_BY_LINE),
+        ("2,00000000000000000003 3:1 9223372036854775807:0.5 0000000000000000000012:2",
+         LINE_BY_LINE),
         ("1 3:1 9223372036854775808:0.5", "feature index 9223372036854775808 is too large"),
         ("1 18446744073709551617:0.5", "feature index 18446744073709551617 is too large"),
         ("2,9223372036854775808 1:0.5", "label index 9223372036854775808 is too large"),
@@ -446,6 +451,15 @@ class TestBlockParser:
             assert all(arrays_identical(a, b) for a, b in zip(got, expected, strict=True))
             with mock.patch.object(data, "_load_sparse_lines", must_not_fall_back):
                 data._load_sparse([line], spec)
+            return
+        if message is LINE_BY_LINE:  # numpy saturates at 2**63 - 1, so the block falls back
+            assert data._sparse_entries([line], spec) is None
+            sizes, cols, values, _, label_idx = data._load_sparse_lines([line], spec)
+            ds = data._load_sparse([line], spec)
+            got = (np.diff(ds.features.indptr), ds.features.indices, ds.features.data,
+                   np.flatnonzero(ds.labels[0] == 1))
+            expected = sizes, cols, values, label_idx
+            assert all(arrays_identical(a, b) for a, b in zip(got, expected, strict=True))
             return
         # one data row, so the guard on the row keys' overflow cannot fall back first
         lines = ["# note", line]
@@ -915,3 +929,10 @@ class TestSampleFromModel:
         # the radius u ** (1 / d) has no meaning at d = 0
         with pytest.raises(DataError, match=r"^sampling x from the unit ball needs at least one feature, got 0$"):
             sample_from_model(ModelParams.zeros(2, 0), 3, 0)
+
+    def test_a_drawn_row_whose_scores_overflow_is_named(self):
+        # rows 0-3 of seed 2 score finitely, row 0 with a gap past the largest float that
+        # weighs its worst labels 0; row 4's scores sum past the largest float
+        params = ModelParams(1e308 * np.ones((2, 3)), {(0, 1): 0.5}, 2, 3)
+        with pytest.raises(NumericError, match=r"^drawn row 4 has label scores that are not finite$"):
+            sample_from_model(params, 10, 2)

@@ -62,6 +62,12 @@ class TestPredictMapBp:
         assert state.iterations_run == 0
         assert state.messages == {}
 
+    def test_overflowing_label_scores_raise(self):
+        # beta @ x overflows to (inf, -inf): the messages would be NaN after one round
+        params = ModelParams(np.array([[4.0, 0.0], [-4.0, 1.0]]), {(0, 1): 0.5}, 2, 2)
+        with pytest.raises(NumericError, match=r"^x has label scores that are not finite$"):
+            predict_map_bp(params, np.array([1e308, 0.0]))
+
     def test_tie_at_zero_goes_positive(self):
         params = ModelParams.zeros(3, 2)
         labels, _ = predict_map_bp(params, np.array([0.3, -0.3]))
@@ -227,16 +233,18 @@ class TestReferenceDecoder:
         assert_same_state(got, want)
         assert np.signbit(got.beliefs[3, 1])
 
-    def test_infinite_unary_off_the_edges_leaves_them_converging(self):
-        # label 2's unary overflows to inf; it sends no messages, so none turns NaN
+    def test_infinite_unary_off_the_edges_is_refused(self):
+        # label 2's unary overflows to inf; it sends no messages, so the unchecked reference
+        # converges, but a score that is not finite is refused here as decode_rows refuses it
         params = ModelParams([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e10]], {(0, 1): 0.5}, 3, 2)
         x = np.array([0.3, 1e300])
         with np.errstate(over="ignore", invalid="ignore"):
-            want_labels, want = reference_predict_map_bp(params, x)
-            got_labels, got = predict_map_bp(params, x)
-        assert np.isinf(got.beliefs[2, 0]) and got.converged
-        assert np.array_equal(got_labels, want_labels)
-        assert_same_state(got, want)
+            _, want = reference_predict_map_bp(params, x)
+        assert np.isinf(want.beliefs[2, 0]) and want.converged
+        with pytest.raises(NumericError, match=r"^x has label scores that are not finite$"):
+            predict_map_bp(params, x)
+        with pytest.raises(NumericError, match=r"^row 0 has label scores that are not finite$"):
+            decode_rows(params, x[None])
 
     def test_decode_rows_checks_shape(self):
         params = ModelParams.zeros(2, 3)

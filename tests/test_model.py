@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrlog.errors import DataError
+from corrlog.errors import DataError, NumericError
 from corrlog.inference import map_bruteforce, margin, predict_map_bp
 from corrlog.model import (
     ModelParams,
@@ -152,6 +152,12 @@ class TestJointScore:
         a = ModelParams(beta, dict(pairs), 4, 2)
         b = ModelParams(beta, dict(reversed(pairs)), 4, 2)
         assert joint_score(a, x, y) == joint_score(b, x, y)
+
+    def test_overflowing_label_scores_raise(self):
+        # beta @ x overflows to (inf, -inf), which would score y = (+1, -1) as inf
+        p = ModelParams(np.array([[4.0, 0.0], [-4.0, 1.0]]), {(0, 1): 0.5}, 2, 2)
+        with pytest.raises(NumericError, match=r"^x has label scores that are not finite$"):
+            joint_score(p, np.array([1e308, 0.0]), np.array([1, -1]))
 
     def test_dimension_mismatch_errors(self):
         p = ModelParams.zeros(2, 3)

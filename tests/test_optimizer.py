@@ -1,5 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,3 +567,39 @@ class TestSparsityMonotonicity:
             nnz[eps] = sum(1 for v in alpha_pairs(params).values() if abs(v) > 1e-8)
         assert nnz[1.0] <= nnz[0.1] <= nnz[0.0]
         assert nnz[0.0] == 15  # all pairs active without any l1 shrinkage
+
+
+# One seeded fit and its held-out labels at 500 x 300 features and 34 labels, so theta has
+# 11,356 coordinates: large enough that OpenBLAS splits the products and long dots by thread.
+_THREAD_FIT = """
+import json, sys
+import numpy as np
+from corrlog import MultilabelDataset, TrainConfig, predict_dataset, train_corrlog
+
+rng = np.random.default_rng(21)
+x = rng.normal(size=(500, 300))
+x /= np.linalg.norm(x, axis=1).max()
+y = np.where(x @ rng.normal(size=(300, 34)) + 0.3 * rng.normal(size=(500, 34)) >= 0, 1, -1)
+names = [f"l{i}" for i in range(34)]
+params, trace = train_corrlog(MultilabelDataset(x[:400], y[:400], names), TrainConfig())
+labels = predict_dataset(params, MultilabelDataset(x[400:], y[400:], names))
+json.dump({"iterations": trace.iterations, "objective": trace.records[-1].objective,
+           "labels": labels.tolist()}, sys.stdout)
+"""
+
+
+class TestBlasThreadCounts:
+    def test_fits_agree_across_thread_counts(self):
+        # the model's bits may differ between thread counts; the fit's course and labels do not
+        src = Path(__file__).resolve().parents[1] / "src"
+        fits = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", _THREAD_FIT], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            fits.append(json.loads(done.stdout))
+        one, two = fits
+        assert one["iterations"] == two["iterations"]
+        assert one["objective"] == pytest.approx(two["objective"], rel=1e-12, abs=0)
+        assert one["labels"] == two["labels"]
