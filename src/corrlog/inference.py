@@ -4,16 +4,15 @@ The prediction problem  argmax_y  sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i
 is a MAP query on a pairwise graphical model whose nodes are labels and whose
 edges are the nonzero pairwise weights.  ``decode_rows`` slices a chunk of rows at
 a time and takes their unaries <beta_i, x> in one stacked product that rounds each
-row as ``beta @ x``; a row whose unaries are not all finite raises ``NumericError``.
-When ``decodes_exactly`` (``elimination_width`` below ``ENUMERATION_LIMIT``), it
-runs max-sum variable elimination on the chunk: labels are eliminated from last
-to first into tables of at most 2^16 entries a row, then read back from first to
-last with ties to +1, so each row gets the lexicographically first optimum, as
-``map_bruteforce`` does; it and ``margin`` score all 2^m label vectors of one
-row, 2^16 at a time, up to ``BRUTEFORCE_LIMIT`` labels.  ``sample_from_model`` draws
+row as ``beta @ x``.  When ``decodes_exactly`` (``elimination_width`` below
+``ENUMERATION_LIMIT``), it runs max-sum variable elimination on the chunk: labels
+are eliminated from last to first into tables of at most 2^16 entries a row, then
+read back from first to last with ties to +1, so each row gets the lexicographically
+first optimum, as ``map_bruteforce`` does; it and ``margin`` score all 2^m label
+vectors of one row, up to ``BRUTEFORCE_LIMIT`` labels.  ``sample_from_model`` draws
 labels exactly from p(y | x) over all 2^m, up to ``ENUMERATION_LIMIT`` labels.
-Like ``decode_rows``, they and ``predict_map_bp`` raise ``NumericError`` on label
-scores that are not finite.
+``model._joint_scores`` computes every joint score, and one rule holds for them all:
+a label score, single or summed, that is not a finite float raises ``NumericError``.
 
 Wider models decode by iterated conditional modes (ICM; Besag 1986), a heuristic
 that takes no settings and returns local optima.  Both paths take sums per row in
@@ -35,12 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError
-from .model import (DECODE_CHUNK_FLOATS, ModelParams, MultilabelDataset, _label_scores, _row,
-                    check_seed, default_label_names)
+from .model import (DECODE_CHUNK_FLOATS, ModelParams, MultilabelDataset, _joint_scores,
+                    _label_scores, _row, check_seed, default_label_names)
 
 ENUMERATION_LIMIT = 16  # exact decoding needs a smaller width; sampling enumerates 2^16
 BRUTEFORCE_LIMIT = 20  # largest label count map_bruteforce and margin enumerate
-_BLOCK = 1 << 16  # label vectors they score at a time
+_BLOCK = 1 << 12  # label vectors they score at a time
 
 MAX_ITERS = 50  # max-product rounds before a vector is reported non-converged
 _TOLERANCE = 1e-9  # max-product converges when no message moves by this much in a round
@@ -135,9 +134,7 @@ def _icm(unary: np.ndarray, alpha: np.ndarray) -> np.ndarray:
                 if up.any():
                     y[up, i] *= -1
                     flipped = True
-        # y . (u + alpha y / 2): the joint score, row by row
-        field = unary + (y[:, None, :] @ alpha)[:, 0] / 2
-        score = (y[:, None, :] @ field[:, :, None])[:, 0, 0]
+        score = _joint_scores(alpha, y, unary, "a row decoded by ICM")
         better = score > best_score
         best[better], best_score[better] = y[better], score[better]
     return best.astype(np.int8)
@@ -152,7 +149,8 @@ def decode_rows(params: ModelParams, X) -> np.ndarray:
     an array, a list of rows or ``CsrRows``, is read only through ``np.shape`` and row
     slices: one chunk at a time, whose working arrays and dense slice each stay within
     ``DECODE_CHUNK_FLOATS`` floats (at least one row), so memory stays bounded at any n.
-    A row whose label scores are not all finite raises ``NumericError`` with its index.
+    A row raises ``NumericError`` with its index when its score bound, sum_i |u_i| +
+    sum_{i<j} |alpha_ij|, which no label vector's score exceeds in size, is not finite.
     """
     shape = np.shape(X)
     if len(shape) != 2 or shape[1] != params.num_features:
@@ -164,11 +162,13 @@ def decode_rows(params: ModelParams, X) -> np.ndarray:
     floats = 2 << width if exact else params.num_labels
     rows = max(1, DECODE_CHUNK_FLOATS // max(floats, params.num_labels, params.num_features))
     labels = np.empty((shape[0], params.num_labels), dtype=np.int8)
+    pair_bound = np.abs(np.triu(params.alpha, 1)).sum()
     for start in range(0, shape[0], rows):
         # (1 x D) @ (D x m) per row, as beta @ x, so each row rounds alike; the slice is freed
         with np.errstate(over="ignore", invalid="ignore"):
             unary = np.matmul(np.asarray(X[start:start + rows], float)[:, None, :], params.beta.T)[:, 0]
-        if not (finite := np.isfinite(unary).all(axis=1)).all():
+            bound = np.abs(unary).sum(axis=1) + pair_bound
+        if not (finite := np.isfinite(bound)).all():
             raise NumericError(f"row {start + finite.argmin()} has label scores that are not finite")
         labels[start:start + rows] = (_eliminate(unary, params.alpha, scopes) if exact
                                       else _icm(unary, params.alpha))
@@ -221,26 +221,20 @@ def _guard_enumeration(m: int, limit: int) -> None:
 
 
 def _configs(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Label vectors start..stop-1 of all 2^m (lexicographic, +1 first) as +-1 columns."""
+    """Label vectors start..stop-1 of all 2^m (lexicographic, +1 first) as +-1 rows."""
     stop = 1 << m if stop is None else min(stop, 1 << m)
-    bits = (np.arange(start, stop) >> np.arange(m - 1, -1, -1)[:, None]) & 1
-    return (1 - 2 * bits).astype(float)
+    # each index's 32 bits, most significant first; the last m mark its -1 labels
+    bits = np.unpackbits(np.arange(start, stop, dtype=">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    return 1.0 - 2.0 * bits[:, 32 - m:]
 
 
 def _bruteforce_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Joint scores of all 2^m label vectors of x, ``_BLOCK`` at a time: the pair score
-    sum_{i<j} alpha_ij y_i y_j, then unary_i * y_i added label by label.  Unaries that
-    are not all finite raise ``NumericError``."""
+    """Joint scores of all 2^m label vectors of x, scored ``_BLOCK`` at a time."""
     m = params.num_labels
     _guard_enumeration(m, BRUTEFORCE_LIMIT)
     unary = _label_scores(params, x)
-    upper, blocks = np.triu(params.alpha, 1), []
-    for start in range(0, 1 << m, _BLOCK):
-        configs = _configs(m, start, start + _BLOCK)
-        blocks.append(((upper @ configs) * configs).sum(axis=0))
-        for u, row in zip(unary, configs):
-            blocks[-1] += u * row
-    return np.concatenate(blocks)
+    return np.concatenate([_joint_scores(params.alpha, _configs(m, s, s + _BLOCK), unary, "x")
+                           for s in range(0, 1 << m, _BLOCK)])
 
 
 def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -249,9 +243,8 @@ def map_bruteforce(params: ModelParams, x: np.ndarray) -> np.ndarray:
     Ties go to the lexicographically first optimum with +1 ordered before -1,
     as in every row that ``decode_rows`` decodes exactly.
     """
-    x = _row(params, x)
-    best = int(_bruteforce_scores(params, x).argmax())
-    return _configs(params.num_labels, best, best + 1)[:, 0].astype(np.int8)
+    best = int(_bruteforce_scores(params, _row(params, x)).argmax())
+    return _configs(params.num_labels, best, best + 1)[0].astype(np.int8)
 
 
 def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDataset:
@@ -264,20 +257,13 @@ def sample_from_model(params: ModelParams, n: int, seed: int) -> MultilabelDatas
     _guard_enumeration(m, ENUMERATION_LIMIT)
     if d < 1:
         raise DataError(f"sampling x from the unit ball needs at least one feature, got {d}")
-    configs = np.ascontiguousarray(_configs(m).T)  # one label vector per row
-    rng = np.random.default_rng(check_seed(seed))
-
-    pair_scores = 0.5 * np.einsum("ci,ij,cj->c", configs, params.alpha, configs)
-
-    features = np.empty((n, d))
-    labels = np.empty((n, m), dtype=np.int8)
+    configs, rng = _configs(m), np.random.default_rng(check_seed(seed))
+    features, labels = np.empty((n, d)), np.empty((n, m), dtype=np.int8)
     for r in range(n):
         v = rng.normal(size=d)
         x = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / d)
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = configs @ (params.beta @ x) + pair_scores
-            if not np.isfinite(scores).all():
-                raise NumericError(f"drawn row {r} has label scores that are not finite")
+            scores = _joint_scores(params.alpha, configs, params.beta @ x, f"drawn row {r}")
             probs = np.exp(scores - scores.max())  # a gap past the largest float weighs 0
         probs /= probs.sum()
         features[r] = x
@@ -292,11 +278,10 @@ def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     with the scores of ``map_bruteforce``, so it is a desk-scale diagnostic
     (m <= ``BRUTEFORCE_LIMIT``).
     """
-    m = params.num_labels
     x, y = _row(params, x, y)
     scores = _bruteforce_scores(params, x)
     # y is the vector whose bits, most significant first, mark its -1 labels
-    y_index = int(np.dot(y == -1, 1 << np.arange(m - 1, -1, -1)))
+    y_index = int(np.dot(y == -1, 1 << np.arange(len(y) - 1, -1, -1)))
     own_score = float(scores[y_index])
     scores[y_index] = -np.inf
     return own_score - float(scores.max())

@@ -267,19 +267,34 @@ def _row(params: ModelParams, x, y=None, i: int | None = None):
     return x if y is None else (x, y)
 
 
-def _label_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """``beta @ x`` for an x that ``_row`` checked; a score not finite is a NumericError."""
+def _label_scores(params: ModelParams, x: np.ndarray, i: int | slice = slice(None)):
+    """``beta[i] @ x`` (all labels' by default) for an x that ``_row`` checked; a score
+    not finite is a NumericError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        unary = params.beta @ x
+        unary = params.beta[i] @ x
     if not np.isfinite(unary).all():
         raise NumericError("x has label scores that are not finite")
     return unary
 
 
+def _joint_scores(alpha: np.ndarray, y: np.ndarray, u: np.ndarray, name: str) -> np.ndarray:
+    """The joint score y . (u + alpha y / 2) of each label row of y (n x m) against its
+    row of unaries u (broadcast), one row's products at a time, so that a row's bits do
+    not depend on the rows beside it.  A score not finite is a NumericError on ``name``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = (y[:, None, :] @ alpha)[:, 0]
+        field /= 2
+        field += u  # in place: two more arrays of the rows would cost more than the products
+        scores = (y[:, None, :] @ field[:, :, None])[:, 0, 0]
+    if not np.isfinite(scores).all():
+        raise NumericError(f"{name} has label scores that are not finite")
+    return scores
+
+
 def joint_score(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Unnormalized log-probability sum_i y_i <beta_i, x> + sum_{i<j} alpha_ij y_i y_j."""
     x, y = _row(params, x, y)
-    return float(y @ _label_scores(params, x)) + float(y @ np.triu(params.alpha, 1) @ y)
+    return float(_joint_scores(params.alpha, y[None], _label_scores(params, x), "x")[0])
 
 
 def conditional_label_prob(
@@ -291,7 +306,7 @@ def conditional_label_prob(
     """
     x, y = _row(params, x, y, i)
     # alpha's zero diagonal leaves y_i out of its own interaction field
-    activation = float(params.beta[i] @ x) + float(params.alpha[i] @ y)
+    activation = float(_label_scores(params, x, i)) + float(params.alpha[i] @ y)
     return float(sigmoid(2.0 * y[i] * activation))
 
 
@@ -299,4 +314,4 @@ def ilrs_label_prob(params: ModelParams, x: np.ndarray, i: int, y_i: int) -> flo
     """Independent-logistic probability of label i, ignoring all pairwise weights."""
     x = _row(params, x, i=i)
     check_signs(y_i, "y_i")
-    return float(sigmoid(2.0 * y_i * float(params.beta[i] @ x)))
+    return float(sigmoid(2.0 * y_i * float(_label_scores(params, x, i))))

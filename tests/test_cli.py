@@ -555,6 +555,22 @@ class TestPredictAndEval:
             "numeric failure: row 1 has label scores that are not finite\n")
         assert not out.exists()
 
+    def test_label_scores_whose_sum_overflows_exit_4(self, tmp_path, capsys):
+        # both label scores are 1.5e308, finite, but no table or score can hold their sum;
+        # the decoder once overflowed with a warning and said every row was decoded exactly
+        from corrlog.model import ModelParams
+        from corrlog.serialize import save_model
+
+        model, data, out = tmp_path / "big.json", tmp_path / "one.csv", tmp_path / "p.txt"
+        params = ModelParams(np.full((2, 1), 1.5e308), {(0, 1): 0.5}, 2, 1)
+        model.write_text(save_model(params, RegularizationConfig()))
+        data.write_text("x1|l1,l2\n1,1,1\n")
+        capsys.readouterr()
+        assert main(["predict", str(model), str(data), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: row 0 has label scores that are not finite\n")
+        assert not out.exists()
+
     def test_dimension_mismatch_exits_3(self, trained_model, tmp_path):
         other = tmp_path / "wide.csv"
         other.write_text("f1,f2,f3,f4|l1,l2\n0.1,0.2,0.3,0.4,1,0\n")

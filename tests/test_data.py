@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 from unittest import mock
@@ -916,6 +917,15 @@ class TestSampleFromModel:
         e = np.exp(0.5)
         expected = 2 * e / (2 * e + 2 * np.exp(-0.5))
         assert p_equal == pytest.approx(expected, abs=0.03)
+
+    def test_draws_are_pinned(self):
+        # the features and labels of one seeded model, bit for bit: draws for m <= 16 stay
+        # as they are while the scores behind them are computed another way
+        rng = np.random.default_rng(1337)
+        alpha = {(i, j): 0.5 * float(rng.normal()) for i in range(5) for j in range(i + 1, 5)}
+        ds = sample_from_model(ModelParams(rng.normal(size=(5, 3)), alpha, 5, 3), n=200, seed=11)
+        digest = hashlib.sha256(ds.feature_matrix.tobytes() + ds.labels.tobytes()).hexdigest()
+        assert digest == "befa81174539290a83e9d37860e0aadb2095746a606d107f841ce3df55dc5c43"
 
     def test_deterministic_and_in_unit_ball(self):
         params = ModelParams(np.ones((2, 3)) * 0.2, {(0, 1): -0.3}, 2, 3)

@@ -316,11 +316,12 @@ class TestChunkUnaries:
         assert labels.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("m", [3, 17])  # a complete graph: elimination, then ICM
-    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1e308, 0.0]])
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1e308, 0.0], [4e307, 0.0]])
     def test_a_row_whose_label_scores_are_not_finite_is_named(self, monkeypatch, m, bad):
-        # every label's score is nan, or 4e308 overflowing to inf, on row 5 of 7; two rows a
-        # chunk (a row's largest table is 8 floats at m = 3, ICM's arrays m floats) put it in
-        # the third chunk, after two decoded ones
+        # every label's score is nan, or 4e308 overflowing to inf, or 1.6e308, finite, with
+        # a sum that overflows elimination's tables and ICM's scores, on row 5 of 7; two rows
+        # a chunk (a row's largest table is 8 floats at m = 3, ICM's arrays m floats) put it
+        # in the third chunk, after two decoded ones
         rng = np.random.default_rng(74)
         alpha = {(i, j): 0.1 for i in range(m) for j in range(i + 1, m)}
         params = ModelParams(np.column_stack([np.full(m, 4.0), rng.normal(size=m)]), alpha, m, 2)
@@ -637,11 +638,18 @@ class TestMapBruteforce:
         with pytest.raises(DataError):
             map_bruteforce(params, np.zeros(1))
 
-    def test_overflowing_label_scores_raise(self):
+    @pytest.mark.parametrize("beta, alpha, x", [
         # beta @ x overflows to (inf, -inf): scored, every vector would be NaN
-        params = ModelParams(np.array([[4.0, 0.0], [-4.0, 1.0]]), {}, 2, 2)
-        x = np.array([1e308, 0.0])
-        for call in (lambda: map_bruteforce(params, x), lambda: margin(params, x, np.ones(2))):
+        ([[4.0, 0.0], [-4.0, 1.0]], {}, [1e308, 0.0]),
+        # finite label scores whose sum overflows: (1, 1, 1) and (1, 1, -1) would score inf,
+        # and the argmax would pick the first of them, not the MAP (1, 1, -1)
+        ([[1.5e308], [1.5e308], [-1.0]], {(0, 1): 1.0}, [1.0]),
+    ], ids=["label score", "joint score"])
+    def test_overflowing_label_scores_raise(self, beta, alpha, x):
+        beta, x = np.array(beta), np.array(x)
+        params, y = ModelParams(beta, alpha, *beta.shape), np.ones(len(beta))
+        for call in (lambda: map_bruteforce(params, x), lambda: margin(params, x, y),
+                     lambda: joint_score(params, x, y)):
             with pytest.raises(NumericError, match=r"^x has label scores that are not finite$"):
                 call()
 

@@ -252,6 +252,11 @@ class TestIlrsLabelProb:
                 conditional_label_prob(stripped, x, y, i), abs=1e-15
             )
 
+    def test_reads_only_its_own_label_score(self):
+        # label 0's score overflows (see TestSingleRowContract); label 1's, 1e308, does not
+        p = ModelParams(np.array([[4.0, 4.0], [1.0, 0.0]]), {(0, 1): 0.5}, 2, 2)
+        assert ilrs_label_prob(p, np.array([1e308, -1e308]), 1, 1) == 1.0
+
 
 # Each single-row function as f(params, x, y, i); ilrs_label_prob reads label 1 of y.
 ROW_FUNCTIONS = {
@@ -308,6 +313,14 @@ class TestSingleRowContract:
     def test_label_index_out_of_range_is_an_index_error(self, name, i):
         with pytest.raises(IndexError):
             ROW_FUNCTIONS[name](self.params, self.x, self.y, i)
+
+    @pytest.mark.parametrize("name", list(ROW_FUNCTIONS))
+    def test_a_label_score_that_is_not_finite_is_a_numeric_error(self, name):
+        # beta_0 . x is 4e308 - 4e308, exactly 0, but its products overflow to inf - inf;
+        # the conditional and ILR probabilities of label 0 once read it as 1.0
+        p = ModelParams(np.array([[4.0, 4.0], [1.0, 0.0]]), {(0, 1): 0.5}, 2, 2)
+        with pytest.raises(NumericError, match=r"^x has label scores that are not finite$"):
+            ROW_FUNCTIONS[name](p, np.array([1e308, -1e308]), np.array([1, 1]), 0)
 
 
 class TestSigmoid:
