@@ -284,7 +284,10 @@ def margin(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     y_index = int(np.dot(y == -1, 1 << np.arange(len(y) - 1, -1, -1)))
     own_score = float(scores[y_index])
     scores[y_index] = -np.inf
-    return own_score - float(scores.max())
+    gap = own_score - float(scores.max())  # two finite scores may differ by more than a float
+    if not np.isfinite(gap):
+        raise NumericError("x has a margin that is not finite")
+    return gap
 
 
 def margin_loss(params: ModelParams, x: np.ndarray, y: np.ndarray,

@@ -307,11 +307,11 @@ def conditional_label_prob(
     x, y = _row(params, x, y, i)
     # alpha's zero diagonal leaves y_i out of its own interaction field
     activation = float(_label_scores(params, x, i)) + float(params.alpha[i] @ y)
-    return float(sigmoid(2.0 * y[i] * activation))
+    return float(sigmoid(2.0 * float(y[i]) * activation))  # Python floats overflow to inf, silently
 
 
 def ilrs_label_prob(params: ModelParams, x: np.ndarray, i: int, y_i: int) -> float:
     """Independent-logistic probability of label i, ignoring all pairwise weights."""
     x = _row(params, x, i=i)
     check_signs(y_i, "y_i")
-    return float(sigmoid(2.0 * y_i * float(_label_scores(params, x, i))))
+    return float(sigmoid(2.0 * float(y_i) * float(_label_scores(params, x, i))))

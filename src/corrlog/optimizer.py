@@ -57,9 +57,6 @@ from .objective import (
 )
 
 MAX_BACKTRACKS = 100
-# eta before the first attempt, which always tries twice it, the plain Jacobi step; each later
-# attempt tries twice the last eta only when the last step's curvature allows it
-INITIAL_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -147,22 +144,20 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
     h = problem.jacobi_metric()
     tau = problem.lam * reg.epsilon / h  # the l1 threshold at eta = 1
     neg_tau, h_weight = -tau, h * problem.weight  # and the metric counting a pair once
-    eta, grow, t_momentum = INITIAL_STEP, True, 1.0
+    eta, t_momentum = 1.0, 1.0  # eta: the step the next attempt tries first
     nb = problem.num_labels * problem.num_features
 
     trace = TrainTrace()
 
-    def attempt_step(z, act_z, eta, grow):
-        """Prox step from z, whose activations are act_z, in the metric h: try 2*eta if grow,
-        else eta, then halve until the surrogate majorizes.
+    def attempt_step(z, act_z, eta):
+        """Prox step from z, whose activations are act_z, in the metric h: try eta, then
+        halve until the surrogate majorizes.
 
-        Returns the candidate, its activations, its eta, its full objective and whether
-        the next attempt may try twice that eta.
+        Returns the candidate, its activations, its eta, its full objective and the eta
+        the next attempt tries: twice this one when the step's curvature allows it.
         """
         smooth_z, grad = smooth_grad_dense(z, problem, act_z)
         direction = grad / h
-        if grow:
-            eta *= 2.0
         for _ in range(MAX_BACKTRACKS):
             # the step in units of eta, a power of 2, so scaling by it moves no bit
             cand = _shrink(z / eta - direction, tau, neg_tau) * eta
@@ -177,8 +172,9 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
             if smooth_new <= quad + 1e-15 * max(1.0, abs(quad)):
                 break
             eta *= 0.5
-        grow = sq_sum == 0.0 or excess * eta <= 0.25 * sq_sum  # rho * eta <= 1/2
-        return cand, act_new, eta, add_l1_penalty(smooth_new, cand, problem), grow
+        # the next attempt tries twice this eta only when rho * eta <= 1/2
+        next_eta = 2.0 * eta if sq_sum == 0.0 or excess * eta <= 0.25 * sq_sum else eta
+        return cand, act_new, eta, add_l1_penalty(smooth_new, cand, problem), next_eta
 
     for k in range(config.max_iters):
         z, act_z = theta, act
@@ -190,12 +186,12 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
             act_z = np.add(act, omega * (act - act_prev), out=act_prev)
             t_momentum = t_next
 
-        new_theta, new_act, eta, f_new, grow = attempt_step(z, act_z, eta, grow)
+        new_theta, new_act, step, f_new, eta = attempt_step(z, act_z, eta)
 
         if f_new > f_cur and (z is not theta):
             # momentum overshot: restart and retake the step from the current point
             t_momentum = 1.0
-            new_theta, new_act, eta, f_new, grow = attempt_step(theta, act, eta, grow)
+            new_theta, new_act, step, f_new, eta = attempt_step(theta, act, eta)
 
         if not math.isfinite(f_new):
             raise NumericError(f"objective became non-finite at iteration {k}")
@@ -207,10 +203,10 @@ def _train(dataset: MultilabelDataset, config: TrainConfig,
             break
 
         theta_prev, theta, act_prev, act = theta, new_theta, act, new_act
-        nnz_alpha = int(np.count_nonzero(theta[nb:])) // 2  # the small block: counted alone
-        record = TraceRecord(iteration=k, objective=f_new, step_size=eta, nnz_alpha=nnz_alpha,
-                             nnz_beta=int(np.count_nonzero(theta)) - 2 * nnz_alpha)
-        trace.records.append(record)
+        trace.records.append(TraceRecord(
+            iteration=k, objective=f_new, step_size=step,
+            nnz_alpha=int(np.count_nonzero(theta[nb:])) // 2,
+            nnz_beta=int(np.count_nonzero(theta[:nb]))))
 
         if trace.converged:
             break

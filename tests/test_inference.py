@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 
@@ -576,6 +577,16 @@ class TestWideDecode:
         bp = np.mean([joint_score(params, x, predict_map_bp(params, x)[0]) for x in X])
         assert icm >= bp
 
+    def test_labels_are_pinned(self):
+        # no bench workload decodes a model this wide: one seeded dense model's labels, bit for bit
+        rng = np.random.default_rng(38)
+        beta, alpha = rng.normal(size=(20, 8)), np.triu(rng.normal(scale=0.5, size=(20, 20)), 1)
+        params = ModelParams(beta, alpha + alpha.T, 20, 8)
+        assert not decodes_exactly(params) and elimination_width(params) == 19
+        labels = decode_rows(params, rng.normal(size=(200, 8)))
+        digest = hashlib.sha256(labels.tobytes()).hexdigest()
+        assert digest == "faa289c37cc684513aebb147491886daac25239eaf6f9d1d0fee5d89df862526"
+
     def test_keeps_the_best_start(self):
         # the sign rule's start falls to all -1 (score 5); the all +1 start stays (score 7)
         alpha = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
@@ -691,6 +702,13 @@ class TestMargin:
         params = ModelParams.zeros(21, 1)
         with pytest.raises(DataError):
             margin(params, np.zeros(1), np.ones(21, dtype=np.int8))
+
+    def test_a_difference_past_the_largest_float_raises(self):
+        # the scores of +1 and -1 are 1e308 and -1e308, finite; their difference is not
+        params = ModelParams(np.array([[1e308]]), {}, 1, 1)
+        for fn in (margin, margin_loss):
+            with pytest.raises(NumericError, match="x has a margin"):
+                fn(params, np.array([1.0]), np.array([1]))
 
     @pytest.mark.parametrize("y", [[0, 1], [1, 2], [0.5, -1]])
     def test_labels_outside_plus_minus_one_rejected(self, y):

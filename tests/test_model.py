@@ -228,6 +228,12 @@ class TestConditionalLabelProb:
         assert conditional_label_prob(p, np.array([1.0]), np.array([1]), 0) == 1.0
         assert conditional_label_prob(p, np.array([1.0]), np.array([-1]), 0) == pytest.approx(0.0, abs=1e-80)
 
+    def test_an_overflowing_logit_returns_its_limit(self):
+        # the activation, 1e308 + 1, is finite; twice it is not, and no warning is raised
+        p = ModelParams(np.array([[1e308], [0.0]]), {(0, 1): 1.0}, 2, 1)
+        assert conditional_label_prob(p, np.array([1.0]), np.array([1, 1]), 0) == 1.0
+        assert conditional_label_prob(p, np.array([1.0]), np.array([-1, 1]), 0) == 0.0
+
 
 class TestIlrsLabelProb:
     def test_zero_beta_half(self):
@@ -256,6 +262,12 @@ class TestIlrsLabelProb:
         # label 0's score overflows (see TestSingleRowContract); label 1's, 1e308, does not
         p = ModelParams(np.array([[4.0, 4.0], [1.0, 0.0]]), {(0, 1): 0.5}, 2, 2)
         assert ilrs_label_prob(p, np.array([1e308, -1e308]), 1, 1) == 1.0
+
+    def test_an_overflowing_logit_returns_its_limit_for_a_numpy_label(self):
+        # a label read from a dataset is an int8; twice the score 1e308 is not a float
+        p = ModelParams(np.array([[1e308]]), {}, 1, 1)
+        assert ilrs_label_prob(p, np.array([1.0]), 0, np.int8(1)) == 1.0
+        assert ilrs_label_prob(p, np.array([1.0]), 0, np.int8(-1)) == 0.0
 
 
 # Each single-row function as f(params, x, y, i); ilrs_label_prob reads label 1 of y.

@@ -23,7 +23,6 @@ from corrlog.objective import (
     smooth_gradient,
 )
 from corrlog.optimizer import (
-    INITIAL_STEP,
     TrainConfig,
     soft_threshold,
     subgradient_residual,
@@ -251,11 +250,11 @@ class TestJacobiMetric:
 class TestPassCount:
     """Each attempted step makes one gradient pass at its anchor, which is handed the
     anchor's activations, and one value pass, the only forward product, per candidate;
-    only the zero start asks for the full objective.  An attempt tries twice the last
-    eta only after a step whose curvature in the metric h,
-    rho = (smooth_new - smooth_z - <g, d>) / (sum(h d^2) / 2), has rho * eta <= 1/2 (the
-    first attempt always does), else the last eta; then it halves.  So over a run the
-    value passes are attempts + growing attempts - log2(final eta / INITIAL_STEP)."""
+    only the zero start asks for the full objective.  The first attempt tries eta = 1,
+    the plain Jacobi step.  A later one tries twice the last eta only after a step whose
+    curvature in the metric h, rho = (smooth_new - smooth_z - <g, d>) / (sum(h d^2) / 2),
+    has rho * eta <= 1/2, else the last eta; then it halves.  So over a run the value
+    passes are attempts + growing attempts - log2(final eta)."""
 
     @pytest.fixture
     def log(self, monkeypatch):
@@ -300,7 +299,7 @@ class TestPassCount:
                 attempts.append((entry, []))
             else:
                 attempts[-1][1].append(entry)
-        eta, grow, grown, replayed = INITIAL_STEP, True, 0, []
+        eta, grow, grown, replayed = 1.0, False, 0, []
         for (_, z, _, smooth_z, g, problem), trials in attempts:
             assert trials  # each attempt makes at least one value pass
             grown += grow
@@ -316,10 +315,10 @@ class TestPassCount:
     def check_accounting(self, log, trace):
         attempts, grown = self.replay(log)
         assert trace.iterations < len(attempts) <= 2 * trace.iterations  # restarts happened
-        assert 1 < grown < len(attempts)  # the gate both allowed and withheld growth
+        assert 0 < grown < len(attempts)  # the gate both allowed and withheld growth
         values = sum(len(trials) for _, trials, _ in attempts)
-        doublings = math.log2(trace.records[-1].step_size / INITIAL_STEP)
-        assert doublings == round(doublings)  # every step is INITIAL_STEP * 2^k
+        doublings = math.log2(trace.records[-1].step_size)
+        assert doublings == round(doublings)  # every step is a power of 2
         assert values == len(attempts) + grown - round(doublings)
         assert values > len(attempts)  # some attempts backtracked
         # an iteration ends at an attempt whose successor is not a restart, which
@@ -451,13 +450,13 @@ class TestTrainCorrlog:
 
     def test_step_grows_past_its_start(self):
         # the metric is the curvature at zero only, so eta may grow past the
-        # plain Jacobi step 2 * INITIAL_STEP where the loss flattens
+        # plain Jacobi step, eta = 1, where the loss flattens
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, 40, 8, 3)
         reg = RegularizationConfig(0.01, 0.01, 1.0)
         _, trace = train_corrlog(ds, TrainConfig(reg=reg, max_iters=200))
         steps = [r.step_size for r in trace.records]
-        assert max(steps) > 2 * INITIAL_STEP
+        assert max(steps) > 1.0
         assert np.all(np.diff(trace.objectives()) <= 0.0)
 
     def test_deterministic_bit_identical(self):
